@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench bench-all bench-check race fuzz experiments analyze examples clean serve fleet-demo
+.PHONY: build test vet bench bench-all bench-check race fuzz experiments analyze examples clean serve fleet-demo perfbench
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,17 @@ bench:
 bench-check:
 	$(BENCH_RUN) | $(GO) run ./cmd/mopac-bench -against BENCH_baseline.json
 	@echo wrote BENCH_current.json
+
+# The repository benchmark (perfbench/): builds it from source, runs
+# one workload (sweep, attack or serve) for SECONDS of measured time at
+# a seed, and prints the machine line, the results digests and every
+# metric with its unit.
+WORKLOAD ?= sweep
+SEED ?= 1
+SECONDS ?= 20
+
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS)
 
 # Every paper-reproduction benchmark (tables, figures, ablations).
 bench-all:

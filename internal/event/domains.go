@@ -84,11 +84,11 @@ type message struct {
 	ctx   any
 }
 
-// dentry is a domain-heap element. Unlike the serial engine's 16-byte
-// entry, the sort key carries the scheduling instant (birth) so
-// barrier-injected deliveries order against locally armed events by
-// when they were scheduled, matching the serial engine's
-// global-sequence order whenever the scheduling instants differ.
+// dentry is a domain-heap element. Like the serial engine's entry, the
+// sort key carries the scheduling instant (birth) so barrier-injected
+// deliveries order against locally armed events by when they were
+// scheduled, matching the serial engine's global-sequence order
+// whenever the scheduling instants differ.
 type dentry struct {
 	at    int64
 	birth int64

@@ -1,5 +1,5 @@
 // Package event implements the discrete-event core of the memory-system
-// simulator: a pooled 4-ary min-heap scheduler with int64 nanosecond
+// simulator: a pooled calendar-wheel scheduler with int64 nanosecond
 // timestamps and deterministic FIFO ordering for events scheduled at the
 // same instant.
 //
@@ -14,14 +14,18 @@
 //
 // The engine is built for throughput: events live in a flat []item pool
 // reused through a free list (no per-event heap allocation, no interface
-// boxing), the priority queue is an index-based 4-ary heap (shallower
-// than a binary heap, so fewer cache-missing compares per pop), and the
-// pre-bound Func form lets hot callers schedule a static function plus a
-// receiver and an int64 payload without allocating a closure. Cancelled
-// events are dropped lazily on pop and compacted wholesale when they
-// outnumber live ones, so cancel-heavy workloads (controller wake
-// coalescing, core wake-ups) do not bloat the queue.
+// boxing), and the pre-bound Func form lets hot callers schedule a
+// static function plus a receiver and an int64 payload without
+// allocating a closure. The priority queue is a calendar wheel of one
+// bucket per nanosecond over the next wheelSize ns — where nearly every
+// event the memory system schedules lands — backed by an index-based
+// 4-ary overflow heap for the rare farther event. Cancelled events are
+// dropped lazily on pop and compacted wholesale when they outnumber
+// live ones, so cancel-heavy workloads (controller wake coalescing,
+// core wake-ups) do not bloat the queue.
 package event
+
+import "math/bits"
 
 // Handler is a callback invoked when its event fires. The engine's clock
 // already shows the event's timestamp when the handler runs.
@@ -39,7 +43,7 @@ func callHandler(ctx any, _ int64) { ctx.(Handler)() }
 
 // item is one pooled event slot. Slots are reused through the free list;
 // gen increments on every release so stale Tokens cannot touch a reused
-// slot. The ordering keys live in the heap entries, not here, so heap
+// slot. The ordering keys live in the queue entries, not here, so
 // compares never chase an index into the pool.
 type item struct {
 	arg int64
@@ -77,17 +81,17 @@ const (
 	MaxDomains = 1 << srcBits
 )
 
-// heapEntry is one priority-queue element: the (at, birth, key) sort
-// key inline plus the pool slot it refers to. key holds
-// cross | src<<srcShift | seq<<idxBits | idx; seq is unique, so
-// comparing keys orders by (cross, src, seq).
-type heapEntry struct {
+// entry is one priority-queue element, in a wheel bucket or the
+// overflow heap: the (at, birth, key) sort key inline plus the pool
+// slot it refers to. key holds cross | src<<srcShift | seq<<idxBits |
+// idx; seq is unique, so comparing keys orders by (cross, src, seq).
+type entry struct {
 	at    int64
 	birth int64 // engine time when the event was scheduled
 	key   uint64
 }
 
-func (e heapEntry) idx() int32 { return int32(e.key & idxMask) }
+func (e entry) idx() int32 { return int32(e.key & idxMask) }
 
 // before orders entries by (at, birth, cross, src, seq): same-time
 // events fire in birth order, then local-before-hop, then hops by
@@ -97,7 +101,7 @@ func (e heapEntry) idx() int32 { return int32(e.key & idxMask) }
 // schedules this is the classic (at, seq) FIFO; the birth, cross and
 // src terms exist to pin the one order a sharded engine can also
 // reproduce (see domains.go).
-func (a heapEntry) before(b heapEntry) bool {
+func (a entry) before(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -151,10 +155,10 @@ func (e *Engine) cancelToken(idx int32, gen uint32) {
 	it.fn, it.ctx = nil, nil
 	e.live--
 	e.dead++
-	// Lazy compaction: when cancelled events dominate the queue, sweep
-	// them out in one pass so cancel-heavy runs stay O(live) rather than
-	// O(scheduled).
-	if e.dead > compactMinDead && e.dead*2 > len(e.heap) {
+	// Lazy compaction: when cancelled events dominate the queued entries
+	// (wheel and overflow alike), sweep them out in one pass so
+	// cancel-heavy runs stay O(live) rather than O(scheduled).
+	if e.dead > compactMinDead && e.dead > e.live {
 		e.compact()
 	}
 }
@@ -163,40 +167,69 @@ func (e *Engine) cancelToken(idx int32, gen uint32) {
 // worth the sweep.
 const compactMinDead = 64
 
-// arity is the heap fan-out. A 4-ary heap halves the tree depth of a
-// binary heap: pops do more compares per level but touch fewer cache
-// lines, which wins for the pop-heavy usage here.
+// arity is the overflow heap's fan-out. A 4-ary heap halves the tree
+// depth of a binary heap: pops do more compares per level but touch
+// fewer cache lines.
 const arity = 4
+
+// wheelSize is the calendar wheel's span in nanoseconds, one bucket per
+// nanosecond. 64 makes the occupancy set one machine word and covers
+// the DRAM command gaps, frontend hops and core stalls that make up
+// nearly all of the schedule; only refresh deadlines and long core
+// waits overflow to the heap.
+const (
+	wheelSize = 64
+	wheelMask = wheelSize - 1
+)
+
+// bucket holds the wheel entries of one instant, sorted by the engine's
+// (at, birth, key) relation; ents[head:] are still queued.
+type bucket struct {
+	ents []entry
+	head int
+}
 
 // Engine is a discrete-event scheduler. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
-	items []item      // slot pool; heap and free reference it by index
-	heap  []heapEntry // 4-ary min-heap ordered by (at, seq)
-	free  []int32     // released slots available for reuse
+	items []item  // slot pool; wheel and heap entries reference it by index
+	free  []int32 // released slots available for reuse
 	now   int64
 	seq   uint64
 	fire  uint64
 	live  int // scheduled, not cancelled, not fired
-	dead  int // cancelled but still occupying a heap entry
+	dead  int // cancelled but still occupying a queue entry
 
-	// nowQ holds local events scheduled at the current instant — the
-	// wake-at-now pattern the controllers lean on — as a plain FIFO
-	// that bypasses the heap. Correctness: such an entry has
-	// (at, birth) = (now, now) and no cross bit, so it is ordered
-	// after every heap entry at the same instant born earlier and
-	// before every cross hop at the same (at, birth); among
-	// themselves FIFO entries fire in seq (append) order. The clock
-	// cannot pass an entry's instant while it is live (all live
-	// events at or before the clock fire first), so the queue is
-	// sorted by the same (at, birth, key) relation the heap uses and
-	// a two-way merge on pop preserves the engine's total order.
-	nowQ    []heapEntry
-	nowHead int
+	// wheel holds every entry due in [now, now+wheelSize), in bucket
+	// at & wheelMask. Entries are only filed there when due less than
+	// wheelSize ns ahead, and the clock never passes a queued entry's
+	// instant (everything due earlier fires or is pruned first), so a
+	// bucket never mixes two instants. occupied has bit b set while
+	// bucket b is non-empty; rotating it by the clock puts the next due
+	// bucket at the lowest set bit.
+	wheel    [wheelSize]bucket
+	occupied uint64
+
+	// heap is the overflow: entries due wheelSize ns or more ahead when
+	// scheduled, as a 4-ary min-heap under the same relation. The clock
+	// may carry such an entry into the wheel's span; pops compare the
+	// wheel front with the heap root, so it still fires in order.
+	heap []entry
 }
 
 // NewEngine returns an engine with its clock at time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	// Carve every bucket's initial capacity out of one backing array,
+	// so construction costs one allocation instead of several per
+	// bucket; a bucket that outgrows its carve moves out on append.
+	const depth = 8
+	e := &Engine{}
+	ents := make([]entry, wheelSize*depth)
+	for b := range e.wheel {
+		e.wheel[b].ents = ents[b*depth : b*depth : (b+1)*depth]
+	}
+	return e
+}
 
 // Now returns the current simulation time in nanoseconds.
 func (e *Engine) Now() int64 { return e.now }
@@ -281,15 +314,22 @@ func (e *Engine) schedule(t int64, cross uint64, fn Func, ctx any, arg int64) To
 	idx := e.alloc()
 	it := &e.items[idx]
 	it.fn, it.ctx, it.arg = fn, ctx, arg
-	ent := heapEntry{at: t, birth: e.now, key: cross | e.seq<<idxBits | uint64(idx)}
+	ent := entry{at: t, birth: e.now, key: cross | e.seq<<idxBits | uint64(idx)}
 	e.seq++
 	e.live++
-	if t == e.now && cross == 0 {
-		if e.nowHead == len(e.nowQ) {
-			e.nowQ = e.nowQ[:0]
-			e.nowHead = 0
+	if t-e.now < wheelSize {
+		b := t & wheelMask
+		q := &e.wheel[b]
+		q.ents = append(q.ents, ent)
+		// Births and sequence numbers only grow, so a new entry sorts
+		// last unless it must precede same-birth hops: walk it back
+		// past those.
+		i := len(q.ents) - 1
+		for ; i > q.head && ent.before(q.ents[i-1]); i-- {
+			q.ents[i] = q.ents[i-1]
 		}
-		e.nowQ = append(e.nowQ, ent)
+		q.ents[i] = ent
+		e.occupied |= 1 << uint(b)
 	} else {
 		e.heap = append(e.heap, ent)
 		e.siftUp(len(e.heap) - 1)
@@ -297,25 +337,30 @@ func (e *Engine) schedule(t int64, cross uint64, fn Func, ctx any, arg int64) To
 	return Token{e, idx, it.gen}
 }
 
-// Entry sources reported by peekLive.
+// fromHeap and fromNone are the peekLive sources besides a wheel
+// bucket index.
 const (
-	fromNone = iota
-	fromHeap
-	fromNowQ
+	fromHeap = wheelSize
+	fromNone = -1
 )
 
-// peekLive prunes cancelled entries off both queue fronts and returns
-// the next live entry in (at, birth, key) order plus which structure
-// holds it; fromNone when the engine is drained.
-func (e *Engine) peekLive() (heapEntry, int) {
-	for e.nowHead < len(e.nowQ) {
-		ent := e.nowQ[e.nowHead]
-		if e.items[ent.idx()].fn != nil {
+// peekLive prunes cancelled entries off the wheel and heap fronts and
+// returns the next live entry in (at, birth, key) order plus where it
+// sits: a wheel bucket index, fromHeap, or fromNone when the engine is
+// drained.
+func (e *Engine) peekLive() (entry, int) {
+	b := fromNone
+	for e.occupied != 0 {
+		ahead := bits.TrailingZeros64(bits.RotateLeft64(e.occupied, -int(e.now&wheelMask)))
+		b = int((e.now + int64(ahead)) & wheelMask)
+		q := &e.wheel[b]
+		if e.items[q.ents[q.head].idx()].fn != nil {
 			break
 		}
-		e.nowHead++
-		e.release(ent.idx())
+		e.release(q.ents[q.head].idx())
 		e.dead--
+		e.popBucket(b)
+		b = fromNone
 	}
 	for len(e.heap) > 0 {
 		ent := e.heap[0]
@@ -326,27 +371,37 @@ func (e *Engine) peekLive() (heapEntry, int) {
 		e.release(ent.idx())
 		e.dead--
 	}
-	hasNow := e.nowHead < len(e.nowQ)
-	switch {
-	case hasNow && (len(e.heap) == 0 || e.nowQ[e.nowHead].before(e.heap[0])):
-		return e.nowQ[e.nowHead], fromNowQ
-	case len(e.heap) > 0:
+	if b != fromNone {
+		q := &e.wheel[b]
+		if len(e.heap) == 0 || q.ents[q.head].before(e.heap[0]) {
+			return q.ents[q.head], b
+		}
+	}
+	if len(e.heap) > 0 {
 		return e.heap[0], fromHeap
 	}
-	return heapEntry{}, fromNone
+	return entry{}, fromNone
+}
+
+// popBucket removes the front entry of wheel bucket b, recycling the
+// bucket's storage once it empties.
+func (e *Engine) popBucket(b int) {
+	q := &e.wheel[b]
+	q.head++
+	if q.head == len(q.ents) {
+		q.ents = q.ents[:0]
+		q.head = 0
+		e.occupied &^= 1 << uint(b)
+	}
 }
 
 // popFrom removes the entry peekLive reported from its structure.
 func (e *Engine) popFrom(src int) {
-	if src == fromNowQ {
-		e.nowHead++
-		if e.nowHead == len(e.nowQ) {
-			e.nowQ = e.nowQ[:0]
-			e.nowHead = 0
-		}
+	if src == fromHeap {
+		e.popRoot()
 		return
 	}
-	e.popRoot()
+	e.popBucket(src)
 }
 
 // NextAt returns the timestamp of the next live event without running
@@ -418,36 +473,39 @@ func (e *Engine) popRoot() {
 	}
 }
 
-// compact sweeps cancelled entries out of the heap and the now-queue
-// in one pass and re-establishes the heap property bottom-up.
+// compact sweeps cancelled entries out of the wheel buckets and the
+// overflow heap in one pass and re-establishes the heap property
+// bottom-up.
 func (e *Engine) compact() {
-	w := 0
-	for _, ent := range e.heap {
-		if e.items[ent.idx()].fn != nil {
-			e.heap[w] = ent
-			w++
-		} else {
-			e.release(ent.idx())
+	for m := e.occupied; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		q := &e.wheel[b]
+		q.ents, q.head = e.keepLive(q.ents[:0], q.ents[q.head:]), 0
+		if len(q.ents) == 0 {
+			e.occupied &^= 1 << uint(b)
 		}
 	}
-	e.heap = e.heap[:w]
-	q := 0
-	for _, ent := range e.nowQ[e.nowHead:] {
-		if e.items[ent.idx()].fn != nil {
-			e.nowQ[q] = ent
-			q++
-		} else {
-			e.release(ent.idx())
-		}
-	}
-	e.nowQ = e.nowQ[:q]
-	e.nowHead = 0
+	e.heap = e.keepLive(e.heap[:0], e.heap)
 	e.dead = 0
-	if w > 1 {
-		for i := (w - 2) / arity; i >= 0; i-- {
+	if n := len(e.heap); n > 1 {
+		for i := (n - 2) / arity; i >= 0; i-- {
 			e.siftDown(i)
 		}
 	}
+}
+
+// keepLive appends the live entries of src to dst and releases the
+// slots of the cancelled ones. dst may share src's storage from its
+// start, since it never grows past the entry being read.
+func (e *Engine) keepLive(dst, src []entry) []entry {
+	for _, ent := range src {
+		if e.items[ent.idx()].fn != nil {
+			dst = append(dst, ent)
+		} else {
+			e.release(ent.idx())
+		}
+	}
+	return dst
 }
 
 // Step executes the next pending event, advancing the clock to its

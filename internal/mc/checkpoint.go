@@ -27,7 +27,6 @@ type ctlCk struct {
 	queues    []bankQ
 	slots     []reqSlot
 	freeSlots []int32
-	seq       int64
 
 	cuBit     []bool
 	lastUse   []int64
@@ -35,6 +34,7 @@ type ctlCk struct {
 
 	active  uint64
 	pending int
+	idle    uint64
 
 	busFreeAt int64
 
@@ -76,7 +76,6 @@ func (c *Controller) Checkpoint() {
 	}
 	for b := range c.queues {
 		k.queues[b].row = append(k.queues[b].row[:0], c.queues[b].row...)
-		k.queues[b].seq = append(k.queues[b].seq[:0], c.queues[b].seq...)
 		k.queues[b].idx = append(k.queues[b].idx[:0], c.queues[b].idx...)
 	}
 	k.slots = append(k.slots[:0], c.slots...)
@@ -87,7 +86,7 @@ func (c *Controller) Checkpoint() {
 	k.nextAt = append(k.nextAt[:0], c.nextAt...)
 	k.doneQ = append(k.doneQ[:0], c.doneQ...)
 	k.doneQHead = c.doneQHead
-	k.seq, k.active, k.pending = c.seq, c.active, c.pending
+	k.active, k.pending, k.idle = c.active, c.pending, c.idle
 	k.busFreeAt, k.refDue = c.busFreeAt, c.refDue
 	k.refStall, k.refDebt, k.refOwed = c.refStall, c.refDebt, c.refOwed
 	k.alertSeen, k.alertDeadline, k.alertStall = c.alertSeen, c.alertDeadline, c.alertStall
@@ -102,7 +101,6 @@ func (c *Controller) Restore() {
 	k := &c.ck
 	for b := range c.queues {
 		c.queues[b].row = append(c.queues[b].row[:0], k.queues[b].row...)
-		c.queues[b].seq = append(c.queues[b].seq[:0], k.queues[b].seq...)
 		c.queues[b].idx = append(c.queues[b].idx[:0], k.queues[b].idx...)
 	}
 	c.slots = append(c.slots[:0], k.slots...)
@@ -113,7 +111,7 @@ func (c *Controller) Restore() {
 	c.nextAt = append(c.nextAt[:0], k.nextAt...)
 	c.doneQ = append(c.doneQ[:0], k.doneQ...)
 	c.doneQHead = k.doneQHead
-	c.seq, c.active, c.pending = k.seq, k.active, k.pending
+	c.active, c.pending, c.idle = k.active, k.pending, k.idle
 	c.busFreeAt, c.refDue = k.busFreeAt, k.refDue
 	c.refStall, c.refDebt, c.refOwed = k.refStall, k.refDebt, k.refOwed
 	c.alertSeen, c.alertDeadline, c.alertStall = k.alertSeen, k.alertDeadline, k.alertStall

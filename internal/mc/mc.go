@@ -139,16 +139,14 @@ type Controller struct {
 	pcg rand.PCG
 	rng *rand.Rand
 
-	// Per-bank queues in struct-of-arrays form: the scheduler's hot
-	// scans (row-hit matching, oldest-request selection) touch only the
-	// small parallel int slices, never the request payload. Payloads
-	// live in the slots arena, addressed by index; queue removal is
-	// swap-remove, with FIFO age carried by the seq stamps instead of
-	// by position.
+	// Per-bank queues in struct-of-arrays form, in arrival order: the
+	// scheduler's hot scans (row-hit matching) touch only the small
+	// parallel int slices, never the request payload, and position 0 is
+	// always the oldest request. Payloads live in the slots arena,
+	// addressed by index.
 	queues    []bankQ
 	slots     []reqSlot // request-payload arena
 	freeSlots []int32   // recycled arena indices
-	seq       int64     // next arrival-order stamp
 
 	cuBit     []bool  // MoPAC-C: close current row with PREcu
 	lastUse   []int64 // last column access per bank (timeout policy)
@@ -159,6 +157,12 @@ type Controller struct {
 	// clears only when its bank's queue is empty and its row is closed.
 	active  uint64
 	pending int // queued requests across banks
+
+	// idle marks the banks whose cached nextAt is never: nothing to do
+	// until an enqueue, which clears the bit. Under open-page policy an
+	// idle bank keeps its row open and so stays in active; scheduler
+	// passes scan active &^ idle and never visit it.
+	idle uint64
 
 	busFreeAt int64 // data bus occupied until this time
 
@@ -186,8 +190,7 @@ type Controller struct {
 	bankCand int64 // scratch: candidate collected by the current issueBank call
 
 	// sleepMask aggregates the banks whose cached nextAt is in the
-	// future (or never), and sleepMin is the earliest of their wake
-	// times. While now < sleepMin a scheduler pass skips the whole
+	// future, and sleepMin is the earliest of their wake times. While now < sleepMin a scheduler pass skips the whole
 	// sleeping set with one compare instead of re-reading every
 	// bank's cache entry; the set is rebuilt on the first pass that
 	// reaches sleepMin. Enqueue pulls its bank out of the set (the
@@ -216,30 +219,27 @@ type Controller struct {
 	ck ctlCk // speculation snapshot (see Checkpoint)
 }
 
-// bankQ is one bank's request queue in struct-of-arrays layout. The
-// three slices are parallel: entry i targets row[i], arrived with
-// age stamp seq[i], and keeps its payload in slots[idx[i]].
+// bankQ is one bank's request queue in struct-of-arrays layout, oldest
+// first. The two slices are parallel: entry i targets row[i] and keeps
+// its payload in slots[idx[i]].
 type bankQ struct {
 	row []int32
-	seq []int64
 	idx []int32
 }
 
-// newBankQs carves every bank's initial queue capacity out of three
-// shared backing arrays, so construction costs three allocations
-// instead of three per bank. A queue that outgrows its carve is moved
+// newBankQs carves every bank's initial queue capacity out of two
+// shared backing arrays, so construction costs two allocations
+// instead of two per bank. A queue that outgrows its carve is moved
 // to its own array by append, which is correct and rare: per-bank
 // depth is bounded in practice by the cores' miss windows.
 func newBankQs(banks int) []bankQ {
 	const depth = 12
 	rows := make([]int32, banks*depth)
-	seqs := make([]int64, banks*depth)
 	idxs := make([]int32, banks*depth)
 	qs := make([]bankQ, banks)
 	for b := range qs {
 		lo, hi := b*depth, (b+1)*depth
 		qs[b].row = rows[lo:lo:hi]
-		qs[b].seq = seqs[lo:lo:hi]
 		qs[b].idx = idxs[lo:lo:hi]
 	}
 	return qs
@@ -383,9 +383,7 @@ func (c *Controller) Enqueue(r *Request) {
 	s.write = r.Write
 	q := &c.queues[r.Bank]
 	q.row = append(q.row, int32(r.Row))
-	q.seq = append(q.seq, c.seq)
 	q.idx = append(q.idx, si)
-	c.seq++
 	c.active |= 1 << uint(r.Bank)
 	c.pending++
 	if c.trc != nil {
@@ -393,6 +391,7 @@ func (c *Controller) Enqueue(r *Request) {
 	}
 	c.nextAt[r.Bank] = 0 // new work: the cached wake time no longer holds
 	c.sleepMask &^= 1 << uint(r.Bank)
+	c.idle &^= 1 << uint(r.Bank)
 	c.wake(now)
 	if r.pooled {
 		c.recycleRequest(r)
@@ -424,43 +423,30 @@ func controllerTick(ctx any, _ int64) {
 
 // pick returns the queue position of the FR-FCFS choice for a bank:
 // the oldest row hit if the bank has that row open, otherwise the
-// oldest request; -1 on an empty queue. Age is the seq stamp (the
-// queue is swap-removed, so position carries no order). With
-// MaxHitStreak set, a long run of hits served over an older waiting
-// request eventually yields to the oldest (starvation protection).
+// oldest request (position 0); -1 on an empty queue. With MaxHitStreak
+// set, a long run of hits served over an older waiting request
+// eventually yields to the oldest (starvation protection).
 func (c *Controller) pick(bank int) int {
 	q := &c.queues[bank]
-	n := len(q.seq)
-	if n == 0 {
+	if len(q.row) == 0 {
 		return -1
 	}
-	if n == 1 {
+	open := c.dev.OpenRow(bank)
+	if open < 0 {
 		return 0
 	}
-	open := c.dev.OpenRow(bank)
-	oldest, hit := 0, -1
-	if open >= 0 && int(q.row[0]) == open {
-		hit = 0
-	}
-	for i := 1; i < n; i++ {
-		if q.seq[i] < q.seq[oldest] {
-			oldest = i
+	for i, r := range q.row {
+		if int(r) != open {
+			continue
 		}
-		if int(q.row[i]) == open && (hit < 0 || q.seq[i] < q.seq[hit]) {
-			hit = i
+		if i != 0 && c.cfg.MaxHitStreak > 0 && c.hitStreak[bank] >= c.cfg.MaxHitStreak {
+			// The oldest request has waited through a full streak of
+			// younger hits: let it win.
+			return 0
 		}
+		return i
 	}
-	if open >= 0 {
-		if hit >= 0 {
-			if hit != oldest && c.cfg.MaxHitStreak > 0 && c.hitStreak[bank] >= c.cfg.MaxHitStreak {
-				// The oldest request has waited through a full streak
-				// of younger hits: let it win.
-				return oldest
-			}
-			return hit
-		}
-	}
-	return oldest
+	return 0
 }
 
 // draining reports whether the controller is closing banks for REF/RFM
@@ -604,7 +590,7 @@ func (c *Controller) issueReady(now int64) bool {
 	// issues per bank per instant, and nothing a second global pass could
 	// find. The bank's final (refused) issueBank call records its wake
 	// candidate, so returning false here ends the tick with c.next set.
-	scan := c.active
+	scan := c.active &^ c.idle
 	if c.sleepMin > now {
 		// No sleeping bank is due: drop the whole set from the scan with
 		// one mask op. Its earliest wake time stands in for the per-bank
@@ -622,12 +608,10 @@ func (c *Controller) issueReady(now int64) bool {
 		if at := c.nextAt[bank]; at > now {
 			// The bank cannot act before its cached time; skip the scan.
 			c.sleepMask |= 1 << uint(bank)
-			if at != never {
-				if at < c.sleepMin {
-					c.sleepMin = at
-				}
-				c.consider(now, at)
+			if at < c.sleepMin {
+				c.sleepMin = at
 			}
+			c.consider(now, at)
 			continue
 		}
 		for c.issueBank(now, bank) {
@@ -641,6 +625,7 @@ func (c *Controller) issueReady(now int64) bool {
 			c.consider(now, c.bankCand)
 		} else {
 			c.nextAt[bank] = never
+			c.idle |= 1 << uint(bank)
 		}
 	}
 	return false
@@ -778,8 +763,8 @@ func (c *Controller) issueBank(now int64, bank int) bool {
 }
 
 // completeRead accounts the serviced request at queue position pos of
-// bank, removes it (swap-remove), schedules its completion callback,
-// and recycles its arena slot.
+// bank, removes it (keeping arrival order), schedules its completion
+// callback, and recycles its arena slot.
 func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 	q := &c.queues[bank]
 	si := q.idx[pos]
@@ -788,24 +773,16 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 
 	// Hit-streak accounting: serving anything but the oldest waiting
 	// request extends the streak.
-	oldestSeq := q.seq[0]
-	for _, sq := range q.seq[1:] {
-		if sq < oldestSeq {
-			oldestSeq = sq
-		}
-	}
-	if q.seq[pos] != oldestSeq {
+	if pos != 0 {
 		c.hitStreak[bank]++
 	} else {
 		c.hitStreak[bank] = 0
 	}
 
-	last := len(q.seq) - 1
-	q.row[pos] = q.row[last]
-	q.seq[pos] = q.seq[last]
-	q.idx[pos] = q.idx[last]
+	last := len(q.row) - 1
+	copy(q.row[pos:], q.row[pos+1:])
+	copy(q.idx[pos:], q.idx[pos+1:])
 	q.row = q.row[:last]
-	q.seq = q.seq[:last]
 	q.idx = q.idx[:last]
 	c.pending--
 

@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"math/bits"
+	"math/rand/v2"
 	"testing"
 
 	"mopac/internal/dram"
@@ -102,5 +104,75 @@ func TestNextAtDrainedBankRowOpen(t *testing.T) {
 	// After the final precharge the bank really has nothing left.
 	if got := r.c.nextAt[0]; got != never {
 		t.Fatalf("drained close-page bank nextAt = %d, want Never", got)
+	}
+}
+
+// TestIdleSetMatchesNeverCache drives a bursty multi-bank stream under
+// every page policy and checks after each event that the idle set
+// holds only banks whose cache says Never, and that each of them has
+// an empty queue: a bank wrongly left idle would never be scanned
+// again and its requests would starve.
+func TestIdleSetMatchesNeverCache(t *testing.T) {
+	for _, cfg := range []Config{
+		{Timing: timing.DDR5(), Seed: 1},
+		{Timing: timing.DDR5(), Policy: ClosePage, Seed: 2},
+		{Timing: timing.DDR5(), Policy: TimeoutPage, TimeoutNs: 60, Seed: 3},
+		{Timing: timing.DDR5(), RowPressCapNs: 180, Seed: 4},
+	} {
+		r := newRig(t, cfg, dram.Config{Banks: 16})
+		rng := rand.New(rand.NewPCG(cfg.Seed, 9))
+		enqueue := func(ctx any, _ int64) { r.c.Enqueue(ctx.(*Request)) }
+		at := int64(0)
+		for i := 0; i < 3000; i++ {
+			at += int64(rng.IntN(12))
+			req := &Request{Bank: rng.IntN(16), Row: rng.IntN(3) * 11, Col: rng.IntN(128)}
+			r.eng.AtFunc(at, enqueue, req, 0)
+		}
+		sawIdle := false
+		for r.eng.Now() < at+50_000 && r.eng.Step() {
+			for m := r.c.idle; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				if r.c.nextAt[b] != never || r.c.QueueLen(b) != 0 {
+					t.Fatalf("policy %v at %d: idle bank %d has nextAt %d and %d queued",
+						cfg.Policy, r.eng.Now(), b, r.c.nextAt[b], r.c.QueueLen(b))
+				}
+				sawIdle = true
+			}
+		}
+		if p := r.c.Pending(); p != 0 {
+			t.Fatalf("policy %v: %d requests never served", cfg.Policy, p)
+		}
+		if !sawIdle && cfg.Policy == OpenPage {
+			t.Fatalf("open-page stream never parked a bank in the idle set")
+		}
+	}
+}
+
+// TestIdleBankMidREFEnqueue: an open-page bank parked in the idle set
+// with its row open is closed by the refresh drain without being
+// scanned; a request that arrives during the refresh must take the
+// bank out of the set and be served once the refresh ends.
+func TestIdleBankMidREFEnqueue(t *testing.T) {
+	tp := timing.DDR5()
+	r := newRig(t, Config{Timing: tp}, dram.Config{})
+	first := r.read(1, 7, 0)
+	r.run(200)
+	if *first < 0 {
+		t.Fatal("first read not served")
+	}
+	if r.c.idle&(1<<1) == 0 || r.dev.OpenRow(1) != 7 {
+		t.Fatalf("bank 1 not parked idle with row 7 open (idle %b, open %d)", r.c.idle, r.dev.OpenRow(1))
+	}
+	r.run(tp.TREFI)
+	if !r.c.refStall {
+		t.Fatalf("controller not refreshing at tREFI")
+	}
+	done := r.read(1, 7, 1)
+	if r.c.idle&(1<<1) != 0 {
+		t.Fatal("Enqueue left bank 1 in the idle set")
+	}
+	r.run(tp.TREFI + 10*tp.TRFC)
+	if *done < tp.TREFI+tp.TRFC {
+		t.Fatalf("mid-REF read done at %d, want served after the refresh ending %d", *done, tp.TREFI+tp.TRFC)
 	}
 }

@@ -248,7 +248,7 @@ func (r Result) SRQInsertionsPer100ACTs() float64 {
 }
 
 // System is a fully wired simulated machine. Exactly one of eng and
-// dom is non-nil: eng is the serial single-heap engine, dom the
+// dom is non-nil: eng is the serial single-queue engine, dom the
 // sharded parallel engine selected by Config.Domains.
 type System struct {
 	cfg       Config
