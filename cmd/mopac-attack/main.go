@@ -36,9 +36,7 @@ func main() {
 		chips    = flag.Int("chips", 4, "chips per subchannel (MoPAC-D)")
 		nup      = flag.Bool("nup", false, "MoPAC-D non-uniform probability")
 		rowpress = flag.Bool("rowpress", false, "RowPress-aware configuration")
-		jobs     = flag.Int("j", 0, "parallel evaluations (0 = machine budget; never changes the report)")
-		domains  = flag.Int("domains", 0, "event domains per evaluation (<2 = serial; never changes the report)")
-		spec     = flag.Bool("speculate", false, "with -domains >= 2, speculative domain execution (never changes the report)")
+		jobs     = flag.Int("j", 0, "parallel evaluations (0 = GOMAXPROCS; never changes the report)")
 		storeDir = flag.String("store", "", "attack store directory (default: user cache dir, e.g. ~/.cache/mopac)")
 		noStore  = flag.Bool("no-store", false, "disable the persistent attack store")
 		out      = flag.String("o", "", "write the text report here (default stdout)")
@@ -89,7 +87,7 @@ func main() {
 			NUP: *nup, RowPress: *rowpress, Seed: *simSeed,
 		},
 		Seed: *seed, Budget: *budget, Batch: *batch, TargetActs: *acts,
-		Workers: *jobs, Domains: *domains, Speculate: *spec, Store: st,
+		Workers: *jobs, Store: st,
 	}
 	if !*quiet {
 		opt.Progress = func(e attack.Eval) {

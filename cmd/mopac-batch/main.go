@@ -44,9 +44,7 @@ func main() {
 		// -j defaults to 0 = full machine budget, matching every other
 		// CLI's parallelism flag; runs are deterministic and isolated, so
 		// serial execution buys nothing but wall-clock time.
-		jobs     = flag.Int("j", 0, "runs to execute in parallel (0 = GOMAXPROCS/domains)")
-		domains  = flag.Int("domains", 0, "intra-run parallel event domains per run (0/1 = serial; results are identical)")
-		spec     = flag.Bool("speculate", false, "with -domains >= 2, run domains speculatively past epoch barriers (results are identical)")
+		jobs     = flag.Int("j", 0, "runs to execute in parallel (0 = GOMAXPROCS; 8 in flight with -server)")
 		storeDir = flag.String("store", "", "result store directory (default: user cache dir, e.g. ~/.cache/mopac)")
 		noStore  = flag.Bool("no-store", false, "disable the persistent result store")
 		initEx   = flag.Bool("init", false, "print an example configuration and exit")
@@ -146,10 +144,8 @@ func main() {
 	}
 	results := make([]outcome, len(exps))
 	var finished, stored atomic.Int64
-	service.ForEach(sim.ConcurrencyBudget(*jobs, *domains), len(exps), func(i int) {
+	service.ForEach(*jobs, len(exps), func(i int) {
 		e := exps[i]
-		e.Config.Domains = *domains
-		e.Config.Speculate = *spec
 		start := time.Now()
 		storable := st != nil && !e.Config.TrackSecurity && e.Config.CommandLogDepth == 0
 		key := ""

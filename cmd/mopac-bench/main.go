@@ -34,48 +34,22 @@ type Entry struct {
 }
 
 // Report is the document written to disk. GoMaxProcs/NumCPU record
-// the parallelism available to the run, and ParallelSpeedup is the
-// serial-over-domains ns/op ratio when both throughput benchmarks are
-// present — together they let a trajectory of reports distinguish
-// 1-CPU scheduling noise from a real multicore win. They live outside
-// Benchmarks so -against never mistakes an improving ratio for a
-// regressing metric.
+// the parallelism available to the run, so a trajectory of reports can
+// tell hosts apart. They live outside Benchmarks so -against never
+// compares them as metrics.
 type Report struct {
-	Goos            string  `json:"goos,omitempty"`
-	Goarch          string  `json:"goarch,omitempty"`
-	CPU             string  `json:"cpu,omitempty"`
-	GoMaxProcs      int     `json:"gomaxprocs,omitempty"`
-	NumCPU          int     `json:"num_cpu,omitempty"`
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
-	// Speculation economics, lifted from the sharded throughput
-	// benchmark when it ran with MOPAC_SPECULATE: stretches attempted
-	// and committed per run, and the rollback rate. Zero (omitted)
-	// on conservative legs.
-	EpochsSpeculated float64          `json:"epochs_speculated,omitempty"`
-	EpochsCommitted  float64          `json:"epochs_committed,omitempty"`
-	RollbackRate     float64          `json:"rollback_rate,omitempty"`
-	Benchmarks       map[string]Entry `json:"benchmarks"`
+	Goos       string           `json:"goos,omitempty"`
+	Goarch     string           `json:"goarch,omitempty"`
+	CPU        string           `json:"cpu,omitempty"`
+	GoMaxProcs int              `json:"gomaxprocs,omitempty"`
+	NumCPU     int              `json:"num_cpu,omitempty"`
+	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
-// annotate fills the host-parallelism fields and derives
-// ParallelSpeedup (serial-over-sharded ns/op) plus the speculation
-// counters from the throughput benchmarks.
+// annotate fills the host-parallelism fields.
 func (rep *Report) annotate() {
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
 	rep.NumCPU = runtime.NumCPU()
-	serial, ok1 := rep.Benchmarks["BenchmarkSimulatorThroughput"]
-	domains, ok2 := rep.Benchmarks["BenchmarkSimulatorThroughputDomains"]
-	if ok1 && ok2 {
-		s, d := serial.Metrics["ns/op"], domains.Metrics["ns/op"]
-		if s > 0 && d > 0 {
-			rep.ParallelSpeedup = s / d
-		}
-	}
-	if ok2 {
-		rep.EpochsSpeculated = domains.Metrics["epochs_speculated"]
-		rep.EpochsCommitted = domains.Metrics["epochs_committed"]
-		rep.RollbackRate = domains.Metrics["rollback_rate"]
-	}
 }
 
 // parse consumes `go test -bench` output. Unrecognised lines (test

@@ -27,8 +27,6 @@ func main() {
 		rowpress = flag.Bool("rowpress", false, "RowPress-aware configuration")
 		chips    = flag.Int("chips", 4, "chips per subchannel (MoPAC-D)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		domains  = flag.Int("domains", 0, "intra-run parallel event domains (0/1 = serial; results are identical)")
-		spec     = flag.Bool("speculate", false, "with -domains >= 2, run domains speculatively past epoch barriers (results are identical)")
 		oracle   = flag.Bool("oracle", false, "attach the security oracle")
 		qprac    = flag.Bool("qprac", false, "use the QPRAC backend for -design prac")
 		rfmLevel = flag.Int("rfm-level", 1, "RFMs per ABO episode")
@@ -78,7 +76,7 @@ func main() {
 		InstrPerCore: *instr, NUP: *nup, RowPress: *rowpress,
 		Chips: *chips, Seed: *seed, TrackSecurity: *oracle,
 		QPRAC: *qprac, RFMLevel: *rfmLevel, MaxPostponedREFs: *postpone,
-		Policy: pp, TimeoutNs: *timeout, Domains: *domains, Speculate: *spec,
+		Policy: pp, TimeoutNs: *timeout,
 	}
 	var tracer *telemetry.Tracer
 	if *tracePth != "" {

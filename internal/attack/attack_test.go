@@ -188,8 +188,7 @@ func TestSearchGoldenTrajectory(t *testing.T) {
 	}
 }
 
-// TestSearchParallelismInvariance: Workers and Domains shape wall time
-// only — a fanned-out search must render byte-identical reports to the
+// TestSearchParallelismInvariance: Workers shape wall time only — a fanned-out search must render byte-identical reports to the
 // serial one. This is the in-process version of the CI attack-smoke
 // parallel-equivalence assertion.
 func TestSearchParallelismInvariance(t *testing.T) {
@@ -199,7 +198,6 @@ func TestSearchParallelismInvariance(t *testing.T) {
 	}
 	opt := testOptions()
 	opt.Workers = 4
-	opt.Domains = 2
 	parallel, _, err := Search(opt)
 	if err != nil {
 		t.Fatal(err)

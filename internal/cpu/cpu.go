@@ -92,7 +92,7 @@ type miss struct {
 // Core drives one trace through the memory system.
 type Core struct {
 	cfg Config
-	eng event.Sched
+	eng *event.Engine
 	src Source
 
 	retired int64
@@ -144,15 +144,6 @@ type Core struct {
 	freeMiss []*miss // recycled window entries
 
 	stats Stats
-
-	// Speculation support (see checkpoint.go). While specArmed, retired
-	// misses defer to specFreed instead of the free list: the
-	// checkpoint holds live-miss values by pointer, and a pool reuse
-	// inside the stretch must not be able to overwrite a free-list slot
-	// the rollback needs to recover.
-	specArmed bool
-	specFreed []*miss
-	ck        coreCk
 }
 
 // newMiss returns a zeroed pooled miss bound to this core.
@@ -166,19 +157,12 @@ func (c *Core) newMiss() *miss {
 }
 
 func (c *Core) recycleMiss(m *miss) {
-	if c.specArmed {
-		// Deferred: not zeroed (the checkpoint may hold this miss's
-		// pre-stretch value via the same pointer) and not pooled (see
-		// the specFreed field comment). Commit finalizes, Restore drops.
-		c.specFreed = append(c.specFreed, m)
-		return
-	}
 	*m = miss{core: c}
 	c.freeMiss = append(c.freeMiss, m)
 }
 
 // New creates a core and schedules its first work at engine time.
-func New(eng event.Sched, cfg Config, src Source) (*Core, error) {
+func New(eng *event.Engine, cfg Config, src Source) (*Core, error) {
 	if cfg.Width <= 0 || cfg.ROB <= 0 || cfg.TargetInstr <= 0 {
 		return nil, fmt.Errorf("cpu: config must be positive: %+v", cfg)
 	}

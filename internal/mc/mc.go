@@ -130,12 +130,11 @@ type Stats struct {
 
 // Controller schedules one subchannel.
 type Controller struct {
-	eng event.Sched
+	eng *event.Engine
 	dev *dram.Device
 	cfg Config
 	// pcg is embedded by value and wrapped by rng (rand.Rand holds no
-	// state of its own), so the generator participates in speculative
-	// checkpoint/rollback as a plain scalar copy.
+	// state of its own), saving the generator a separate allocation.
 	pcg rand.PCG
 	rng *rand.Rand
 
@@ -215,8 +214,6 @@ type Controller struct {
 
 	stats   Stats
 	latency stats.Histogram
-
-	ck ctlCk // speculation snapshot (see Checkpoint)
 }
 
 // bankQ is one bank's request queue in struct-of-arrays layout, oldest
@@ -297,7 +294,7 @@ func (c *Controller) recycleRequest(r *Request) {
 
 // New returns a controller bound to an engine and a device. The device's
 // timing must equal cfg.Timing.
-func New(eng event.Sched, dev *dram.Device, cfg Config) (*Controller, error) {
+func New(eng *event.Engine, dev *dram.Device, cfg Config) (*Controller, error) {
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}

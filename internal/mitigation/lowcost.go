@@ -37,8 +37,8 @@ type MINTConfig struct {
 // and victim-refreshes the held selection at the next eligible REF.
 type MINT struct {
 	cfg MINTConfig
-	// pcg is embedded by value (rand.Rand is a stateless wrapper) so
-	// the selection stream checkpoints as a scalar copy.
+	// pcg is embedded by value (rand.Rand is a stateless wrapper), saving
+	// the selection stream a separate allocation.
 	pcg   rand.PCG
 	rng   *rand.Rand
 	pos   int
@@ -47,7 +47,6 @@ type MINT struct {
 	cand  int
 	refs  int
 	stats TRRStats
-	ck    mintCk
 }
 
 var _ dram.BankGuard = (*MINT)(nil)
@@ -138,13 +137,12 @@ type PrIDEConfig struct {
 // geometric tail — the reason Table 13 ranks it behind MINT.
 type PrIDE struct {
 	cfg PrIDEConfig
-	// pcg embedded by value for cheap checkpointing, like MINT's.
+	// pcg embedded by value, like MINT's.
 	pcg   rand.PCG
 	rng   *rand.Rand
 	fifo  []int
 	refs  int
 	stats TRRStats
-	ck    prideCk
 }
 
 var _ dram.BankGuard = (*PrIDE)(nil)

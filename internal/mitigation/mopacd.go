@@ -131,9 +131,6 @@ type MoPACD struct {
 	alertMitig bool
 
 	stats MoPACDStats
-
-	undo ctrUndo
-	ck   mopacdCk
 }
 
 var _ dram.BankGuard = (*MoPACD)(nil)
@@ -313,7 +310,6 @@ func (m *MoPACD) bump(row, by int) {
 		m.counters = make(map[int]int)
 	}
 	c := m.counters[row] + by
-	m.undo.note(m.counters, row)
 	m.counters[row] = c
 	if c > m.trackedCnt {
 		m.trackedRow, m.trackedCnt = row, c
@@ -375,7 +371,6 @@ func (m *MoPACD) mitigateTracked(now int64) []dram.Mitigation {
 	if m.cfg.Trace != nil {
 		m.cfg.Trace.Mitigated(now, m.cfg.TraceBank, row)
 	}
-	m.undo.note(m.counters, row)
 	delete(m.counters, row)
 	if m.counters == nil {
 		m.counters = make(map[int]int)
@@ -385,7 +380,6 @@ func (m *MoPACD) mitigateTracked(now int64) []dram.Mitigation {
 			if v < 0 || (m.cfg.Rows > 0 && v >= m.cfg.Rows) {
 				continue
 			}
-			m.undo.note(m.counters, v)
 			m.counters[v]++
 			if m.counters[v] > m.trackedCnt {
 				m.trackedRow, m.trackedCnt = v, m.counters[v]

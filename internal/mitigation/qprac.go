@@ -69,8 +69,6 @@ type QPRAC struct {
 	refs     int
 	alert    bool
 	stats    QPRACStats
-	undo     ctrUndo
-	ck       qpracCk
 }
 
 var _ dram.BankGuard = (*QPRAC)(nil)
@@ -114,7 +112,6 @@ func (q *QPRAC) PrechargeClose(_ int64, row int, _ int64, counterUpdate bool) {
 	}
 	q.stats.CounterUpdates++
 	c := q.counters[row] + q.cfg.Increment
-	q.undo.note(q.counters, row)
 	q.counters[row] = c
 	q.place(row, c)
 	if c >= q.cfg.AlertAt && !q.alert {
@@ -166,14 +163,12 @@ func (q *QPRAC) popHot(min int) int {
 
 // mitigate performs the victim refresh bookkeeping.
 func (q *QPRAC) mitigate(row int) []dram.Mitigation {
-	q.undo.note(q.counters, row)
 	delete(q.counters, row)
 	for d := 1; d <= q.cfg.BlastRadius; d++ {
 		for _, v := range [2]int{row - d, row + d} {
 			if v < 0 || (q.cfg.Rows > 0 && v >= q.cfg.Rows) {
 				continue
 			}
-			q.undo.note(q.counters, v)
 			q.counters[v]++
 		}
 	}

@@ -30,10 +30,9 @@
 // violation list, the peak ranking, the max-excursion row — reports in
 // the canonical (time, bank, row) / (peak desc, bank, row) order rather
 // than observation order. That makes Merge deterministic: oracles that
-// observed disjoint (bank, row) streams (one shard per subchannel event
-// domain) combine into a single oracle whose output is byte-identical
-// to one oracle having watched the interleaved stream, regardless of
-// how the shards' observations interleaved in wall-clock time.
+// observed disjoint (bank, row) streams (one shard per subchannel)
+// combine into a single oracle whose output is byte-identical to one
+// oracle having watched the interleaved stream.
 package oracle
 
 import (
@@ -288,7 +287,7 @@ func (o *Oracle) Mitigations() int64 { return o.mitigations }
 func (o *Oracle) Threshold() int { return o.trh }
 
 // Merge combines oracles that observed disjoint (bank, row) streams —
-// one shard per subchannel event domain — into a single oracle whose
+// one shard per subchannel — into a single oracle whose
 // accessors report exactly what one oracle observing the union stream
 // would. All shards must share a threshold. Counters sum, tables union
 // (a key held by several shards keeps the summed count and the maximum

@@ -398,7 +398,7 @@ func TestMergeSingleShardIsIdentity(t *testing.T) {
 	}
 }
 
-// TestMergeEmptyShard covers the sharded-simulation shape where one
+// TestMergeEmptyShard covers the per-subchannel shape where one
 // subchannel never observed an activation (its dense table was never
 // touched): merging the empty shard must neither perturb the populated
 // one's outputs nor invent peaks, in either argument order.

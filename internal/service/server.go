@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,16 +29,6 @@ type Options struct {
 	// Queue bounds accepted-but-unstarted jobs; a full queue turns new
 	// submissions into 429 + Retry-After (<= 0 selects 64).
 	Queue int
-	// Domains shards every job onto that many intra-run event domains
-	// (0 or 1 = serial engine; results are byte-identical either way).
-	// When Workers is unset the pool shrinks to GOMAXPROCS/Domains, so
-	// the two parallelism layers share one machine budget.
-	Domains int
-	// Speculate, with Domains >= 2, runs each job's domains
-	// speculatively past epoch barriers. Results stay byte-identical;
-	// the knob is server-side only (Speculate is not part of the job
-	// schema or the cache key).
-	Speculate bool
 	// CacheSize bounds the result cache (<= 0 selects 256).
 	CacheSize int
 	// Store, when non-nil, is a persistent second tier behind the
@@ -49,22 +42,30 @@ type Options struct {
 // Server is the simulation service: it owns the worker pool, job
 // table, result cache, and metrics, and serves the /v1 JSON API.
 type Server struct {
-	pool      *Pool
-	cache     *Cache
-	metrics   *Metrics
-	log       *slog.Logger
-	domains   int
-	speculate bool
+	pool    *Pool
+	cache   *Cache
+	metrics *Metrics
+	log     *slog.Logger
 
 	rootCtx    context.Context
 	rootCancel context.CancelCauseFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // submission order, for stable listings
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// finished lists the ids of terminal jobs still in jobs, oldest
+	// first from finHead on; retireLocked evicts from its front.
+	finished []string
+	finHead  int
 	nextID   int
 	draining bool
 }
+
+// maxFinishedJobs bounds how many terminal jobs the job table keeps.
+// Past it the oldest finished job is evicted (its id then returns 404;
+// its summary stays in the result cache and store), so a long-running
+// server's table stays bounded. Queued and running jobs are never
+// evicted.
+const maxFinishedJobs = 1024
 
 // errDrain is the cancellation cause used when shutdown aborts
 // in-flight runs.
@@ -85,12 +86,10 @@ func New(opts Options) *Server {
 		cache.SetDisk(opts.Store)
 	}
 	return &Server{
-		pool:       NewPool(sim.ConcurrencyBudget(opts.Workers, opts.Domains), opts.Queue),
+		pool:       NewPool(opts.Workers, opts.Queue),
 		cache:      cache,
 		metrics:    NewMetrics(),
 		log:        log,
-		domains:    opts.Domains,
-		speculate:  opts.Speculate,
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -192,6 +191,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		job.Result = &summary
 		job.Started, job.Finished = now, now
 		close(job.done)
+		s.retireLocked(job)
 		s.metrics.Submitted.Add(1)
 		status := job.status()
 		s.mu.Unlock()
@@ -214,7 +214,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.pool.TrySubmit(func() { s.run(job, ctx, cancel) }) {
 		// Roll the record back: the job was never accepted.
 		delete(s.jobs, job.ID)
-		s.order = s.order[:len(s.order)-1]
 		s.metrics.Rejected.Add(1)
 		s.mu.Unlock()
 		cancel(errors.New("service: queue full"))
@@ -294,8 +293,24 @@ func (s *Server) newJobLocked(cfg sim.Config, key string, maxNs int64) *Job {
 		done:      make(chan struct{}),
 	}
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	return job
+}
+
+// retireLocked records that job reached a terminal state and evicts
+// the oldest finished job once more than maxFinishedJobs are kept. The
+// finished list is compacted when its dead prefix outgrows the live
+// part, so eviction costs O(1) amortized. The caller holds s.mu.
+func (s *Server) retireLocked(job *Job) {
+	s.finished = append(s.finished, job.ID)
+	if len(s.finished)-s.finHead <= maxFinishedJobs {
+		return
+	}
+	delete(s.jobs, s.finished[s.finHead])
+	s.finHead++
+	if s.finHead > maxFinishedJobs {
+		s.finished = append(s.finished[:0], s.finished[s.finHead:]...)
+		s.finHead = 0
+	}
 }
 
 // run executes one job on a pool worker.
@@ -323,12 +338,6 @@ func (s *Server) run(job *Job, ctx context.Context, cancel context.CancelCauseFu
 	// The tracer lives in a local copy of the config: Job.Config stays
 	// the canonical, hashable request.
 	cfg := job.Config
-	if cfg.Domains == 0 {
-		cfg.Domains = s.domains
-	}
-	if s.speculate {
-		cfg.Speculate = true
-	}
 	var tracer *telemetry.Tracer
 	if job.TraceWanted {
 		tracer = telemetry.New(telemetry.Options{TrackLimit: job.TraceLimit})
@@ -374,6 +383,7 @@ func (s *Server) finishLocked(job *Job, state State, summary *sim.ResultSummary,
 	job.Finished = time.Now()
 	job.Result = summary
 	close(job.done)
+	s.retireLocked(job)
 	if err != nil {
 		job.Err = err.Error()
 	}
@@ -439,15 +449,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	filter := State(r.URL.Query().Get("state"))
 	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		job := s.jobs[id]
+	out := make([]JobStatus, 0, len(s.jobs))
+	for _, job := range s.jobs {
 		if filter != "" && job.State != filter {
 			continue
 		}
 		out = append(out, job.status())
 	}
 	s.mu.Unlock()
+	// Submission order: ids are sequential and zero-padded, so a
+	// shorter id is older and equal lengths compare as strings.
+	slices.SortFunc(out, func(a, b JobStatus) int {
+		return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID))
+	})
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 

@@ -397,6 +397,56 @@ func TestListFiltersByState(t *testing.T) {
 	}
 }
 
+// TestJobTableBounded submits more jobs than the table keeps: the
+// finished jobs stay capped at maxFinishedJobs with the oldest evicted
+// first, an evicted id returns 404, a running job is never evicted,
+// and resubmitting the evicted job's config is still a cache hit.
+func TestJobTableBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2, Queue: 4})
+	_, first := postJob(t, ts, fastJob(81))
+	waitState(t, ts, first.ID, StateDone, 30*time.Second)
+	_, slow := postJob(t, ts, slowJob(82))
+	waitState(t, ts, slow.ID, StateRunning, 10*time.Second)
+
+	for i := 0; i < maxFinishedJobs; i++ {
+		resp, st := postJob(t, ts, fastJob(81))
+		if resp.StatusCode != http.StatusOK || !st.CacheHit {
+			t.Fatalf("resubmission %d: status %d, cache hit %v", i, resp.StatusCode, st.CacheHit)
+		}
+	}
+	srv.mu.Lock()
+	tracked := len(srv.jobs)
+	srv.mu.Unlock()
+	if tracked != maxFinishedJobs+1 {
+		t.Fatalf("job table holds %d jobs, want %d finished + 1 running", tracked, maxFinishedJobs)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evicted job %s: status %d, want 404", first.ID, resp.StatusCode)
+	}
+	if st := getJob(t, ts, slow.ID); st.State != StateRunning {
+		t.Fatalf("running job %s is %s, want running", slow.ID, st.State)
+	}
+	if resp, st := postJob(t, ts, fastJob(81)); resp.StatusCode != http.StatusOK || !st.CacheHit {
+		t.Fatalf("resubmitting the evicted config: status %d, cache hit %v", resp.StatusCode, st.CacheHit)
+	}
+
+	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+slow.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, ts, slow.ID, StateCancelled, 10*time.Second)
+}
+
 // TestExampleCurlSessionShape pins the response shapes the README
 // documents.
 func TestExampleCurlSessionShape(t *testing.T) {

@@ -143,7 +143,6 @@ func (a AttackConfig) normalized() AttackConfig {
 	}
 	a.Base.InstrPerCore = 0
 	a.Base.Trace = nil
-	a.Base.Domains = 0
 	if a.TargetActs == 0 {
 		a.TargetActs = 30_000
 	}

@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"mopac/internal/telemetry"
@@ -60,7 +58,7 @@ func TestCrossDesignDeterminism(t *testing.T) {
 }
 
 // runFull builds and runs cfg, returning both the Result and the System
-// so tests can inspect post-run state (command logs, domain count).
+// so tests can inspect post-run state.
 func runFull(t *testing.T, cfg Config) (Result, *System) {
 	t.Helper()
 	sys, err := NewSystem(cfg)
@@ -83,171 +81,6 @@ func mustJSON(t *testing.T, v any) []byte {
 	return raw
 }
 
-// TestShardedMatchesSerial is the sharded engine's correctness
-// contract: for every design, a run on parallel event domains produces
-// a Result whose JSON form is byte-identical to the serial engine's,
-// and every device's command log matches entry for entry. This is what
-// lets Config.Hash() ignore Domains — the knob changes wall-clock
-// time, never the simulation — and it is the reason the sharded engine
-// can exist at all without forking the result store, the service
-// cache, and the paper's reproducibility story.
-func TestShardedMatchesSerial(t *testing.T) {
-	for _, d := range []Design{
-		DesignBaseline, DesignPRAC, DesignMoPACC, DesignMoPACD,
-		DesignTRR, DesignMINT, DesignPrIDE, DesignChronos,
-	} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := Config{
-				Design:          d,
-				TRH:             500,
-				Workload:        "bwaves",
-				Cores:           2,
-				InstrPerCore:    30_000,
-				Seed:            7,
-				CommandLogDepth: 512,
-			}
-			serialRes, serialSys := runFull(t, cfg)
-			if n := serialSys.DomainCount(); n != 1 {
-				t.Fatalf("serial run reports %d domains", n)
-			}
-
-			sharded := cfg
-			sharded.Domains = 3
-			shardRes, shardSys := runFull(t, sharded)
-			if n := shardSys.DomainCount(); n < 2 {
-				t.Fatalf("Domains=3 run fell back to serial (%d domains)", n)
-			}
-
-			serialJSON := mustJSON(t, serialRes)
-			shardJSON := mustJSON(t, shardRes)
-			if !bytes.Equal(serialJSON, shardJSON) {
-				t.Errorf("sharded Result diverged from serial\nserial:  %s\nsharded: %s",
-					serialJSON, shardJSON)
-			}
-			for i := range serialSys.Devices() {
-				sl := serialSys.Devices()[i].CommandLog()
-				pl := shardSys.Devices()[i].CommandLog()
-				if !reflect.DeepEqual(sl, pl) {
-					t.Errorf("device %d command log diverged (serial %d entries, sharded %d)",
-						i, len(sl), len(pl))
-				}
-			}
-		})
-	}
-}
-
-// TestShardedMatchesSerialDefaultCores re-runs the equivalence check at
-// the default core count with a longer instruction budget and several
-// seeds. With eight cores in flight, two controllers routinely complete
-// accesses at the same instant, so this shape is what exercises the
-// multi-source hop merge (birth, source domain, send order) — a
-// collision class the small two-core configs above almost never hit.
-func TestShardedMatchesSerialDefaultCores(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		cfg := Config{
-			Design:       DesignBaseline,
-			Workload:     "bwaves",
-			InstrPerCore: 100_000,
-			Seed:         seed,
-		}
-		serialRes, _ := runFull(t, cfg)
-		sharded := cfg
-		sharded.Domains = 3
-		shardRes, _ := runFull(t, sharded)
-		if s, p := mustJSON(t, serialRes), mustJSON(t, shardRes); !bytes.Equal(s, p) {
-			t.Errorf("seed %d: sharded Result diverged from serial\nserial:  %s\nsharded: %s",
-				seed, s, p)
-		}
-	}
-}
-
-// TestShardedTracingMatchesSerial closes the loop on observation: with
-// a tracer attached, a sharded run must digest to the same telemetry
-// summary as a serial one (the mutex-guarded aggregates are
-// commutative and each ring is single-domain), while the Result stays
-// byte-identical too.
-func TestShardedTracingMatchesSerial(t *testing.T) {
-	for _, d := range []Design{DesignBaseline, DesignPRAC, DesignMoPACC, DesignMoPACD} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := Config{
-				Design:       d,
-				TRH:          500,
-				Workload:     "bwaves",
-				Cores:        2,
-				InstrPerCore: 30_000,
-				Seed:         7,
-			}
-			serialCfg := cfg
-			serialCfg.Trace = telemetry.New(telemetry.Options{})
-			serialRes, _ := runFull(t, serialCfg)
-
-			shardCfg := cfg
-			shardCfg.Domains = 3
-			shardCfg.Trace = telemetry.New(telemetry.Options{})
-			shardRes, shardSys := runFull(t, shardCfg)
-			if n := shardSys.DomainCount(); n < 2 {
-				t.Fatalf("Domains=3 run fell back to serial (%d domains)", n)
-			}
-
-			if s, p := mustJSON(t, serialRes), mustJSON(t, shardRes); !bytes.Equal(s, p) {
-				t.Errorf("traced sharded Result diverged from serial\nserial:  %s\nsharded: %s", s, p)
-			}
-			sSum := mustJSON(t, serialCfg.Trace.Summary())
-			pSum := mustJSON(t, shardCfg.Trace.Summary())
-			if !bytes.Equal(sSum, pSum) {
-				t.Errorf("telemetry summary diverged\nserial:  %s\nsharded: %s", sSum, pSum)
-			}
-		})
-	}
-}
-
-// TestShardedForcedSerial pins the one remaining fallback condition:
-// coreless systems (attack drivers, trace replay) step the serial
-// Engine by hand, so they must silently run serial even when Domains
-// asks for shards. Oracle-tracked runs, by contrast, now shard like
-// any other — the oracle shards per subchannel with them.
-func TestShardedForcedSerial(t *testing.T) {
-	secure := Config{
-		Design:        DesignMoPACC,
-		TRH:           500,
-		Workload:      "bwaves",
-		Cores:         1,
-		InstrPerCore:  5_000,
-		Seed:          3,
-		TrackSecurity: true,
-		Domains:       3,
-	}
-	sys, err := NewSystem(secure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := sys.DomainCount(); n < 2 {
-		t.Fatalf("TrackSecurity run got %d domains, want sharded", n)
-	}
-	if sys.Oracle() == nil {
-		t.Fatal("sharded TrackSecurity system must expose its oracle")
-	}
-	if _, err := sys.Run(0); err != nil {
-		t.Fatal(err)
-	}
-
-	coreless := Config{Design: DesignMoPACD, TRH: 500, Domains: 3}
-	sys2, err := NewSystem(coreless)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := sys2.DomainCount(); n != 1 {
-		t.Fatalf("coreless run got %d domains, want serial", n)
-	}
-	if sys2.Engine() == nil {
-		t.Fatal("coreless system must expose its engine for manual drivers")
-	}
-}
-
 // oracleDigest flattens every externally observable oracle output —
 // the verdict, the canonical violation list, the full peak ranking,
 // the max excursion, and the stream counters — for byte comparison.
@@ -265,98 +98,6 @@ func oracleDigest(t *testing.T, res Result) []byte {
 		"activations": res.Oracle.Activations(),
 		"mitigations": res.Oracle.Mitigations(),
 	})
-}
-
-// TestShardedOracleMatchesSerial extends the sharded-equivalence
-// contract to oracle-tracked runs for every design: the Result JSON,
-// the violation list, and the full peak ranking must be byte-identical
-// between the serial engine and parallel event domains. This is the
-// property that let the TrackSecurity → serial restriction be lifted.
-func TestShardedOracleMatchesSerial(t *testing.T) {
-	for _, d := range []Design{
-		DesignBaseline, DesignPRAC, DesignMoPACC, DesignMoPACD,
-		DesignTRR, DesignMINT, DesignPrIDE, DesignChronos,
-	} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := Config{
-				Design:        d,
-				TRH:           500,
-				Workload:      "bwaves",
-				Cores:         2,
-				InstrPerCore:  30_000,
-				Seed:          7,
-				TrackSecurity: true,
-			}
-			serialRes, serialSys := runFull(t, cfg)
-			if n := serialSys.DomainCount(); n != 1 {
-				t.Fatalf("serial run reports %d domains", n)
-			}
-			sharded := cfg
-			sharded.Domains = 3
-			shardRes, shardSys := runFull(t, sharded)
-			if n := shardSys.DomainCount(); n < 2 {
-				t.Fatalf("Domains=3 run fell back to serial (%d domains)", n)
-			}
-			if s, p := mustJSON(t, serialRes), mustJSON(t, shardRes); !bytes.Equal(s, p) {
-				t.Errorf("sharded Result diverged from serial\nserial:  %s\nsharded: %s", s, p)
-			}
-			if s, p := oracleDigest(t, serialRes), oracleDigest(t, shardRes); !bytes.Equal(s, p) {
-				t.Errorf("sharded oracle diverged from serial\nserial:  %s\nsharded: %s", s, p)
-			}
-		})
-	}
-}
-
-// TestShardedOracleAttackSpecWorkload runs a parameterized attack spec
-// as a first-class workload ("attack:…") with the oracle attached,
-// across several seeds, and demands serial-vs-sharded byte identity on
-// both the Result and the oracle outputs. Attack streams concentrate
-// traffic on a handful of rows of one subchannel — the worst case for
-// any cross-domain ordering slip in the oracle merge, and (unlike
-// bwaves at these lengths) a shape that actually records violations.
-func TestShardedOracleAttackSpecWorkload(t *testing.T) {
-	for _, spec := range []string{
-		"double-sided:sub=0,bank=3,victim=1000",
-		"refresh-sync:sub=1,bank=27,victim=64053,aggr=4,burst=7,phase=3895,gap=189,spread=5",
-	} {
-		spec := spec
-		t.Run(spec, func(t *testing.T) {
-			t.Parallel()
-			sawViolation := false
-			for seed := uint64(1); seed <= 3; seed++ {
-				cfg := Config{
-					Design:        DesignMoPACD,
-					TRH:           500,
-					Workload:      "attack:" + spec,
-					Cores:         2,
-					InstrPerCore:  40_000,
-					Seed:          seed,
-					TrackSecurity: true,
-				}
-				serialRes, _ := runFull(t, cfg)
-				sharded := cfg
-				sharded.Domains = 3
-				shardRes, shardSys := runFull(t, sharded)
-				if n := shardSys.DomainCount(); n < 2 {
-					t.Fatalf("Domains=3 run fell back to serial (%d domains)", n)
-				}
-				if s, p := mustJSON(t, serialRes), mustJSON(t, shardRes); !bytes.Equal(s, p) {
-					t.Errorf("seed %d: sharded Result diverged from serial\nserial:  %s\nsharded: %s", seed, s, p)
-				}
-				if s, p := oracleDigest(t, serialRes), oracleDigest(t, shardRes); !bytes.Equal(s, p) {
-					t.Errorf("seed %d: sharded oracle diverged from serial\nserial:  %s\nsharded: %s", seed, s, p)
-				}
-				if !serialRes.Oracle.Secure() {
-					sawViolation = true
-				}
-			}
-			if !sawViolation {
-				t.Log("no seed recorded a violation; equivalence still checked on counts and peaks")
-			}
-		})
-	}
 }
 
 // TestTracingDoesNotPerturbResults proves the telemetry probes are

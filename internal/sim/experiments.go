@@ -19,18 +19,9 @@ type Scale struct {
 	AttackActs   int64
 	Seed         uint64
 	// Parallel is the number of simulations run concurrently by the
-	// runner's planner (0 = a machine budget: GOMAXPROCS divided by
-	// Domains, see ConcurrencyBudget). Each simulation is fully
+	// runner's planner (0 = GOMAXPROCS). Each simulation is fully
 	// isolated, so parallel execution is deterministic.
 	Parallel int
-	// Domains is the number of intra-run event domains each simulation
-	// shards onto (0 or 1 = serial engine). Results are byte-identical
-	// either way; only wall-clock shape changes.
-	Domains int
-	// Speculate, with Domains >= 2, runs each simulation's domains
-	// speculatively past epoch barriers (checkpoint/rollback). Like
-	// Domains it only changes wall-clock shape, never results.
-	Speculate bool
 }
 
 // DefaultScale returns the configuration used to generate
@@ -85,10 +76,7 @@ func NewRunner(sc Scale) *Runner {
 	if sc.AttackActs == 0 {
 		sc.AttackActs = 120_000
 	}
-	plan := NewPlanner(sc.Parallel)
-	plan.SetDomains(sc.Domains)
-	plan.SetSpeculate(sc.Speculate)
-	return &Runner{scale: sc, plan: plan}
+	return &Runner{scale: sc, plan: NewPlanner(sc.Parallel)}
 }
 
 // Scale returns the runner's scale.

@@ -9,11 +9,9 @@ import (
 )
 
 // goldenResults pins the SHA-256 of the Result JSON of a spread of
-// serial runs. The serial-vs-sharded equality tests cannot catch a
-// change to the shared components (controller, device, guards, cores):
-// both engines would move together. These digests can, so a change
-// that is meant to leave the simulation alone — a faster queue, a
-// tighter scan — must leave every one of them untouched. A change that
+// runs, so a change that is meant to leave the simulation alone — a
+// faster queue, a tighter scan — must leave every one of them
+// untouched. A change that
 // moves results on purpose regenerates them and says why.
 var goldenResults = []struct {
 	name string

@@ -138,31 +138,6 @@ type Config struct {
 	// tracing never changes results, so cache keys ignore it — and from
 	// the persisted result-store encoding for the same reason.
 	Trace *telemetry.Tracer `json:"-"`
-	// Domains >= 2 shards the run across parallel event domains: one
-	// per subchannel (controller + DRAM device + guards) plus one for
-	// the core complex, synchronised in conservative epochs of width
-	// FrontendLatencyNs (see internal/event.Domains and DESIGN.md §4e).
-	// The sharded schedule is byte-identical to the serial engine's, so
-	// Domains is excluded from Hash() and from the persisted encoding
-	// like Trace: it changes wall time, never results. 0 or 1 selects
-	// the serial engine. The oracle shards with the domains — one shard
-	// per subchannel, merged deterministically at collection — so
-	// TrackSecurity runs parallelise too. Serial is forced — the
-	// setting is ignored — only for coreless systems (external drivers
-	// step the Engine manually).
-	Domains int `json:"-"`
-	// Speculate switches the sharded engine to speculative
-	// (Time-Warp-lite) epochs: each domain checkpoints at the barrier
-	// and keeps executing optimistically while the coordinator sizes
-	// the next epoch from worker-published state, rolling back only
-	// the domains an injected cross-domain message actually reaches
-	// (see internal/event.Domains.EnableSpeculation and DESIGN.md
-	// §4e). Like Domains it changes wall time, never results — the
-	// speculative schedule is byte-identical to the serial engine's —
-	// so it is likewise excluded from Hash() and the persisted
-	// encoding. Ignored unless the run shards (Domains >= 2 with a
-	// workload).
-	Speculate bool `json:"-"`
 }
 
 func (c *Config) setDefaults() {
@@ -247,57 +222,37 @@ func (r Result) SRQInsertionsPer100ACTs() float64 {
 	return float64(r.SRQ.Insertions+r.SRQ.Coalesced) / float64(r.SRQ.Activations) * 100
 }
 
-// System is a fully wired simulated machine. Exactly one of eng and
-// dom is non-nil: eng is the serial single-queue engine, dom the
-// sharded parallel engine selected by Config.Domains.
+// System is a fully wired simulated machine.
 type System struct {
-	cfg       Config
-	eng       *event.Engine  // serial engine (nil in domain mode)
-	dom       *event.Domains // sharded engine (nil in serial mode)
-	coreDomID int32          // core-complex domain index in dom
-	coreSched event.Sched    // engine handle cores schedule on
-	mapper    addrmap.Mapper
-	devs      []*dram.Device
-	ctrls     []*mc.Controller
-	cores     []*cpu.Core
-	// oracles holds one security-oracle shard per subchannel. Like
-	// wstats, each shard is only written by its subchannel's clock
-	// domain (the device observer chain), so TrackSecurity runs shard
-	// across event domains without locking; Oracle()/collect() merge
+	cfg    Config
+	eng    *event.Engine
+	mapper addrmap.Mapper
+	devs   []*dram.Device
+	ctrls  []*mc.Controller
+	cores  []*cpu.Core
+	// oracles holds one security-oracle shard per subchannel, fed by
+	// that subchannel's device observer chain; Oracle()/collect() merge
 	// the disjoint shards deterministically.
 	oracles []*oracle.Oracle
-	wstats  []*WorkloadStats // one shard per subchannel (domain-local)
-	tparams   timing.Params
-	freeTxn   []*txn // recycled completion contexts (core-domain-owned)
-	running   int    // cores that have not yet retired their target
+	wstats  []*WorkloadStats // one shard per subchannel
+	tparams timing.Params
+	freeTxn []*txn // recycled completion contexts
+	running int    // cores that have not yet retired their target
 
 	// Adaptive-horizon state (see horizonBound): per-subchannel queues
 	// of pending frontend-hop delivery instants, and the controllers'
 	// minimum issue-to-completion gap. arrQ tracks core->controller
-	// arrival hops (written by the core domain in submit); delivQ
-	// tracks controller->core completion hops (written by each
-	// subchannel's domain in txnComplete/txnCompleteDom). Each queue is
-	// only ever appended to by the one domain that owns it and drained
-	// at epoch barriers, so sharded runs need no locking.
+	// arrival hops (appended in submit); delivQ tracks controller->core
+	// completion hops (appended in txnComplete).
 	arrQ   []timeQ
 	delivQ []timeQ
 	gap    int64
-
-	// Speculation state (Config.Speculate; see speculate.go). slots is
-	// the worker-published horizon input; specArmed marks an in-flight
-	// core-domain stretch (txnDeliver then defers recycling onto
-	// specTxns); coreBuf quarantines core-view telemetry when tracing.
-	specOn    bool
-	specArmed bool
-	specTxns  []*txn
-	slots     specSlots
-	coreBuf   *telemetry.SpecBuffer
 }
 
 // timeQ is a FIFO of future event instants. Hop events are scheduled
-// in non-decreasing time order by a single clock domain, so a ring with
-// a head cursor suffices; storage is reclaimed whenever the head
-// catches up, keeping the steady state allocation-free.
+// in non-decreasing time order, so a ring with a head cursor suffices;
+// storage is reclaimed whenever the head catches up, keeping the steady
+// state allocation-free.
 type timeQ struct {
 	q    []int64
 	head int
@@ -321,15 +276,6 @@ func (t *timeQ) next(now int64) int64 {
 		return mc.Never
 	}
 	return t.q[t.head]
-}
-
-// nowNs returns the committed simulation time of whichever engine the
-// system runs on.
-func (s *System) nowNs() int64 {
-	if s.dom != nil {
-		return s.dom.Now()
-	}
-	return s.eng.Now()
 }
 
 // designParams derives the security parameters and timing/controller
@@ -420,53 +366,15 @@ func NewSystem(c Config) (*System, error) {
 		return nil, err
 	}
 
-	s := &System{cfg: c, mapper: mapper, tparams: tparams}
-	// Domain partition: one event domain per subchannel plus one for
-	// the core complex. Serial is forced only for coreless systems
-	// (attack drivers and trace replay advance the serial Engine by
-	// hand); oracle-tracked runs shard like any other — the oracle
-	// itself shards per subchannel.
-	subSched := make([]event.Sched, geo.Subchannels)
-	// The core-complex index is meaningful in both modes: serial hops
-	// carry it as their source tag so the serial tie-break matches the
-	// sharded barrier merge.
-	s.coreDomID = int32(geo.Subchannels)
+	s := &System{cfg: c, eng: event.NewEngine(), mapper: mapper, tparams: tparams}
 	s.arrQ = make([]timeQ, geo.Subchannels)
 	s.delivQ = make([]timeQ, geo.Subchannels)
-	if c.Domains >= 2 && c.Workload != "" {
-		s.dom = event.NewDomains(geo.Subchannels+1, FrontendLatencyNs)
-		for i := range subSched {
-			subSched[i] = s.dom.Domain(i)
-		}
-		s.coreSched = s.dom.Domain(geo.Subchannels)
-		s.dom.SetHorizon(s.horizonBound)
-		if c.Speculate {
-			s.specOn = true
-			s.slots.arr = make([]int64, geo.Subchannels)
-			s.slots.send = make([]int64, geo.Subchannels)
-			s.slots.deliv = make([]int64, geo.Subchannels)
-			s.slots.tick = make([]int64, geo.Subchannels)
-			s.dom.EnableSpeculation(s.specPublish, s.specHorizonBound)
-			coreDom := s.dom.Domain(geo.Subchannels)
-			coreDom.Attach(&specCoreState{s: s})
-			if c.Trace != nil {
-				s.coreBuf = telemetry.NewSpecBuffer(c.Trace)
-				coreDom.Attach(s.coreBuf)
-			}
-		}
-	} else {
-		s.eng = event.NewEngine()
-		for i := range subSched {
-			subSched[i] = s.eng
-		}
-		s.coreSched = s.eng
-	}
 	if c.TrackSecurity {
 		// One oracle shard per subchannel. The subchannels' bank
 		// namespaces are disjoint (subObserver offsets bank by
 		// sub*Banks), so each shard sees exactly the stream a single
 		// oracle would see restricted to that subchannel, and the merge
-		// at collection is exact in both serial and sharded modes.
+		// at collection is exact.
 		s.oracles = make([]*oracle.Oracle, geo.Subchannels)
 		for i := range s.oracles {
 			s.oracles[i] = oracle.New(c.TRH)
@@ -546,22 +454,13 @@ func NewSystem(c Config) (*System, error) {
 		if gerr != nil {
 			return nil, gerr
 		}
-		// Workload stats shard per subchannel so activation counting
-		// stays domain-local; collect() merges the disjoint shards.
+		// Workload stats shard per subchannel; collect() merges the
+		// disjoint shards.
 		shard := NewWorkloadStats(geo, tparams)
 		s.wstats = append(s.wstats, shard)
 		var obs dram.Observer = shard
 		if s.oracles != nil {
 			obs = MultiObserver(shard, s.oracles[sub])
-		}
-		// Under speculation the stats/oracle sinks are fed through a
-		// journal (commit replays, rollback discards) instead of being
-		// checkpointed — their aggregate state is too big to snapshot
-		// per stretch.
-		var specObs *specObserver
-		if s.specOn {
-			specObs = &specObserver{inner: obs}
-			obs = specObs
 		}
 		dev, derr := dram.NewDevice(dram.Config{
 			Banks:    geo.Banks,
@@ -579,26 +478,12 @@ func NewSystem(c Config) (*System, error) {
 		}
 		subCfg := mcCfg
 		subCfg.Trace = mcTrc
-		ctl, cerr := mc.New(subSched[sub], dev, subCfg)
+		ctl, cerr := mc.New(s.eng, dev, subCfg)
 		if cerr != nil {
 			return nil, cerr
 		}
 		s.devs = append(s.devs, dev)
 		s.ctrls = append(s.ctrls, ctl)
-		if s.specOn {
-			d := s.dom.Domain(sub)
-			d.Attach(ctl)
-			d.Attach(dev)
-			d.Attach(specObs)
-			d.Attach(&specSubState{s: s, sub: sub})
-			if c.Trace != nil {
-				buf := telemetry.NewSpecBuffer(c.Trace)
-				devTrc.SetEmitter(buf)
-				mcTrc.SetEmitter(buf)
-				gTrc.SetEmitter(buf)
-				d.Attach(buf)
-			}
-		}
 	}
 	// All controllers share one timing set, so one gap serves them all.
 	s.gap = s.ctrls[0].MinSchedGap()
@@ -607,8 +492,8 @@ func NewSystem(c Config) (*System, error) {
 	// (RunAttack) attach their own sources. An "attack:<spec>" name
 	// makes a parameterized attack pattern a first-class workload: every
 	// core replays the spec's access stream, which gives the determinism
-	// suite (and any caller) oracle-on, domains-capable attack runs
-	// through the ordinary Run path.
+	// suite (and any caller) oracle-on attack runs through the ordinary
+	// Run path.
 	if spec, isAttack := strings.CutPrefix(c.Workload, "attack:"); isAttack {
 		as, perr := workload.ParseAttackSpec(spec)
 		if perr != nil {
@@ -666,15 +551,12 @@ func callOnDone(ctx any, at int64) { ctx.(func(int64))(at) }
 // AttachCore adds an externally sourced core (e.g. a trace replay) to
 // the system and returns it.
 func (s *System) AttachCore(src cpu.Source, targetInstr int64) (*cpu.Core, error) {
-	core, err := cpu.New(s.coreSched, cpu.Config{
+	core, err := cpu.New(s.eng, cpu.Config{
 		Width: 8, ROB: 256, TargetInstr: targetInstr, Submit: s.submit,
 		OnFinish: s.coreFinished,
 		Trace:    s.coreTrack(),
 	}, src)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.attachSpecCore(core, src); err != nil {
 		return nil, err
 	}
 	s.cores = append(s.cores, core)
@@ -688,29 +570,7 @@ func (s *System) coreTrack() *telemetry.CoreTracks {
 	if s.cfg.Trace == nil {
 		return nil
 	}
-	ct := s.cfg.Trace.Core(fmt.Sprintf("core%d", len(s.cores)))
-	if s.coreBuf != nil {
-		ct.SetEmitter(s.coreBuf)
-	}
-	return ct
-}
-
-// attachSpecCore registers a new core and its access source with the
-// core domain's checkpoint set. Sources must be rewindable — every
-// shipped source (workload generators, attack patterns) is; externally
-// attached ones that are not must run without speculation.
-func (s *System) attachSpecCore(core *cpu.Core, src cpu.Source) error {
-	if !s.specOn {
-		return nil
-	}
-	ck, ok := src.(event.Checkpointable)
-	if !ok {
-		return fmt.Errorf("sim: source %T is not checkpointable; disable Speculate to attach it", src)
-	}
-	d := s.dom.Domain(int(s.coreDomID))
-	d.Attach(core)
-	d.Attach(ck)
-	return nil
+	return s.cfg.Trace.Core(fmt.Sprintf("core%d", len(s.cores)))
 }
 
 // coreFinished keeps the running-core count that lets the run loop test
@@ -719,7 +579,7 @@ func (s *System) coreFinished() { s.running-- }
 
 // addCore attaches a core fed by src to the memory system.
 func (s *System) addCore(src cpu.Source) error {
-	core, err := cpu.New(s.coreSched, cpu.Config{
+	core, err := cpu.New(s.eng, cpu.Config{
 		Width:       8,
 		ROB:         256,
 		TargetInstr: s.cfg.InstrPerCore,
@@ -728,9 +588,6 @@ func (s *System) addCore(src cpu.Source) error {
 		Trace:       s.coreTrack(),
 	}, src)
 	if err != nil {
-		return err
-	}
-	if err := s.attachSpecCore(core, src); err != nil {
 		return err
 	}
 	s.cores = append(s.cores, core)
@@ -747,14 +604,12 @@ const FrontendLatencyNs = 15
 // txn carries one in-flight access's completion context across the
 // controller boundary: the controller fires txnComplete at data
 // completion, which schedules the return-trip hop that finally invokes
-// the submitter's pre-bound callback. txns are allocated and recycled
-// only in the core domain (the submit and deliver sides), so the free
-// list needs no locking even in sharded mode.
+// the submitter's pre-bound callback.
 type txn struct {
 	sys  *System
 	done event.Func
 	ctx  any
-	sub  int32 // owning subchannel (domain routing for the return hop)
+	sub  int32 // owning subchannel (the return hop's source tag)
 }
 
 func (s *System) newTxn() *txn {
@@ -766,115 +621,35 @@ func (s *System) newTxn() *txn {
 	return &txn{sys: s}
 }
 
-// txnComplete runs at data completion inside the controller's clock
-// domain and pays the controller-to-core return latency. The hop is
-// tagged with the controller's subchannel index so two completions
-// reaching the core at the same instant resolve in the same order the
-// sharded engine's barrier merge would pick.
+// txnComplete runs at data completion and pays the controller-to-core
+// return latency. The hop is tagged with the controller's subchannel
+// index, which fixes the order of two completions reaching the core
+// at the same instant.
 func txnComplete(ctx any, doneAt int64) {
 	t := ctx.(*txn)
 	q := &t.sys.delivQ[t.sub]
-	q.next(t.sys.eng.Now()) // drop fired entries (manual drivers never barrier-drain)
+	q.next(t.sys.eng.Now()) // drop fired entries (manual drivers never run horizonBound)
 	q.push(doneAt + FrontendLatencyNs)
 	t.sys.eng.Send(int(t.sub), FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
 }
 
-// txnCompleteDom is txnComplete for sharded mode: it runs in the
-// subchannel's domain and ships the return hop to the core domain
-// through the barrier mailbox. The scheduling instants are identical
-// to the serial path, so the delivered schedule is too.
-func txnCompleteDom(ctx any, doneAt int64) {
-	t := ctx.(*txn)
-	s := t.sys
-	s.delivQ[t.sub].push(doneAt + FrontendLatencyNs)
-	s.dom.Domain(int(t.sub)).Send(s.coreDomID, FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
-}
-
 // txnDeliver hands the completed access back to its submitter and
-// recycles the txn. It always runs in the core domain. During a
-// speculative stretch the txn's fields stay intact and recycling is
-// deferred onto specTxns: a rollback restores the pending txnDeliver
-// event, and its replay needs the context whole (a commit recycles
-// the parked txns in delivery order — see specCoreState).
+// recycles the txn.
 func txnDeliver(ctx any, at int64) {
 	t := ctx.(*txn)
-	s := t.sys
-	if s.specArmed {
-		s.specTxns = append(s.specTxns, t)
-		t.done(t.ctx, at)
-		return
-	}
 	done, dctx := t.done, t.ctx
 	t.done, t.ctx = nil, nil
-	s.freeTxn = append(s.freeTxn, t)
+	t.sys.freeTxn = append(t.sys.freeTxn, t)
 	done(dctx, at)
-}
-
-// packLoc squeezes a decoded bank/row/col location plus the write flag
-// into the int64 event payload, so the cross-domain arrival hop builds
-// the controller request inside the controller's own domain (pooled
-// requests never cross domains).
-func packLoc(bank, row, col int, write bool) int64 {
-	if uint(bank) >= 1<<8 || uint(row) >= 1<<32 || uint(col) >= 1<<16 {
-		panic("sim: address geometry exceeds cross-domain payload packing")
-	}
-	v := int64(row)<<25 | int64(col)<<9 | int64(bank)<<1
-	if write {
-		v |= 1
-	}
-	return v
-}
-
-// fillLoc unpacks a packLoc payload into a controller request.
-func fillLoc(r *mc.Request, v int64) {
-	r.Write = v&1 != 0
-	r.Bank = int(v >> 1 & 0xff)
-	r.Col = int(v >> 9 & 0xffff)
-	r.Row = int(v >> 25)
-}
-
-// deliverWrite is the sharded-mode arrival hop for fire-and-forget
-// writes: it runs in the subchannel's domain with the controller as
-// context.
-func deliverWrite(ctx any, arg int64) {
-	c := ctx.(*mc.Controller)
-	r := c.NewRequest()
-	fillLoc(r, arg)
-	c.Enqueue(r)
-}
-
-// deliverRead is the sharded-mode arrival hop for reads: the txn
-// carries the completion context back out through txnCompleteDom.
-func deliverRead(ctx any, arg int64) {
-	t := ctx.(*txn)
-	c := t.sys.ctrls[t.sub]
-	r := c.NewRequest()
-	fillLoc(r, arg)
-	r.Done, r.DoneCtx = txnCompleteDom, t
-	c.Enqueue(r)
 }
 
 // submit routes a physical address to its subchannel controller after
 // the core-to-controller latency; the completion pays the return trip.
 // The whole path — arrival hop, controller request, completion hop — is
-// closure-free and runs on pooled objects. In sharded mode the arrival
-// hop crosses the domain boundary through the mailbox instead of the
-// shared heap; the event instants are the same.
+// closure-free and runs on pooled objects. The arrival hop's source tag
+// is the subchannel count, the core complex's tag.
 func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 	loc := s.mapper.Decode(addr)
-	if s.dom != nil {
-		core := s.dom.Domain(int(s.coreDomID))
-		arg := packLoc(loc.Bank, loc.Row, loc.Col, write)
-		s.arrQ[loc.Sub].push(core.Now() + FrontendLatencyNs)
-		if done == nil {
-			core.Send(int32(loc.Sub), FrontendLatencyNs, deliverWrite, s.ctrls[loc.Sub], arg)
-			return
-		}
-		t := s.newTxn()
-		t.done, t.ctx, t.sub = done, ctx, int32(loc.Sub)
-		core.Send(int32(loc.Sub), FrontendLatencyNs, deliverRead, t, arg)
-		return
-	}
 	r := s.ctrls[loc.Sub].NewRequest()
 	r.Bank, r.Row, r.Col, r.Write = loc.Bank, loc.Row, loc.Col, write
 	if done != nil {
@@ -883,25 +658,14 @@ func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 		r.Done, r.DoneCtx = txnComplete, t
 	}
 	q := &s.arrQ[loc.Sub]
-	q.next(s.eng.Now()) // drop fired entries (manual drivers never barrier-drain)
+	q.next(s.eng.Now()) // drop fired entries (manual drivers never run horizonBound)
 	q.push(s.eng.Now() + FrontendLatencyNs)
-	s.eng.Send(int(s.coreDomID), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
+	s.eng.Send(len(s.ctrls), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
 }
 
-// Engine exposes the serial event engine (attack drivers and trace
-// replay advance it manually). Manual drivers only exist on coreless
-// systems, which force serial mode, so Engine is non-nil for them; it
-// returns nil on a sharded system.
+// Engine exposes the event engine (attack drivers and trace replay
+// advance it manually on coreless systems).
 func (s *System) Engine() *event.Engine { return s.eng }
-
-// DomainCount reports the number of parallel event domains the system
-// runs on (1 = serial engine).
-func (s *System) DomainCount() int {
-	if s.dom == nil {
-		return 1
-	}
-	return s.dom.N()
-}
 
 // Oracle returns the attached security oracle, merged across the
 // per-subchannel shards (nil unless requested). With more than one
@@ -954,12 +718,11 @@ func (s *System) Run(maxNs int64) (Result, error) {
 // bound arithmetic clear of overflow when no send source is pending.
 const maxEpochNs = 1 << 20
 
-// horizonBound returns the exclusive epoch bound for an epoch starting
-// at start (the earliest pending event): ES + FrontendLatencyNs, where
-// ES lower-bounds the earliest instant any component could inject a
-// cross-domain hop from the committed state. Every domain can then run
-// to the bound without hearing from its peers, because a hop sent at
-// t >= ES arrives at t + FrontendLatencyNs >= bound.
+// horizonBound returns the exclusive bound of the run-loop epoch that
+// starts at start (the earliest pending event): ES + FrontendLatencyNs,
+// where ES lower-bounds the earliest instant any component could send
+// a frontend hop from the current state. No hop sent at t >= ES lands
+// before the bound.
 //
 // ES is the minimum over every send source in the system:
 //
@@ -981,12 +744,11 @@ const maxEpochNs = 1 << 20
 // they are controller scheduler passes and arrival deliveries, whose
 // sends are bounded by the gap term above.
 //
-// The same function drives the serial engine's run loop, computed from
-// the same component state at the same committed instants — that keeps
-// the epoch geometry, and with it the executed event set at the final
-// barrier, byte-identical between the two engines.
+// RunContext checks for completion only at these bounds, so the epoch
+// sequence fixes the instant a run stops — and with it TimeNs and
+// every Result field. Changing any term moves every stored result.
 func (s *System) horizonBound(start int64) int64 {
-	now := s.nowNs()
+	now := s.eng.Now()
 	es := mc.Never
 	for _, c := range s.cores {
 		if w := c.WakeAt(); w >= 0 && w < es {
@@ -1029,59 +791,31 @@ func (s *System) horizonBound(start int64) int64 {
 // cancelled run returns an error wrapping both ErrCanceled and the
 // context's cause.
 //
-// Both engines advance in adaptive epochs bounded by horizonBound, and
+// The engine advances in adaptive epochs bounded by horizonBound, and
 // the finish condition (every core retired its target) is evaluated at
-// epoch boundaries. Epoch-aligned stopping is what makes the sharded
-// schedule reproducible on the serial engine: the set of executed
-// events is exactly "everything before the first boundary at which all
-// cores are done", independent of how work interleaves across domains
-// inside the final window — and both engines compute the identical
-// boundary sequence because horizonBound reads only component state
-// that is itself byte-identical at each barrier.
+// epoch boundaries: a run executes exactly the events before the first
+// boundary at which all cores are done.
 func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	if maxNs <= 0 {
 		maxNs = 1_000_000_000
 	}
 	canceled := func() (Result, error) {
-		return Result{}, fmt.Errorf("%w at t=%d ns: %w", ErrCanceled, s.nowNs(), context.Cause(ctx))
+		return Result{}, fmt.Errorf("%w at t=%d ns: %w", ErrCanceled, s.eng.Now(), context.Cause(ctx))
 	}
 	if ctx.Err() != nil {
 		return canceled()
 	}
 	steps := 0
-	if s.dom != nil {
-		defer s.dom.Shutdown()
-		for s.liveCores() > 0 {
-			at, ok := s.dom.NextAt()
-			if !ok || at >= maxNs {
-				break
-			}
-			n, _ := s.dom.RunEpoch()
-			if steps += n; steps >= cancelCheckEvents {
-				steps = 0
-				if ctx.Err() != nil {
-					return canceled()
-				}
-			}
+	for s.running > 0 {
+		at, ok := s.eng.NextAt()
+		if !ok || at >= maxNs {
+			break
 		}
-		// Park the workers and discard any in-flight speculative
-		// stretch before reading component state: the cap check and
-		// collect() below walk cores and controllers, which a
-		// speculating worker may still be mutating. The deferred
-		// Shutdown then no-ops.
-		s.dom.Shutdown()
-	} else {
-		for s.running > 0 {
-			at, ok := s.eng.NextAt()
-			if !ok || at >= maxNs {
-				break
-			}
-			steps += s.eng.RunUntil(s.horizonBound(at) - 1)
-			if steps >= cancelCheckEvents {
-				steps = 0
-				if ctx.Err() != nil {
-					return canceled()
-				}
+		steps += s.eng.RunUntil(s.horizonBound(at) - 1)
+		if steps >= cancelCheckEvents {
+			steps = 0
+			if ctx.Err() != nil {
+				return canceled()
 			}
 		}
 	}
@@ -1092,7 +826,7 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 }
 
 func (s *System) collect() Result {
-	res := Result{Config: s.cfg, TimeNs: s.nowNs(), Oracle: s.Oracle()}
+	res := Result{Config: s.cfg, TimeNs: s.eng.Now(), Oracle: s.Oracle()}
 	for _, c := range s.cores {
 		ipc := c.IPC()
 		res.IPC = append(res.IPC, ipc)
@@ -1148,7 +882,7 @@ func (s *System) collect() Result {
 		lat.Merge(ctl.LatencyHistogram())
 	}
 	res.Latency = lat.Snapshot()
-	res.Workload = SnapshotShards(s.nowNs(), s.wstats)
+	res.Workload = SnapshotShards(s.eng.Now(), s.wstats)
 	return res
 }
 

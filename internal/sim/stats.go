@@ -111,10 +111,9 @@ func (w *WorkloadStats) Snapshot(elapsed int64) WorkloadStatsResult {
 
 // SnapshotShards computes one characterisation over several collectors
 // observing disjoint bank sets — the per-subchannel shards the system
-// keeps so activation counting stays domain-local in sharded runs. The
-// shards partition the (bank, row) key space, so summing per-shard
-// counts is exact: the result is bit-identical to a single shared
-// collector. All shards must share geometry and timing.
+// keeps. The shards partition the (bank, row) key space, so summing
+// per-shard counts is exact: the result is bit-identical to a single
+// shared collector. All shards must share geometry and timing.
 func SnapshotShards(elapsed int64, shards []*WorkloadStats) WorkloadStatsResult {
 	w := shards[0]
 	var acts int64

@@ -54,8 +54,5 @@ func (c Config) Validate() error {
 	if c.CommandLogDepth < 0 {
 		return bad("CommandLogDepth must be >= 0, got %d", c.CommandLogDepth)
 	}
-	if c.Domains < 0 {
-		return bad("Domains must be >= 0, got %d", c.Domains)
-	}
 	return nil
 }

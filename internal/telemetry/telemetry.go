@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mopac/internal/stats"
 )
@@ -146,16 +145,11 @@ type track struct {
 	drops int64
 }
 
-// Tracer collects trace records for one simulation run. Emit is safe
-// to call from the sharded engine's concurrent domains: a single mutex
-// serialises record appends, and every aggregate it guards (per-kind
-// counts, histogram buckets) is commutative, while each ring only ever
-// receives records from the one domain its component lives on — so a
-// traced sharded run digests identically to the serial run. Everything
-// else (NewTrack, Reset, the read-out surface) is call-after-run and
-// stays single-goroutine.
+// Tracer collects trace records for one simulation run. It is
+// single-goroutine, like the engine that drives the probes: record
+// appends and the read-out surface run on the simulation's goroutine
+// or after the run.
 type Tracer struct {
-	mu     sync.Mutex
 	opts   Options
 	tracks []track
 	slabs  [][]Record // recycled ring storage (see Reset)
@@ -194,7 +188,6 @@ func (t *Tracer) Emit(track int32, k Kind, at, dur int64, a, b int32) {
 	if at < t.opts.WindowStartNs || (t.opts.WindowEndNs > 0 && at >= t.opts.WindowEndNs) {
 		return
 	}
-	t.mu.Lock()
 	t.counts[k]++
 	switch {
 	case k == KindReqServed:
@@ -211,7 +204,6 @@ func (t *Tracer) Emit(track int32, k Kind, at, dur int64, a, b int32) {
 			tr.recs = t.newSlab()
 		}
 		tr.recs = append(tr.recs, r)
-		t.mu.Unlock()
 		return
 	}
 	tr.recs[tr.head] = r
@@ -219,7 +211,6 @@ func (t *Tracer) Emit(track int32, k Kind, at, dur int64, a, b int32) {
 		tr.head = 0
 	}
 	tr.drops++
-	t.mu.Unlock()
 }
 
 // arenaTracks is how many full-capacity rings one arena chunk holds.

@@ -18,14 +18,7 @@ type AttackPattern struct {
 	mapper addrmap.Mapper
 	locs   []addrmap.Loc
 	i      int
-	ckI    int // speculation snapshot of i
 }
-
-// Checkpoint snapshots the pattern cursor for speculative execution.
-func (a *AttackPattern) Checkpoint() { a.ckI = a.i }
-
-// Restore rewinds the pattern cursor to the last Checkpoint.
-func (a *AttackPattern) Restore() { a.i = a.ckI }
 
 // NewAttackPattern wraps an explicit location sequence.
 func NewAttackPattern(mapper addrmap.Mapper, locs []addrmap.Loc) (*AttackPattern, error) {
@@ -227,16 +220,7 @@ type PhasedPattern struct {
 	items  []phasedItem
 	i      int
 	led    bool
-
-	ckI   int // speculation snapshot of i and led
-	ckLed bool
 }
-
-// Checkpoint snapshots the pattern cursor for speculative execution.
-func (p *PhasedPattern) Checkpoint() { p.ckI, p.ckLed = p.i, p.led }
-
-// Restore rewinds the pattern cursor to the last Checkpoint.
-func (p *PhasedPattern) Restore() { p.i, p.led = p.ckI, p.ckLed }
 
 // Next implements cpu.Source.
 func (p *PhasedPattern) Next() (cpu.Access, bool) {
