@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"mopac/internal/buildinfo"
+	"mopac/internal/config"
 	"mopac/internal/plot"
 	"mopac/internal/prof"
 	"mopac/internal/sim"
@@ -50,7 +51,7 @@ func main() {
 		tracePth = flag.String("trace", "", "also capture a cycle-level trace of one run (.json = Chrome/Perfetto, else text timeline)")
 		traceWin = flag.String("trace-window", "", "only trace simulated time lo:hi in ns")
 		traceLim = flag.Int("trace-limit", 0, "per-track ring capacity in records (0 = default)")
-		traceDes = flag.String("trace-design", "prac", "design for the -trace run: baseline | prac | mopac-c | mopac-d")
+		traceDes = flag.String("trace-design", "prac", "design for the -trace run: "+strings.Join(config.Designs(), " | "))
 		traceWl  = flag.String("trace-workload", "mcf", "Table 4 workload for the -trace run")
 		version  = flag.Bool("version", false, "print build information and exit")
 	)
@@ -281,15 +282,9 @@ func main() {
 // writes its cycle-level trace to path, appending a digest section to
 // the report.
 func emitTrace(w io.Writer, sc sim.Scale, design, workload, path, window string, limit int) error {
-	designs := map[string]sim.Design{
-		"baseline": sim.DesignBaseline,
-		"prac":     sim.DesignPRAC,
-		"mopac-c":  sim.DesignMoPACC,
-		"mopac-d":  sim.DesignMoPACD,
-	}
-	d, ok := designs[design]
-	if !ok {
-		return fmt.Errorf("unknown -trace-design %q", design)
+	d, err := config.ParseDesign(design)
+	if err != nil {
+		return fmt.Errorf("-trace-design: %w", err)
 	}
 	lo, hi, err := telemetry.ParseWindow(window)
 	if err != nil {

@@ -12,9 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"mopac/internal/addrmap"
 	"mopac/internal/buildinfo"
+	"mopac/internal/config"
 	"mopac/internal/cpu"
 	"mopac/internal/sim"
 	"mopac/internal/trace"
@@ -156,20 +158,16 @@ func info(args []string) {
 func run(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	in := fs.String("i", "", "trace file (required)")
-	design := fs.String("design", "baseline", "baseline | prac | mopac-c | mopac-d")
+	design := fs.String("design", "baseline", "design: "+strings.Join(config.Designs(), " | "))
 	trh := fs.Int("trh", 500, "Rowhammer threshold")
 	instr := fs.Int64("instr", 1_000_000, "instructions to retire")
 	_ = fs.Parse(args)
 	if *in == "" {
 		fatalf("run: -i is required")
 	}
-	designs := map[string]sim.Design{
-		"baseline": sim.DesignBaseline, "prac": sim.DesignPRAC,
-		"mopac-c": sim.DesignMoPACC, "mopac-d": sim.DesignMoPACD,
-	}
-	d, ok := designs[*design]
-	if !ok {
-		fatalf("unknown design %q", *design)
+	d, err := config.ParseDesign(*design)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	r, f := openTrace(*in)
 	defer f.Close()

@@ -22,8 +22,7 @@ import (
 type Run struct {
 	// Name labels the run group in reports.
 	Name string `json:"name"`
-	// Designs: baseline | prac | qprac | mopac-c | mopac-d | trr |
-	// mint | pride | chronos (see Designs()).
+	// Designs are design names as listed by Designs().
 	Designs []string `json:"designs"`
 	// TRHs are the Rowhammer thresholds to sweep (default [500]).
 	TRHs []int `json:"trhs,omitempty"`
@@ -60,19 +59,6 @@ type File struct {
 	Runs []Run `json:"runs"`
 }
 
-// designNames maps JSON design names to sim designs.
-var designNames = map[string]sim.Design{
-	"baseline": sim.DesignBaseline,
-	"prac":     sim.DesignPRAC,
-	"mopac-c":  sim.DesignMoPACC,
-	"mopac-d":  sim.DesignMoPACD,
-	"trr":      sim.DesignTRR,
-	"mint":     sim.DesignMINT,
-	"pride":    sim.DesignPrIDE,
-	"chronos":  sim.DesignChronos,
-	"qprac":    sim.DesignQPRAC,
-}
-
 // policyNames maps JSON policy names to controller policies.
 var policyNames = map[string]mc.PagePolicy{
 	"":        mc.OpenPage,
@@ -81,15 +67,17 @@ var policyNames = map[string]mc.PagePolicy{
 	"timeout": mc.TimeoutPage,
 }
 
-// ParseDesign resolves a JSON design name (case-insensitive) to its sim
-// design. It is the single name registry shared by the batch file
-// format and the HTTP service.
+// ParseDesign resolves a design name (case-insensitive) to its sim
+// design: the name is the design's String() value, so sim's design
+// registry is the only name list. Every CLI, the batch file format and
+// the HTTP service parse through here.
 func ParseDesign(name string) (sim.Design, error) {
-	d, ok := designNames[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("config: unknown design %q", name)
+	for _, d := range sim.Designs() {
+		if strings.EqualFold(name, d.String()) {
+			return d, nil
+		}
 	}
-	return d, nil
+	return 0, fmt.Errorf("config: unknown design %q", name)
 }
 
 // ParsePolicy resolves a JSON page-policy name (case-insensitive,
@@ -105,9 +93,9 @@ func ParsePolicy(name string) (mc.PagePolicy, error) {
 // Designs enumerates every registered design name in sorted order —
 // the discoverable face of the registry (`-list-designs` on the CLIs).
 func Designs() []string {
-	out := make([]string, 0, len(designNames))
-	for n := range designNames {
-		out = append(out, n)
+	var out []string
+	for _, d := range sim.Designs() {
+		out = append(out, strings.ToLower(d.String()))
 	}
 	sort.Strings(out)
 	return out
@@ -166,7 +154,7 @@ func (r *Run) validate() error {
 		return fmt.Errorf("designs are required")
 	}
 	for _, d := range r.Designs {
-		if _, ok := designNames[strings.ToLower(d)]; !ok {
+		if _, err := ParseDesign(d); err != nil {
 			return fmt.Errorf("unknown design %q", d)
 		}
 	}
@@ -231,11 +219,15 @@ func (f *File) Expand() ([]Expansion, error) {
 		if len(trhs) == 0 {
 			trhs = []int{500}
 		}
-		for _, d := range r.Designs {
+		for _, name := range r.Designs {
+			d, err := ParseDesign(name)
+			if err != nil {
+				return nil, err
+			}
 			for _, trh := range trhs {
 				for _, wl := range wls {
 					cfg := sim.Config{
-						Design:           designNames[strings.ToLower(d)],
+						Design:           d,
 						TRH:              trh,
 						Workload:         wl,
 						Cores:            r.Cores,

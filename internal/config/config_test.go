@@ -191,6 +191,16 @@ func TestRegistryEnumerations(t *testing.T) {
 	if !found {
 		t.Fatal("qprac missing from the design registry")
 	}
+	// Every sim design has exactly one name, and its lower-cased String()
+	// parses back to it (mopac-batch's toJobRequest relies on this).
+	if len(ds) != len(sim.Designs()) {
+		t.Fatalf("Designs() has %d names for %d sim designs", len(ds), len(sim.Designs()))
+	}
+	for _, d := range sim.Designs() {
+		if got, err := ParseDesign(strings.ToLower(d.String())); err != nil || got != d {
+			t.Fatalf("ParseDesign(%q) = %v, %v; want %v", strings.ToLower(d.String()), got, err, d)
+		}
+	}
 	ps := Policies()
 	if !sort.StringsAreSorted(ps) || len(ps) == 0 {
 		t.Fatalf("Policies() malformed: %v", ps)

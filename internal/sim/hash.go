@@ -5,10 +5,11 @@ import "mopac/internal/runkey"
 // hashVersion is the Config key-encoding version. Bumping it orphans
 // every persisted result-store entry and cached summary at once, which
 // is the intended effect of changing what a key means. v2: the run
-// loop became epoch-aligned (it executes every event before the first
-// 15 ns epoch boundary at which all cores are done, rather than
-// stopping mid-window at the final retirement), which shifts tail
-// stats slightly, so v1 records no longer describe v2 runs.
+// loop became epoch-aligned: it checks for completion only at the
+// epoch bounds of System.horizonBound (DESIGN.md §4e) and executes
+// every event before the first bound at which all cores are done,
+// rather than stopping at the final retirement. That shifts tail stats
+// slightly, so v1 records do not describe v2 runs.
 const hashVersion = "mopac-config-v2"
 
 // Hash returns a content-addressed key for the run the configuration

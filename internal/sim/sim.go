@@ -30,62 +30,6 @@ import (
 	"mopac/internal/workload"
 )
 
-// Design selects the memory-system protection configuration.
-type Design int
-
-// The evaluated designs.
-const (
-	// DesignBaseline is unprotected DDR5 with baseline timings.
-	DesignBaseline Design = iota
-	// DesignPRAC is PRAC+ABO with MOAT and inflated timings.
-	DesignPRAC
-	// DesignMoPACC is memory-controller-side MoPAC.
-	DesignMoPACC
-	// DesignMoPACD is in-DRAM MoPAC.
-	DesignMoPACD
-	// DesignTRR is the broken DDR4-era tracker (baseline timings).
-	DesignTRR
-	// DesignMINT is the low-cost MINT tracker of §9.2 (baseline
-	// timings, one mitigation per REF, no ABO).
-	DesignMINT
-	// DesignPrIDE is the low-cost PrIDE tracker of §9.2.
-	DesignPrIDE
-	// DesignChronos is the §9.1 Chronos alternative: counter updates in
-	// a dedicated subarray (baseline row timings, doubled tFAW).
-	DesignChronos
-	// DesignQPRAC is the §9.1 QPRAC alternative as a first-class design:
-	// PRAC timings with the priority-queue mitigation service instead of
-	// MOAT. Identical to DesignPRAC with Config.QPRAC set; having its
-	// own name makes it targetable by every CLI and the attack search.
-	DesignQPRAC
-)
-
-// String implements fmt.Stringer.
-func (d Design) String() string {
-	switch d {
-	case DesignBaseline:
-		return "Baseline"
-	case DesignPRAC:
-		return "PRAC"
-	case DesignMoPACC:
-		return "MoPAC-C"
-	case DesignMoPACD:
-		return "MoPAC-D"
-	case DesignTRR:
-		return "TRR"
-	case DesignMINT:
-		return "MINT"
-	case DesignPrIDE:
-		return "PrIDE"
-	case DesignChronos:
-		return "Chronos"
-	case DesignQPRAC:
-		return "QPRAC"
-	default:
-		return fmt.Sprintf("Design(%d)", int(d))
-	}
-}
-
 // Config describes one simulation run.
 type Config struct {
 	Design Design
@@ -193,16 +137,14 @@ func (r Result) CounterUpdatesPer100ACTs() float64 {
 	if r.Dev.Activates == 0 {
 		return 0
 	}
-	switch r.Config.Design {
-	case DesignMoPACD:
+	if d := r.Config.Design; d.valid() && designs[d].perChip {
 		chips := int64(r.Config.Chips)
 		if chips <= 0 {
 			chips = 1
 		}
 		return float64(r.SRQ.CounterUpdates) / float64(chips) / float64(r.Dev.Activates) * 100
-	default:
-		return float64(r.Dev.PrechargesCU) / float64(r.Dev.Activates) * 100
 	}
+	return float64(r.Dev.PrechargesCU) / float64(r.Dev.Activates) * 100
 }
 
 // ABOStallFraction returns the share of run time spent in ALERT-induced
@@ -278,87 +220,25 @@ func (t *timeQ) next(now int64) int64 {
 	return t.q[t.head]
 }
 
-// designParams derives the security parameters and timing/controller
-// configuration for a design.
-func designParams(c Config) (security.Params, timing.Params, mc.Config, error) {
-	mcCfg := mc.Config{
-		Policy:           c.Policy,
-		TimeoutNs:        c.TimeoutNs,
-		RFMLevel:         c.RFMLevel,
-		MaxPostponedREFs: c.MaxPostponedREFs,
-		Seed:             c.Seed ^ 0xc0ffee,
-	}
-	switch c.Design {
-	case DesignBaseline:
-		tp := timing.DDR5()
-		mcCfg.Timing = tp
-		return security.Params{}, tp, mcCfg, nil
-	case DesignPRAC:
-		tp := timing.PRAC()
-		mcCfg.Timing = tp
-		mcCfg.CUAlways = true
-		return security.DeriveWithP(security.VariantPRAC, c.TRH, 1), tp, mcCfg, nil
-	case DesignMoPACC:
-		tp := timing.MoPACC()
-		params := security.DeriveMoPACC(c.TRH)
-		if c.PInvOverride > 0 {
-			params = security.DeriveWithP(security.VariantMoPACC, c.TRH, 1/float64(c.PInvOverride))
-		}
-		if c.RowPress {
-			params = security.DeriveRowPress(security.VariantMoPACC, c.TRH)
-			mcCfg.RowPressCapNs = security.RowPressMaxOpenNs
-		}
-		mcCfg.Timing = tp
-		mcCfg.CUProbInv = params.UpdateWeight()
-		return params, tp, mcCfg, nil
-	case DesignMoPACD:
-		tp := timing.MoPACD()
-		params := security.DeriveMoPACD(c.TRH)
-		if c.PInvOverride > 0 {
-			params = security.DeriveWithP(security.VariantMoPACD, c.TRH, 1/float64(c.PInvOverride))
-		}
-		switch {
-		case c.RowPress:
-			params = security.DeriveRowPress(security.VariantMoPACD, c.TRH)
-		case c.NUP:
-			params = security.DeriveNUP(c.TRH)
-		}
-		mcCfg.Timing = tp
-		return params, tp, mcCfg, nil
-	case DesignChronos:
-		// Chronos keeps deterministic counting (MOAT semantics) with
-		// baseline row timings; the doubled tFAW carries the cost.
-		tp := timing.Chronos()
-		mcCfg.Timing = tp
-		mcCfg.CUAlways = true
-		return security.DeriveWithP(security.VariantPRAC, c.TRH, 1), tp, mcCfg, nil
-	case DesignQPRAC:
-		// QPRAC shares PRAC's timings and derived parameters; only the
-		// in-DRAM mitigation engine differs (see makeGuard).
-		tp := timing.PRAC()
-		mcCfg.Timing = tp
-		mcCfg.CUAlways = true
-		return security.DeriveWithP(security.VariantPRAC, c.TRH, 1), tp, mcCfg, nil
-	case DesignTRR, DesignMINT, DesignPrIDE:
-		// Legacy and low-cost trackers run on baseline timings and
-		// mitigate in the REF shadow only.
-		tp := timing.DDR5()
-		mcCfg.Timing = tp
-		return security.Params{}, tp, mcCfg, nil
-	default:
-		return security.Params{}, timing.Params{}, mc.Config{}, fmt.Errorf("sim: unknown design %d", int(c.Design))
-	}
-}
-
 // NewSystem wires a system for the configuration.
 func NewSystem(c Config) (*System, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	c.setDefaults()
-	params, tparams, mcCfg, err := designParams(c)
-	if err != nil {
-		return nil, err
+	spec := designs[c.Design]
+	tparams := spec.timing()
+	mcCfg := mc.Config{
+		Timing:           tparams,
+		Policy:           c.Policy,
+		TimeoutNs:        c.TimeoutNs,
+		RFMLevel:         c.RFMLevel,
+		MaxPostponedREFs: c.MaxPostponedREFs,
+		Seed:             c.Seed ^ 0xc0ffee,
+	}
+	var params security.Params
+	if spec.derive != nil {
+		params = spec.derive(c, &mcCfg)
 	}
 	geo := addrmap.Default()
 	mapper, err := addrmap.NewMOP(geo, 4)
@@ -382,65 +262,9 @@ func NewSystem(c Config) (*System, error) {
 	}
 
 	chips := 1
-	if c.Design == DesignMoPACD {
+	if spec.perChip {
 		chips = c.Chips
 	}
-	// makeGuard builds one subchannel's guard factory; gtrc is that
-	// subchannel's mitigation probe view (nil when tracing is off). Guard
-	// seeds derive only from (chip, bank), so building the factory per
-	// subchannel leaves every RNG stream exactly as a shared factory would.
-	makeGuard := func(gtrc *telemetry.GuardTracks) (func(chip, bank int) dram.BankGuard, error) {
-		switch c.Design {
-		case DesignChronos, DesignMoPACC:
-			return mitigation.NewFactory(mitigation.Options{
-				Params: params, Rows: geo.Rows, Seed: c.Seed, Trace: gtrc,
-			})
-		case DesignPRAC, DesignQPRAC:
-			if c.QPRAC || c.Design == DesignQPRAC {
-				qcfg := mitigation.QPRACFromParams(params, geo.Rows)
-				return func(chip, bank int) dram.BankGuard {
-					return mitigation.NewQPRAC(qcfg)
-				}, nil
-			}
-			return mitigation.NewFactory(mitigation.Options{
-				Params: params, Rows: geo.Rows, Seed: c.Seed, Trace: gtrc,
-			})
-		case DesignTRR:
-			return func(chip, bank int) dram.BankGuard {
-				return mitigation.NewTRR(mitigation.TRRConfig{Entries: 16, MitigatePerREFs: 4, Rows: geo.Rows})
-			}, nil
-		case DesignMINT:
-			seed := c.Seed
-			return func(chip, bank int) dram.BankGuard {
-				return mitigation.NewMINT(mitigation.MINTConfig{
-					Window: 84, Rows: geo.Rows,
-					Seed: seed ^ uint64(bank)<<8 ^ uint64(chip)<<32 ^ 0x6d1,
-				})
-			}, nil
-		case DesignPrIDE:
-			seed := c.Seed
-			return func(chip, bank int) dram.BankGuard {
-				return mitigation.NewPrIDE(mitigation.PrIDEConfig{
-					InvP: 84, QueueSize: 2, Rows: geo.Rows,
-					Seed: seed ^ uint64(bank)<<8 ^ uint64(chip)<<32 ^ 0x9d1,
-				})
-			}, nil
-		case DesignMoPACD:
-			return mitigation.NewFactory(mitigation.Options{
-				Params:     params,
-				Rows:       geo.Rows,
-				NUP:        c.NUP,
-				RowPress:   c.RowPress,
-				Seed:       c.Seed,
-				SRQSize:    c.SRQSize,
-				DrainOnREF: c.DrainOnREF,
-				Trace:      gtrc,
-			})
-		default:
-			return nil, nil
-		}
-	}
-
 	for sub := 0; sub < geo.Subchannels; sub++ {
 		var devTrc *telemetry.DeviceTracks
 		var mcTrc *telemetry.MCTracks
@@ -450,9 +274,12 @@ func NewSystem(c Config) (*System, error) {
 			mcTrc = c.Trace.MC(fmt.Sprintf("mc%d", sub))
 			gTrc = c.Trace.Mitigation(fmt.Sprintf("mit%d", sub))
 		}
-		ng, gerr := makeGuard(gTrc)
-		if gerr != nil {
-			return nil, gerr
+		var ng func(chip, bank int) dram.BankGuard
+		if spec.guard != nil {
+			var gerr error
+			if ng, gerr = spec.guard(c, params, geo.Rows, gTrc); gerr != nil {
+				return nil, gerr
+			}
 		}
 		// Workload stats shard per subchannel; collect() merges the
 		// disjoint shards.
@@ -577,22 +404,10 @@ func (s *System) coreTrack() *telemetry.CoreTracks {
 // completion with one integer compare instead of polling every core.
 func (s *System) coreFinished() { s.running-- }
 
-// addCore attaches a core fed by src to the memory system.
+// addCore attaches a core fed by src that retires Config.InstrPerCore.
 func (s *System) addCore(src cpu.Source) error {
-	core, err := cpu.New(s.eng, cpu.Config{
-		Width:       8,
-		ROB:         256,
-		TargetInstr: s.cfg.InstrPerCore,
-		Submit:      s.submit,
-		OnFinish:    s.coreFinished,
-		Trace:       s.coreTrack(),
-	}, src)
-	if err != nil {
-		return err
-	}
-	s.cores = append(s.cores, core)
-	s.running++
-	return nil
+	_, err := s.AttachCore(src, s.cfg.InstrPerCore)
+	return err
 }
 
 // FrontendLatencyNs is the fixed LLC-lookup plus interconnect latency a

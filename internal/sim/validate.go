@@ -18,7 +18,7 @@ func (c Config) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidConfig, fmt.Sprintf(format, args...))
 	}
-	if c.Design < DesignBaseline || c.Design > DesignQPRAC {
+	if !c.Design.valid() {
 		return bad("unknown design %d", int(c.Design))
 	}
 	if c.TRH < 0 {

@@ -23,6 +23,8 @@ func TestValidateRejectsNegatives(t *testing.T) {
 		{"timeoutns", Config{TimeoutNs: -7}},
 		{"logdepth", Config{CommandLogDepth: -1}},
 		{"design", Config{Design: Design(99)}},
+		{"design-negative", Config{Design: Design(-1)}},
+		{"design-past-last", Config{Design: DesignQPRAC + 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,7 +10,8 @@
 //     Tables 5-11 and 13-14.
 //   - Single simulations (Simulate, CompareToBaseline, Hammer): run a
 //     Table 4 workload or a Rowhammer attack against the baseline, PRAC,
-//     MoPAC-C, or MoPAC-D memory system.
+//     MoPAC-C or MoPAC-D memory system, the §9 alternatives (Chronos,
+//     QPRAC, MINT, PrIDE) or TRR.
 //   - Experiment sweeps (NewExperiments): regenerate every figure and
 //     table of the paper's evaluation at a configurable scale.
 //
@@ -29,7 +30,8 @@ import (
 // Design selects a memory-system protection configuration.
 type Design = sim.Design
 
-// The four evaluated designs.
+// The designs: the baseline, the paper's three (PRAC, MoPAC-C,
+// MoPAC-D), TRR and the §9 alternatives.
 const (
 	// Baseline is unprotected DDR5.
 	Baseline = sim.DesignBaseline
