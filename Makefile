@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench bench-all bench-check race fuzz experiments analyze examples clean serve fleet-demo perfbench
+.PHONY: build test vet bench-all race fuzz experiments analyze examples clean serve fleet-demo perfbench
 
 build:
 	$(GO) build ./...
@@ -15,27 +15,6 @@ test: vet
 
 race:
 	$(GO) test -race ./...
-
-# The benchmarks BENCH_baseline.json tracks: end-to-end simulator
-# throughput (ns/op, simNs/op, allocs/op) and the event-engine hot
-# paths. -benchtime=5x pins SimulatorThroughput to seeds 1-5 so its
-# simNs/op metric is exactly reproducible run to run; the engine
-# microbenchmarks use a fixed iteration count for stable averaging.
-BENCH_RUN = ( $(GO) test -run='^$$' -bench='SimulatorThroughput|HammerThroughput' \
-		-benchmem -benchtime=5x -count=3 . && \
-	$(GO) test -run='^$$' -bench='ScheduleAndFire|Engine' \
-		-benchmem -benchtime=2000000x -count=3 ./internal/event/ )
-
-bench:
-	$(BENCH_RUN) | $(GO) run ./cmd/mopac-bench -o BENCH_baseline.json
-	@echo wrote BENCH_baseline.json
-
-# Compare the current tree against the committed baseline: prints a
-# per-metric delta table, leaves the fresh numbers in
-# BENCH_current.json, and fails on >30% growth in any tracked metric.
-bench-check:
-	$(BENCH_RUN) | $(GO) run ./cmd/mopac-bench -against BENCH_baseline.json
-	@echo wrote BENCH_current.json
 
 # The repository benchmark (perfbench/): builds it from source, runs
 # one workload (sweep, attack or serve) for SECONDS of measured time at

@@ -291,15 +291,15 @@ func BenchmarkSecurityValidation(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed:
-// simulated nanoseconds per wall second on a busy baseline system.
+// BenchmarkSimulatorThroughput measures raw simulation speed on a busy
+// baseline system. Iteration i runs seed i+1, so -benchtime=5x covers
+// the runs TestThroughputGolden pins; simNs/op is their mean simulated
+// time.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var simNs int64
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate(Config{
-			Design: Baseline, Workload: "bwaves", InstrPerCore: 100_000, Seed: uint64(i + 1),
-		})
+		res, err := simulatorThroughputRun(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,14 +309,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkHammerThroughput measures attack-mode simulation speed: the
-// inner loop of the mopac-attack search. hammerNs/op is the simulated
-// attack duration — deterministic per seed, so the regression gate can
-// pin it alongside the wall-clock ns/op and allocs/op it tolerances.
+// inner loop of the mopac-attack search. Iteration i runs seed i+1, so
+// -benchtime=5x covers the runs TestThroughputGolden pins; hammerNs/op
+// is their mean simulated attack duration.
 func BenchmarkHammerThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var simNs int64
 	for i := 0; i < b.N; i++ {
-		res, err := Hammer(Config{Design: MoPACD, TRH: 500, Seed: uint64(i + 1)}, PatternDoubleSided, 20_000)
+		res, err := hammerThroughputRun(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -295,3 +295,45 @@ func TestMSHRLimitIgnoresStores(t *testing.T) {
 		t.Fatalf("writes = %d", mem.writes)
 	}
 }
+
+// cycleSource repeats a fixed access list forever.
+type cycleSource struct {
+	accs []Access
+	i    int
+}
+
+func (s *cycleSource) Next() (Access, bool) {
+	a := s.accs[s.i%len(s.accs)]
+	s.i++
+	return a, true
+}
+
+// BenchmarkCoreIssue measures the core's issue/retire loop against a
+// fixed-latency memory: one op is one retired instruction of a stream
+// with a miss every 20 instructions (every fourth dependent, every
+// eighth a store), each read answered 60 ns after issue.
+func BenchmarkCoreIssue(b *testing.B) {
+	accs := make([]Access, 64)
+	for i := range accs {
+		accs[i] = Access{Gap: 19, Addr: int64(i) * 64, Dep: i%4 == 3, Write: i%8 == 7}
+	}
+	eng := event.NewEngine()
+	core, err := New(eng, Config{
+		Width: 8, ROB: 256, TargetInstr: int64(b.N),
+		Submit: func(_ int64, _ bool, done event.Func, ctx any) {
+			if done != nil {
+				at := eng.Now() + 60
+				eng.AtFunc(at, done, ctx, at)
+			}
+		},
+	}, &cycleSource{accs: accs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.RunWhile(func() bool { return !core.Done() })
+	if !core.Done() {
+		b.Fatal("core stalled")
+	}
+}

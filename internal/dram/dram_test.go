@@ -407,3 +407,27 @@ func TestTFAWViolationPanics(t *testing.T) {
 	}()
 	d.Activate(5, 4, 1) // within the window of the first four
 }
+
+// BenchmarkCommandLegality measures the device's command legality
+// checks: each op issues one ACT/RD/PRE cycle, round-robin over 32
+// banks, every command at the earliest instant the device allows, so
+// tRCD, tRAS, tRP and tFAW all bind.
+func BenchmarkCommandLegality(b *testing.B) {
+	const banks = 32
+	d, err := NewDevice(Config{Banks: banks, Rows: 1 << 16, Timing: timing.DDR5()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var now int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank := i % banks
+		now = max(now, d.EarliestActivate(bank))
+		d.Activate(now, bank, (i*97)&1023)
+		now = max(now, d.EarliestRead(bank))
+		d.Read(now, bank)
+		now = max(now, d.EarliestPrecharge(bank, false))
+		d.Precharge(now, bank, false)
+	}
+}

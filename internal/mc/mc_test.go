@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"mopac/internal/dram"
@@ -572,4 +573,44 @@ func TestMoPACCWritesPMenuModeRegister(t *testing.T) {
 	if _, err := New(eng, dev, Config{Timing: timing.MoPACC(), CUProbInv: 7}); err == nil {
 		t.Fatal("off-menu CUProbInv accepted")
 	}
+}
+
+// BenchmarkControllerPickIssue measures the scheduler's pick/issue
+// path over an unprotected device (every guard dram.NopGuard): each op
+// preloads 32 reads spread over 32 banks and 4 rows per bank, so the
+// queue mixes row hits, misses and conflicts, then serves them to the
+// end. ns/req is the cost per request.
+func BenchmarkControllerPickIssue(b *testing.B) {
+	const banks, batch = 32, 32
+	tm := timing.DDR5()
+	dev, err := dram.NewDevice(dram.Config{
+		Banks: banks, Rows: 1 << 16, Timing: tm,
+		NewGuard: func(int, int) dram.BankGuard { return dram.NopGuard() },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := event.NewEngine()
+	c, err := New(eng, dev, Config{Timing: tm})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	locs := make([][2]int, 1024)
+	for i := range locs {
+		locs[i] = [2]int{rng.IntN(banks), rng.IntN(4)}
+	}
+	pending := func() bool { return c.Pending() > 0 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			l := locs[(i*batch+j)%len(locs)]
+			r := c.NewRequest()
+			r.Bank, r.Row = l[0], l[1]
+			c.Enqueue(r)
+		}
+		eng.RunWhile(pending)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/req")
 }

@@ -26,13 +26,14 @@
 // never reset), so mitigations and refreshes clear counts in place
 // without tombstones.
 //
-// Sharding: every accessor that can observe cross-row state — the
-// violation list, the peak ranking, the max-excursion row — reports in
-// the canonical (time, bank, row) / (peak desc, bank, row) order rather
-// than observation order. That makes Merge deterministic: oracles that
-// observed disjoint (bank, row) streams (one shard per subchannel)
-// combine into a single oracle whose output is byte-identical to one
-// oracle having watched the interleaved stream.
+// Canonical order: every accessor that can observe cross-row state —
+// the violation list, the peak ranking, the max-excursion row — reports
+// in the canonical (time, bank, row) / (peak desc, bank, row) order
+// rather than observation order. A simulated system feeds all of its
+// subchannels into one oracle, so runs never merge; Merge is kept for
+// callers that observe disjoint (bank, row) streams separately, and the
+// canonical order makes its output byte-identical to one oracle having
+// watched the interleaved stream.
 package oracle
 
 import (
@@ -286,10 +287,9 @@ func (o *Oracle) Mitigations() int64 { return o.mitigations }
 // Threshold returns the configured Rowhammer threshold.
 func (o *Oracle) Threshold() int { return o.trh }
 
-// Merge combines oracles that observed disjoint (bank, row) streams —
-// one shard per subchannel — into a single oracle whose
-// accessors report exactly what one oracle observing the union stream
-// would. All shards must share a threshold. Counters sum, tables union
+// Merge combines oracles that observed disjoint (bank, row) streams
+// into a single oracle whose accessors report exactly what one oracle
+// observing the union stream would. All shards must share a threshold. Counters sum, tables union
 // (a key held by several shards keeps the summed count and the maximum
 // peak, though disjoint shards never hit that case), and the violation
 // list concatenates; every accessor already reports in canonical order,

@@ -172,11 +172,10 @@ type System struct {
 	devs   []*dram.Device
 	ctrls  []*mc.Controller
 	cores  []*cpu.Core
-	// oracles holds one security-oracle shard per subchannel, fed by
-	// that subchannel's device observer chain; Oracle()/collect() merge
-	// the disjoint shards deterministically.
-	oracles []*oracle.Oracle
-	wstats  []*WorkloadStats // one shard per subchannel
+	// orc (nil unless TrackSecurity) and wstats observe every
+	// subchannel's device through subObserver's global bank namespace.
+	orc     *oracle.Oracle
+	wstats  *WorkloadStats
 	tparams timing.Params
 	freeTxn []*txn // recycled completion contexts
 	running int    // cores that have not yet retired their target
@@ -249,16 +248,11 @@ func NewSystem(c Config) (*System, error) {
 	s := &System{cfg: c, eng: event.NewEngine(), mapper: mapper, tparams: tparams}
 	s.arrQ = make([]timeQ, geo.Subchannels)
 	s.delivQ = make([]timeQ, geo.Subchannels)
+	s.wstats = NewWorkloadStats(geo, tparams)
+	var obs dram.Observer = s.wstats
 	if c.TrackSecurity {
-		// One oracle shard per subchannel. The subchannels' bank
-		// namespaces are disjoint (subObserver offsets bank by
-		// sub*Banks), so each shard sees exactly the stream a single
-		// oracle would see restricted to that subchannel, and the merge
-		// at collection is exact.
-		s.oracles = make([]*oracle.Oracle, geo.Subchannels)
-		for i := range s.oracles {
-			s.oracles[i] = oracle.New(c.TRH)
-		}
+		s.orc = oracle.New(c.TRH)
+		obs = MultiObserver(s.wstats, s.orc)
 	}
 
 	chips := 1
@@ -280,14 +274,6 @@ func NewSystem(c Config) (*System, error) {
 			if ng, gerr = spec.guard(c, params, geo.Rows, gTrc); gerr != nil {
 				return nil, gerr
 			}
-		}
-		// Workload stats shard per subchannel; collect() merges the
-		// disjoint shards.
-		shard := NewWorkloadStats(geo, tparams)
-		s.wstats = append(s.wstats, shard)
-		var obs dram.Observer = shard
-		if s.oracles != nil {
-			obs = MultiObserver(shard, s.oracles[sub])
 		}
 		dev, derr := dram.NewDevice(dram.Config{
 			Banks:    geo.Banks,
@@ -482,26 +468,17 @@ func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 // advance it manually on coreless systems).
 func (s *System) Engine() *event.Engine { return s.eng }
 
-// Oracle returns the attached security oracle, merged across the
-// per-subchannel shards (nil unless requested). With more than one
-// shard the result is a snapshot: call it again after further events to
-// observe them. OracleActivations is the cheap way to poll progress.
-func (s *System) Oracle() *oracle.Oracle {
-	if s.oracles == nil {
-		return nil
-	}
-	return oracle.Merge(s.oracles...)
-}
+// Oracle returns the attached security oracle (nil unless requested).
+func (s *System) Oracle() *oracle.Oracle { return s.orc }
 
-// OracleActivations returns the total activation count across the
-// oracle shards without merging them — the per-event polling accessor
-// attack drivers use.
+// OracleActivations returns the oracle's activation count, or 0 when
+// no oracle is attached — the per-event polling accessor attack drivers
+// use.
 func (s *System) OracleActivations() int64 {
-	var n int64
-	for _, o := range s.oracles {
-		n += o.Activations()
+	if s.orc == nil {
+		return 0
 	}
-	return n
+	return s.orc.Activations()
 }
 
 // Controllers returns the per-subchannel controllers.
@@ -697,7 +674,7 @@ func (s *System) collect() Result {
 		lat.Merge(ctl.LatencyHistogram())
 	}
 	res.Latency = lat.Snapshot()
-	res.Workload = SnapshotShards(s.eng.Now(), s.wstats)
+	res.Workload = s.wstats.Snapshot(s.eng.Now())
 	return res
 }
 

@@ -106,27 +106,13 @@ func (w *WorkloadStats) ObserveRefresh(int64, int, int, int) {}
 
 // Snapshot computes the characterisation over [0, elapsed).
 func (w *WorkloadStats) Snapshot(elapsed int64) WorkloadStatsResult {
-	return SnapshotShards(elapsed, []*WorkloadStats{w})
-}
-
-// SnapshotShards computes one characterisation over several collectors
-// observing disjoint bank sets — the per-subchannel shards the system
-// keeps. The shards partition the (bank, row) key space, so summing
-// per-shard counts is exact: the result is bit-identical to a single
-// shared collector. All shards must share geometry and timing.
-func SnapshotShards(elapsed int64, shards []*WorkloadStats) WorkloadStatsResult {
-	w := shards[0]
-	var acts int64
-	for _, sh := range shards {
-		acts += sh.acts
-	}
-	r := WorkloadStatsResult{Activations: acts}
+	r := WorkloadStatsResult{Activations: w.acts}
 	if elapsed <= 0 {
 		return r
 	}
 	// APRI: mean activations per bank per tREFI.
 	intervals := float64(elapsed) / float64(w.tREFI)
-	r.APRI = float64(acts) / float64(w.banks) / intervals
+	r.APRI = float64(w.acts) / float64(w.banks) / intervals
 
 	// Hot rows: scale the per-window thresholds to the observed span,
 	// with a small evidence floor. Runs much shorter than tREFW cannot
@@ -145,17 +131,15 @@ func SnapshotShards(elapsed int64, shards []*WorkloadStats) WorkloadStatsResult 
 	if th200 < 4 {
 		th200 = 4
 	}
-	for _, sh := range shards {
-		for _, c := range sh.perRow.counts {
-			if c == 0 {
-				continue
-			}
-			if float64(c) >= th64 {
-				r.ACT64Rows++
-			}
-			if float64(c) >= th200 {
-				r.ACT200Rows++
-			}
+	for _, c := range w.perRow.counts {
+		if c == 0 {
+			continue
+		}
+		if float64(c) >= th64 {
+			r.ACT64Rows++
+		}
+		if float64(c) >= th200 {
+			r.ACT200Rows++
 		}
 	}
 	r.ACT64PerBank = float64(r.ACT64Rows) / float64(w.banks)

@@ -7,7 +7,7 @@ import (
 	"mopac/internal/addrmap"
 )
 
-func testMapper(t *testing.T) addrmap.Mapper {
+func testMapper(t testing.TB) addrmap.Mapper {
 	t.Helper()
 	m, err := addrmap.NewMOP(addrmap.Default(), 4)
 	if err != nil {
@@ -337,5 +337,23 @@ func TestCalibratedWorkloadsAreReadOnly(t *testing.T) {
 		if s.WriteFrac != 0 {
 			t.Errorf("%s: calibrated workloads must stay read-only", name)
 		}
+	}
+}
+
+// BenchmarkGeneratorNext measures one synthetic miss from a calibrated
+// Table 4 generator (bwaves, core 0 of 8).
+func BenchmarkGeneratorNext(b *testing.B) {
+	spec, err := Lookup("bwaves")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := NewGenerator(spec, testMapper(b), 0, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Next()
 	}
 }
