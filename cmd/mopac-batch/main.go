@@ -113,75 +113,52 @@ func main() {
 		return
 	}
 
-	// The batch runner shares the experiment planner's store namespace
-	// (full results under sim.StoreSchema): a batch of configs already
-	// simulated by `make experiments` — or a previous batch — costs a
-	// directory read. Security-tracking runs bypass it (oracle state
-	// does not serialize).
-	var st *store.Store
+	// Validate every run before simulating any, so a bad file fails
+	// fast instead of after the runs ahead of its bad entry.
+	for i, e := range exps {
+		if err := e.Config.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "run %d (%s %s/%s): %v\n",
+				i, e.RunName, e.Config.Design, e.Config.Workload, err)
+			os.Exit(1)
+		}
+	}
+
+	// The batch runs through the experiment planner: duplicate configs
+	// simulate once, the rest fan out over one worker pool, and results
+	// persist in the planner's store namespace, so a batch of configs
+	// already simulated by `make experiments` — or a previous batch —
+	// costs a directory read. Security-tracking runs bypass the store
+	// (oracle state does not serialize).
+	plan := sim.NewPlanner(*jobs)
 	if !*noStore {
 		dir := *storeDir
 		var err error
 		if dir == "" {
 			dir, err = store.DefaultDir()
 		}
+		var st *store.Store
 		if err == nil {
 			st, err = store.Open(dir, sim.StoreSchema, buildinfo.Get().Revision)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "result store disabled: %v\n", err)
-			st = nil
+		} else {
+			plan.SetStore(st)
 		}
 	}
-
-	// Simulations are independent and deterministic, so they fan out
-	// across the service worker pool; results land in an indexed slice,
-	// keeping the rendered table in configuration order regardless of
-	// completion order.
-	type outcome struct {
-		res sim.Result
-		err error
+	for _, e := range exps {
+		plan.Need(e.Config)
 	}
-	results := make([]outcome, len(exps))
-	var finished, stored atomic.Int64
-	service.ForEach(*jobs, len(exps), func(i int) {
-		e := exps[i]
-		start := time.Now()
-		storable := st != nil && !e.Config.TrackSecurity && e.Config.CommandLogDepth == 0
-		key := ""
-		if storable {
-			key = e.Config.Hash()
-			if data, ok := st.Load(key); ok {
-				if res, ok := sim.DecodeStoredResult(data, key); ok {
-					results[i] = outcome{res: res}
-					stored.Add(1)
-					fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s from store\n",
-						finished.Add(1), len(exps), e.RunName, e.Config.Design, e.Config.Workload)
-					return
-				}
-			}
-		}
-		sys, err := sim.NewSystem(e.Config)
-		if err != nil {
-			results[i] = outcome{err: err}
-			return
-		}
-		res, err := sys.Run(0)
-		results[i] = outcome{res: res, err: err}
-		if err == nil {
-			if storable {
-				if data, merr := json.Marshal(res); merr == nil {
-					_ = st.Save(key, data) // persistence is best-effort
-				}
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s done in %v\n",
-				finished.Add(1), len(exps), e.RunName, e.Config.Design, e.Config.Workload,
-				time.Since(start).Round(time.Millisecond))
-		}
+	plan.SetProgress(func(done, total int) {
+		fmt.Fprintf(os.Stderr, "[%d/%d] runs finished\n", done, total)
 	})
-	if n := stored.Load(); n > 0 {
-		fmt.Fprintf(os.Stderr, "%d of %d runs served from the result store\n", n, len(exps))
-	}
+	start := time.Now()
+	// A failed run aborts the rest; each run's own error is reported
+	// with the table below.
+	_ = plan.Flush()
+	st := plan.Stats()
+	fmt.Fprintf(os.Stderr, "%d unique of %d runs finished in %v; %d served from the result store\n",
+		st.Unique, len(exps), time.Since(start).Round(time.Millisecond), st.StoreHits)
 
 	tbl := report.NewTable(
 		fmt.Sprintf("mopac-batch: %d runs from %s", len(exps), *path),
@@ -190,13 +167,13 @@ func main() {
 	)
 	failed := false
 	for i, e := range exps {
-		if results[i].err != nil {
+		res, err := plan.Get(e.Config)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "run %d (%s %s/%s): %v\n",
-				i, e.RunName, e.Config.Design, e.Config.Workload, results[i].err)
+				i, e.RunName, e.Config.Design, e.Config.Workload, err)
 			failed = true
 			continue
 		}
-		res := results[i].res
 		secure := "n/a"
 		if res.Oracle != nil {
 			secure = fmt.Sprintf("%v", res.Oracle.Secure())

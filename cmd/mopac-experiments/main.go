@@ -201,12 +201,20 @@ func main() {
 			}
 		}
 		if dir != "" {
-			if st, err := store.Open(dir, sim.StoreSchema, buildinfo.Get().Revision); err != nil {
-				// The store is an accelerator, never a requirement.
+			// Figure runs and attack runs share the directory under
+			// their own schemas. The store is an accelerator, never a
+			// requirement.
+			rev := buildinfo.Get().Revision
+			if st, err := store.Open(dir, sim.StoreSchema, rev); err != nil {
 				fmt.Fprintf(os.Stderr, "result store disabled: %v\n", err)
 			} else {
 				runner.Planner().SetStore(st)
 				fmt.Fprintf(os.Stderr, "result store: %s\n", st.Dir())
+			}
+			if st, err := store.Open(dir, sim.AttackStoreSchema, rev); err != nil {
+				fmt.Fprintf(os.Stderr, "attack store disabled: %v\n", err)
+			} else {
+				runner.Planner().SetAttackStore(st)
 			}
 		}
 	}
@@ -218,8 +226,7 @@ func main() {
 
 	// Phase 1: declare every selected planner-backed step, so the whole
 	// report becomes one deduped batch instead of a pool-drain per
-	// figure. Attack/trace steps drive the engine directly and are
-	// simply skipped here.
+	// figure. The trace step drives its own run and is skipped here.
 	for _, s := range steps {
 		if want(s.id) {
 			runner.PlanStep(s.id)
@@ -408,7 +415,7 @@ func emitOverheads(w io.Writer, r *sim.Runner) error {
 	fmt.Fprintf(w, "## Counter-update economics (the §4 insight, measured)\n\n")
 	fmt.Fprintln(w, "| T_RH | design | counter updates /100 ACTs | ABO stall fraction | slowdown |")
 	fmt.Fprintln(w, "|---|---|---|---|---|")
-	for _, trh := range []int{1000, 500, 250} {
+	for _, trh := range sim.SweepTRHs {
 		rows, err := r.Overheads(trh)
 		if err != nil {
 			return err
@@ -446,15 +453,13 @@ func emitSecurity(w io.Writer, r *sim.Runner) error {
 	fmt.Fprintf(w, "## Security validation — attack-success criterion (threat model §2.1)\n\n")
 	fmt.Fprintln(w, "| design | pattern | secure | max unmitigated | T_RH |")
 	fmt.Fprintln(w, "|---|---|---|---|---|")
-	for _, trh := range []int{500} {
-		rows, err := r.SecurityValidation(trh)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			fmt.Fprintf(w, "| %s | %s | %v | %d | %d |\n",
-				row.Design, row.Pattern, row.Secure, row.MaxCount, row.TRH)
-		}
+	rows, err := r.SecurityValidation(sim.SecurityTRH)
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		fmt.Fprintf(w, "| %s | %s | %v | %d | %d |\n",
+			row.Design, row.Pattern, row.Secure, row.MaxCount, row.TRH)
 	}
 	fmt.Fprintln(w)
 	return nil

@@ -164,116 +164,3 @@ func (m *MOP) Encode(loc Loc) int64 {
 	v = v<<m.segBits | colLo
 	return v << m.lineBits
 }
-
-// RowInterleaved maps whole rows contiguously (open-page friendly):
-// consecutive lines fill a row before moving to the next bank. Useful as
-// a contrast policy in mapping-sensitivity tests.
-type RowInterleaved struct {
-	g        Geometry
-	lineBits uint
-	colBits  uint
-	subBits  uint
-	bankBits uint
-	rowBits  uint
-}
-
-// NewRowInterleaved returns a row-contiguous mapper for g.
-func NewRowInterleaved(g Geometry) (*RowInterleaved, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &RowInterleaved{
-		g:        g,
-		lineBits: log2(g.LineBytes),
-		colBits:  log2(g.LinesPerRow()),
-		subBits:  log2(g.Subchannels),
-		bankBits: log2(g.Banks),
-		rowBits:  log2(g.Rows),
-	}, nil
-}
-
-// Name implements Mapper.
-func (m *RowInterleaved) Name() string { return "RowInterleaved" }
-
-// Geometry implements Mapper.
-func (m *RowInterleaved) Geometry() Geometry { return m.g }
-
-// Decode implements Mapper.
-func (m *RowInterleaved) Decode(addr int64) Loc {
-	v := addr >> m.lineBits
-	take := func(bits uint) int64 {
-		r := v & (1<<bits - 1)
-		v >>= bits
-		return r
-	}
-	col := take(m.colBits)
-	sub := take(m.subBits)
-	bank := take(m.bankBits)
-	row := take(m.rowBits)
-	return Loc{Sub: int(sub), Bank: int(bank), Row: int(row), Col: int(col)}
-}
-
-// Encode implements Mapper.
-func (m *RowInterleaved) Encode(loc Loc) int64 {
-	v := int64(loc.Row)
-	v = v<<m.bankBits | int64(loc.Bank)
-	v = v<<m.subBits | int64(loc.Sub)
-	v = v<<m.colBits | int64(loc.Col)
-	return v << m.lineBits
-}
-
-// LineInterleaved stripes consecutive cache lines across banks (close-page
-// friendly; row-buffer locality is destroyed for sequential streams).
-type LineInterleaved struct {
-	g        Geometry
-	lineBits uint
-	subBits  uint
-	bankBits uint
-	colBits  uint
-	rowBits  uint
-}
-
-// NewLineInterleaved returns a line-interleaved mapper for g.
-func NewLineInterleaved(g Geometry) (*LineInterleaved, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &LineInterleaved{
-		g:        g,
-		lineBits: log2(g.LineBytes),
-		subBits:  log2(g.Subchannels),
-		bankBits: log2(g.Banks),
-		colBits:  log2(g.LinesPerRow()),
-		rowBits:  log2(g.Rows),
-	}, nil
-}
-
-// Name implements Mapper.
-func (m *LineInterleaved) Name() string { return "LineInterleaved" }
-
-// Geometry implements Mapper.
-func (m *LineInterleaved) Geometry() Geometry { return m.g }
-
-// Decode implements Mapper.
-func (m *LineInterleaved) Decode(addr int64) Loc {
-	v := addr >> m.lineBits
-	take := func(bits uint) int64 {
-		r := v & (1<<bits - 1)
-		v >>= bits
-		return r
-	}
-	sub := take(m.subBits)
-	bank := take(m.bankBits)
-	col := take(m.colBits)
-	row := take(m.rowBits)
-	return Loc{Sub: int(sub), Bank: int(bank), Row: int(row), Col: int(col)}
-}
-
-// Encode implements Mapper.
-func (m *LineInterleaved) Encode(loc Loc) int64 {
-	v := int64(loc.Row)
-	v = v<<m.colBits | int64(loc.Col)
-	v = v<<m.bankBits | int64(loc.Bank)
-	v = v<<m.subBits | int64(loc.Sub)
-	return v << m.lineBits
-}

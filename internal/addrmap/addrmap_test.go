@@ -38,15 +38,7 @@ func allMappers(t *testing.T) []Mapper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := NewRowInterleaved(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	li, err := NewLineInterleaved(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Mapper{mop, ri, li}
+	return []Mapper{mop}
 }
 
 func TestRoundTripAllMappers(t *testing.T) {
@@ -128,32 +120,6 @@ func TestMOPBankBalance(t *testing.T) {
 		if c != want {
 			t.Fatalf("bank %d got %d lines, want %d", b, c, want)
 		}
-	}
-}
-
-func TestRowInterleavedKeepsRowContiguous(t *testing.T) {
-	m, err := NewRowInterleaved(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := m.Decode(0)
-	for i := 1; i < m.Geometry().LinesPerRow(); i++ {
-		loc := m.Decode(int64(i * 64))
-		if loc.Bank != base.Bank || loc.Row != base.Row || loc.Sub != base.Sub {
-			t.Fatalf("line %d left the row: %+v", i, loc)
-		}
-	}
-}
-
-func TestLineInterleavedAlternatesBanks(t *testing.T) {
-	m, err := NewLineInterleaved(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := m.Decode(0)
-	b := m.Decode(64)
-	if a.Sub == b.Sub && a.Bank == b.Bank {
-		t.Fatalf("consecutive lines share a bank: %+v %+v", a, b)
 	}
 }
 

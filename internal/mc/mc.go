@@ -59,11 +59,9 @@ type Request struct {
 	Write bool
 	// Arrive is the time the request entered the controller.
 	Arrive int64
-	// OnDone, if non-nil, runs when the data transfer completes.
-	OnDone func(doneAt int64)
-	// Done/DoneCtx are the pre-bound completion form used by the hot
-	// path: Done(DoneCtx, doneAt) is scheduled at data completion
-	// without allocating a closure. Done takes precedence over OnDone.
+	// Done, if non-nil, is scheduled as Done(DoneCtx, doneAt) when the
+	// data transfer completes: a pre-bound completion that allocates no
+	// closure.
 	Done    event.Func
 	DoneCtx any
 
@@ -249,7 +247,6 @@ type reqSlot struct {
 	arrive    int64
 	done      event.Func
 	doneCtx   any
-	onDone    func(int64)
 	col       int32
 	write     bool
 	causedACT bool
@@ -375,7 +372,6 @@ func (c *Controller) Enqueue(r *Request) {
 	s := &c.slots[si]
 	s.arrive = now
 	s.done, s.doneCtx = r.Done, r.DoneCtx
-	s.onDone = r.OnDone
 	s.col = int32(r.Col)
 	s.write = r.Write
 	q := &c.queues[r.Bank]
@@ -805,13 +801,8 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 	if c.trc != nil {
 		c.trc.QueueDepth(c.eng.Now(), c.pending)
 	}
-	switch {
-	case s.done != nil:
+	if s.done != nil {
 		c.eng.AtFunc(doneAt, s.done, s.doneCtx, doneAt)
-		c.pushDone(doneAt)
-	case s.onDone != nil:
-		done := s.onDone
-		c.eng.At(doneAt, func() { done(doneAt) })
 		c.pushDone(doneAt)
 	}
 	c.freeSlot(si)

@@ -43,7 +43,7 @@ func (r *rig) run(deadline int64) { r.eng.RunUntil(deadline) }
 // (-1 until served).
 func (r *rig) read(bank, row, col int) *int64 {
 	done := int64(-1)
-	r.c.Enqueue(&Request{Bank: bank, Row: row, Col: col, OnDone: func(at int64) { done = at }})
+	r.c.Enqueue(&Request{Bank: bank, Row: row, Col: col, Done: func(_ any, at int64) { done = at }})
 	return &done
 }
 
@@ -369,7 +369,7 @@ func TestRandomSoakNoTimingViolations(t *testing.T) {
 		r := newRig(t, cfg, dram.Config{Banks: 8})
 		served := 0
 		n := 600
-		// Interleave arrivals over time via OnDone chaining, with
+		// Interleave arrivals over time via Done chaining, with
 		// occasional bursts of two outstanding requests.
 		next := 0
 		var submit func()
@@ -382,7 +382,7 @@ func TestRandomSoakNoTimingViolations(t *testing.T) {
 			r.c.Enqueue(&Request{
 				Bank: (i * 7) % 8,
 				Row:  (i * 13) % 97,
-				OnDone: func(int64) {
+				Done: func(any, int64) {
 					served++
 					submit()
 				},
@@ -412,7 +412,7 @@ func TestRefreshPostponement(t *testing.T) {
 			return
 		}
 		served++
-		r.c.Enqueue(&Request{Bank: 0, Row: served % 64, OnDone: func(int64) { chain() }})
+		r.c.Enqueue(&Request{Bank: 0, Row: served % 64, Done: func(any, int64) { chain() }})
 	}
 	chain()
 	r.run(5 * 3900)
@@ -427,7 +427,7 @@ func TestRefreshPostponement(t *testing.T) {
 			return
 		}
 		sserved++
-		strict.c.Enqueue(&Request{Bank: 0, Row: sserved % 64, OnDone: func(int64) { schain() }})
+		strict.c.Enqueue(&Request{Bank: 0, Row: sserved % 64, Done: func(any, int64) { schain() }})
 	}
 	schain()
 	strict.run(5 * 3900)
@@ -457,7 +457,7 @@ func TestPostponementValidation(t *testing.T) {
 func TestWriteRequestServiced(t *testing.T) {
 	r := newRig(t, Config{Timing: timing.DDR5()}, dram.Config{})
 	done := int64(-1)
-	r.c.Enqueue(&Request{Bank: 0, Row: 3, Write: true, OnDone: func(at int64) { done = at }})
+	r.c.Enqueue(&Request{Bank: 0, Row: 3, Write: true, Done: func(_ any, at int64) { done = at }})
 	r.run(300)
 	// ACT at 0, WR at tRCD=14, data-in done at 14+12+3 = 29.
 	if done != 29 {
@@ -501,7 +501,7 @@ func TestHitStreakCapPreventsStarvation(t *testing.T) {
 		// Open row 1 and submit the victim conflict request.
 		r.read(0, 1, 0)
 		r.run(50)
-		r.c.Enqueue(&Request{Bank: 0, Row: 2, OnDone: func(at int64) { done = at }})
+		r.c.Enqueue(&Request{Bank: 0, Row: 2, Done: func(_ any, at int64) { done = at }})
 		// A stream of younger hits tries to starve it.
 		for i := 0; i < 200; i++ {
 			r.read(0, 1, i%128)

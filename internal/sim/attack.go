@@ -3,16 +3,9 @@ package sim
 import (
 	"fmt"
 
-	"mopac/internal/addrmap"
-	"mopac/internal/cpu"
 	"mopac/internal/oracle"
 	"mopac/internal/workload"
 )
-
-// PatternBuilder constructs an attack access stream against the system's
-// address mapping (the workload package provides DoubleSided, MultiBank,
-// SRQFill, ManySided, …).
-type PatternBuilder func(m addrmap.Mapper) (cpu.Source, error)
 
 // AttackResult summarises one attack run.
 type AttackResult struct {
@@ -42,49 +35,37 @@ type AttackResult struct {
 // AttackResult (and persisted with it).
 const topRowCount = 8
 
-// RunAttack drives an attack pattern against the configured design until
-// the attacker lands targetActs activations. The security oracle is
-// always attached. The config's Workload must be empty (the attacker is
-// the only traffic source); Cores selects how many parallel attacker
-// threads replay the same pattern builder.
-func RunAttack(cfg Config, build PatternBuilder, targetActs int64) (AttackResult, error) {
-	if cfg.Workload != "" {
+// RunAttack drives an attack against the configured design until the
+// attacker lands the config's TargetActs activations. The security
+// oracle is always attached. The base config's Workload must be empty:
+// the attack is the only traffic source, built through NewSystem's
+// "attack:<spec>" workload with Cores parallel attacker threads
+// replaying the same pattern. Deterministic for a given (normalized)
+// config.
+func RunAttack(a AttackConfig) (AttackResult, error) {
+	if a.Base.Workload != "" {
 		return AttackResult{}, fmt.Errorf("sim: attack runs must not carry a workload")
 	}
-	if targetActs <= 0 {
+	a = a.normalized()
+	if a.TargetActs <= 0 {
 		return AttackResult{}, fmt.Errorf("sim: targetActs must be positive")
 	}
-	cfg.TrackSecurity = true
-	if cfg.Cores == 0 {
-		cfg.Cores = 1
-	}
-	threads := cfg.Cores
+	cfg := a.Base
+	cfg.Workload = "attack:" + a.Spec.String()
+	cfg.InstrPerCore = 1 << 62 // attackers never retire; the ACT target ends the run
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		return AttackResult{}, err
 	}
-	for i := 0; i < threads; i++ {
-		src, berr := build(sys.mapper)
-		if berr != nil {
-			return AttackResult{}, berr
-		}
-		core, cerr := cpu.New(sys.eng, cpu.Config{
-			Width: 8, ROB: 256, TargetInstr: 1 << 62, Submit: sys.submit,
-		}, src)
-		if cerr != nil {
-			return AttackResult{}, cerr
-		}
-		sys.cores = append(sys.cores, core)
-	}
 
 	const capNs = 10_000_000_000
-	for sys.OracleActivations() < targetActs && sys.eng.Now() < capNs {
+	for sys.OracleActivations() < a.TargetActs && sys.eng.Now() < capNs {
 		if !sys.eng.Step() {
 			return AttackResult{}, fmt.Errorf("sim: attack stalled at %d ns", sys.eng.Now())
 		}
 	}
-	if n := sys.OracleActivations(); n < targetActs {
-		return AttackResult{}, fmt.Errorf("sim: attack hit the time cap with %d/%d ACTs", n, targetActs)
+	if n := sys.OracleActivations(); n < a.TargetActs {
+		return AttackResult{}, fmt.Errorf("sim: attack hit the time cap with %d/%d ACTs", n, a.TargetActs)
 	}
 
 	orc := sys.Oracle()
@@ -115,11 +96,11 @@ func AttackSlowdown(baseline, protected AttackResult) float64 {
 	return 1 - protected.ACTsPerNs/baseline.ACTsPerNs
 }
 
-// AttackConfig is one attack-candidate evaluation: a design under test
-// (Base; its Workload must be empty), a parameterized pattern, and the
-// activation budget the attacker gets. It is the planner/store unit of
-// the attack search — content-addressed by Hash, persisted under
-// AttackStoreSchema.
+// AttackConfig is one attack run: a design under test (Base; its
+// Workload must be empty), a pattern, and the activation budget the
+// attacker gets. It is the planner/store unit of every attack run — the
+// search's candidates and the fixed patterns of the §7 tables alike —
+// content-addressed by Hash, persisted under AttackStoreSchema.
 type AttackConfig struct {
 	Base       Config              `json:"base"`
 	Spec       workload.AttackSpec `json:"spec"`
@@ -148,14 +129,4 @@ func (a AttackConfig) normalized() AttackConfig {
 	}
 	a.Spec = a.Spec.Normalize()
 	return a
-}
-
-// RunAttackConfig evaluates one attack candidate: it builds the spec's
-// pattern source and drives it through RunAttack. Deterministic for a
-// given (normalized) config.
-func RunAttackConfig(a AttackConfig) (AttackResult, error) {
-	a = a.normalized()
-	return RunAttack(a.Base, func(m addrmap.Mapper) (cpu.Source, error) {
-		return a.Spec.Build(m)
-	}, a.TargetActs)
 }

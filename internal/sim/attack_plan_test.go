@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,27 +72,6 @@ func TestAttackHashSeparatesKnobs(t *testing.T) {
 			t.Errorf("%s collides with %s", name, prev)
 		}
 		seen[h] = name
-	}
-}
-
-// TestRunAttackConfigMatchesRunAttack: the spec-driven entry point must
-// reproduce the hand-built pattern byte for byte — the search evaluates
-// exactly what the existing attack tests measure.
-func TestRunAttackConfigMatchesRunAttack(t *testing.T) {
-	cfg := Config{Design: DesignMoPACD, TRH: 500, Seed: 1}
-	direct, err := RunAttack(cfg, doubleSided, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := RunAttackConfig(AttackConfig{
-		Base: cfg, Spec: workload.AttackSpec{Victim: 4096}, TargetActs: 20_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Activations != viaSpec.Activations || direct.TimeNs != viaSpec.TimeNs ||
-		direct.MaxUnmitigated != viaSpec.MaxUnmitigated || direct.Alerts != viaSpec.Alerts {
-		t.Fatalf("spec-driven run diverged: %+v vs %+v", viaSpec, direct)
 	}
 }
 
@@ -179,19 +159,66 @@ func TestPlannerAttackBadCandidateIsData(t *testing.T) {
 // the PRAC design with the QPRAC backend flag — one mechanism, two
 // spellings.
 func TestQPRACDesignAlias(t *testing.T) {
-	named, err := RunAttack(Config{Design: DesignQPRAC, TRH: 500, Seed: 1}, doubleSided, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged, err := RunAttack(Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, doubleSided, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	named := hammer(t, Config{Design: DesignQPRAC, TRH: 500, Seed: 1}, workload.KindDoubleSided, 20_000)
+	flagged := hammer(t, Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, workload.KindDoubleSided, 20_000)
 	if named.TimeNs != flagged.TimeNs || named.Alerts != flagged.Alerts ||
 		named.Mitigations != flagged.Mitigations || named.MaxUnmitigated != flagged.MaxUnmitigated {
 		t.Fatalf("DesignQPRAC diverged from PRAC+QPRAC: %+v vs %+v", named, flagged)
 	}
 	if !named.Secure {
 		t.Fatalf("QPRAC failed the double-sided attack (max %d)", named.MaxUnmitigated)
+	}
+}
+
+// TestAttackStepsPlanned: the Table 9, Table 10 and security-suite
+// steps declare their 40 attack runs through PlanStep, the planner
+// dedupes them to 33 (the baselines and the MoPAC-C multi-bank run the
+// tables share), and a warm re-run over the same store simulates none
+// of them and assembles identical rows.
+func TestAttackStepsPlanned(t *testing.T) {
+	dir := t.TempDir()
+	runOnce := func() (string, PlanStats, PlanStats) {
+		s, err := store.Open(dir, AttackStoreSchema, "test-rev")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(Scale{AttackActs: 2_000, Seed: 1})
+		r.Planner().SetAttackStore(s)
+		for _, id := range []string{"tab9", "tab10", "sec"} {
+			if !r.PlanStep(id) {
+				t.Fatalf("step %s is not planner-backed", id)
+			}
+		}
+		if err := r.Planner().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		planned := r.Planner().Stats()
+		c, err := r.AttacksMoPACC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := r.AttacksMoPACD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := r.SecurityValidation(SecurityTRH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(c, d, sec), planned, r.Planner().Stats()
+	}
+	cold, planned, coldStats := runOnce()
+	if planned.Requested != 40 || planned.Unique != 33 {
+		t.Fatalf("planned %d requested -> %d unique, want 40 -> 33", planned.Requested, planned.Unique)
+	}
+	if coldStats.Executed != 33 || coldStats.Unique != 33 {
+		t.Fatalf("assembly re-ran declared runs: %+v", coldStats)
+	}
+	warm, _, warmStats := runOnce()
+	if warmStats.Executed != 0 || warmStats.StoreHits != 33 {
+		t.Fatalf("warm run: %+v, want 0 executed and 33 store hits", warmStats)
+	}
+	if warm != cold {
+		t.Fatalf("warm rows differ from cold:\ncold: %s\nwarm: %s", cold, warm)
 	}
 }

@@ -3,20 +3,26 @@ package sim
 import (
 	"testing"
 
-	"mopac/internal/addrmap"
-	"mopac/internal/cpu"
 	"mopac/internal/workload"
 )
 
-func doubleSided(m addrmap.Mapper) (cpu.Source, error) {
-	return workload.DoubleSided(m, 0, 0, 4096)
+// hammer runs a fixed-pattern attack anchored at the default victim
+// row, failing the test on error.
+func hammer(t *testing.T, base Config, pattern string, acts int64) AttackResult {
+	t.Helper()
+	res, err := RunAttack(AttackConfig{
+		Base:       base,
+		Spec:       workload.AttackSpec{Pattern: pattern, Victim: workload.DefaultVictim},
+		TargetActs: acts,
+	})
+	if err != nil {
+		t.Fatalf("%v/%s: %v", base.Design, pattern, err)
+	}
+	return res
 }
 
 func TestAttackBaselineBreaks(t *testing.T) {
-	res, err := RunAttack(Config{Design: DesignBaseline, TRH: 500, Seed: 1}, doubleSided, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := hammer(t, Config{Design: DesignBaseline, TRH: 500, Seed: 1}, workload.KindDoubleSided, 30_000)
 	if res.Secure {
 		t.Fatal("unprotected baseline must fail a double-sided attack")
 	}
@@ -30,10 +36,7 @@ func TestAttackBaselineBreaks(t *testing.T) {
 
 func TestAttackProtectedDesignsHold(t *testing.T) {
 	for _, d := range []Design{DesignPRAC, DesignMoPACC, DesignMoPACD} {
-		res, err := RunAttack(Config{Design: d, TRH: 500, Seed: 1}, doubleSided, 30_000)
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
+		res := hammer(t, Config{Design: d, TRH: 500, Seed: 1}, workload.KindDoubleSided, 30_000)
 		if !res.Secure {
 			t.Fatalf("%v: attack succeeded (max %d)", d, res.MaxUnmitigated)
 		}
@@ -47,17 +50,8 @@ func TestAttackProtectedDesignsHold(t *testing.T) {
 }
 
 func TestAttackSlowdownMeasurable(t *testing.T) {
-	pattern := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.SRQFill(m, 0, 0, 256)
-	}
-	base, err := RunAttack(Config{Design: DesignBaseline, TRH: 500, Seed: 1}, pattern, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prot, err := RunAttack(Config{Design: DesignMoPACD, TRH: 500, Chips: 1, Seed: 1}, pattern, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := hammer(t, Config{Design: DesignBaseline, TRH: 500, Seed: 1}, workload.KindSRQFill, 30_000)
+	prot := hammer(t, Config{Design: DesignMoPACD, TRH: 500, Chips: 1, Seed: 1}, workload.KindSRQFill, 30_000)
 	s := AttackSlowdown(base, prot)
 	// The SRQ-fill attack forces ABOs: slowdown clearly positive but
 	// bounded (the paper's model says 14.9%).
@@ -70,29 +64,24 @@ func TestAttackSlowdownMeasurable(t *testing.T) {
 }
 
 func TestAttackValidation(t *testing.T) {
-	if _, err := RunAttack(Config{Design: DesignPRAC, Workload: "mcf"}, doubleSided, 100); err == nil {
+	spec := workload.AttackSpec{Victim: workload.DefaultVictim}
+	if _, err := RunAttack(AttackConfig{Base: Config{Design: DesignPRAC, Workload: "mcf"}, Spec: spec, TargetActs: 100}); err == nil {
 		t.Fatal("attack with a workload accepted")
 	}
-	if _, err := RunAttack(Config{Design: DesignPRAC}, doubleSided, 0); err == nil {
-		t.Fatal("zero activation target accepted")
+	if _, err := RunAttack(AttackConfig{Base: Config{Design: DesignPRAC}, Spec: spec, TargetActs: -1}); err == nil {
+		t.Fatal("negative activation target accepted")
+	}
+	if _, err := RunAttack(AttackConfig{Base: Config{Design: DesignPRAC}, Spec: workload.AttackSpec{Pattern: "sideways"}}); err == nil {
+		t.Fatal("unknown pattern accepted")
 	}
 }
 
 func TestManySidedBeatsNothingButBaseline(t *testing.T) {
-	pattern := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.ManySided(m, 0, 0, 12)
-	}
-	base, err := RunAttack(Config{Design: DesignBaseline, TRH: 500, Seed: 1}, pattern, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := hammer(t, Config{Design: DesignBaseline, TRH: 500, Seed: 1}, workload.KindTRRespass, 40_000)
 	if base.Secure {
 		t.Fatal("many-sided pattern must break the unprotected baseline")
 	}
-	prot, err := RunAttack(Config{Design: DesignMoPACD, TRH: 500, Seed: 1}, pattern, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prot := hammer(t, Config{Design: DesignMoPACD, TRH: 500, Seed: 1}, workload.KindTRRespass, 40_000)
 	if !prot.Secure {
 		t.Fatal("MoPAC-D must stop the many-sided pattern")
 	}

@@ -3,8 +3,6 @@ package sim
 import (
 	"testing"
 
-	"mopac/internal/addrmap"
-	"mopac/internal/cpu"
 	"mopac/internal/dram"
 	"mopac/internal/mitigation"
 	"mopac/internal/security"
@@ -16,14 +14,8 @@ import (
 // ranks MoPAC-D far below MINT and PrIDE, and TRR is broken outright by
 // a many-sided pattern.
 func TestTrackerComparisonUnderAttack(t *testing.T) {
-	ds := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.DoubleSided(m, 0, 0, 4096)
-	}
 	maxOf := func(d Design) int {
-		res, err := RunAttack(Config{Design: d, TRH: 500, Seed: 1}, ds, 60_000)
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
+		res := hammer(t, Config{Design: d, TRH: 500, Seed: 1}, workload.KindDoubleSided, 60_000)
 		return res.MaxUnmitigated
 	}
 	mopacd := maxOf(DesignMoPACD)
@@ -41,13 +33,7 @@ func TestTrackerComparisonUnderAttack(t *testing.T) {
 }
 
 func TestTRRBrokenByManySided(t *testing.T) {
-	ms := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.ManySided(m, 0, 0, 12)
-	}
-	res, err := RunAttack(Config{Design: DesignTRR, TRH: 500, Seed: 1}, ms, 60_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := hammer(t, Config{Design: DesignTRR, TRH: 500, Seed: 1}, workload.KindTRRespass, 60_000)
 	if res.Secure {
 		t.Fatal("TRR must be broken by a many-sided pattern (TRRespass)")
 	}
@@ -56,13 +42,7 @@ func TestTRRBrokenByManySided(t *testing.T) {
 func TestTRRStopsSimpleDoubleSided(t *testing.T) {
 	// TRR's one saving grace: a plain double-sided pair fits the
 	// tracker and is mitigated every few REFs.
-	ds := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.DoubleSided(m, 0, 0, 4096)
-	}
-	res, err := RunAttack(Config{Design: DesignTRR, TRH: 4000, Seed: 1}, ds, 60_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := hammer(t, Config{Design: DesignTRR, TRH: 4000, Seed: 1}, workload.KindDoubleSided, 60_000)
 	if !res.Secure {
 		t.Fatalf("TRR failed a 2-aggressor pattern at T=4000 (max %d)", res.MaxUnmitigated)
 	}
@@ -71,17 +51,8 @@ func TestTRRStopsSimpleDoubleSided(t *testing.T) {
 // QPRAC backend: same protection as MOAT at drastically lower ABO rate
 // under hammering (the §9.1 trade-off).
 func TestQPRACBackendFewerABOs(t *testing.T) {
-	ds := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.DoubleSided(m, 0, 0, 4096)
-	}
-	moat, err := RunAttack(Config{Design: DesignPRAC, TRH: 500, Seed: 1}, ds, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qprac, err := RunAttack(Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, ds, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	moat := hammer(t, Config{Design: DesignPRAC, TRH: 500, Seed: 1}, workload.KindDoubleSided, 50_000)
+	qprac := hammer(t, Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, workload.KindDoubleSided, 50_000)
 	if !moat.Secure || !qprac.Secure {
 		t.Fatalf("both PRAC backends must hold: moat=%v qprac=%v", moat.Secure, qprac.Secure)
 	}
@@ -129,18 +100,9 @@ func TestNewDesignStrings(t *testing.T) {
 func TestRFMLevelSensitivity(t *testing.T) {
 	// Higher RFM levels drain more SRQ entries per ABO but stall longer;
 	// both must run and stay secure under attack.
-	ds := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.SRQFill(m, 0, 0, 256)
-	}
 	zero := 0
-	l1, err := RunAttack(Config{Design: DesignMoPACD, TRH: 500, Chips: 1, DrainOnREF: &zero, Seed: 1}, ds, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := RunAttack(Config{Design: DesignMoPACD, TRH: 500, Chips: 1, DrainOnREF: &zero, RFMLevel: 2, Seed: 1}, ds, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1 := hammer(t, Config{Design: DesignMoPACD, TRH: 500, Chips: 1, DrainOnREF: &zero, Seed: 1}, workload.KindSRQFill, 40_000)
+	l2 := hammer(t, Config{Design: DesignMoPACD, TRH: 500, Chips: 1, DrainOnREF: &zero, RFMLevel: 2, Seed: 1}, workload.KindSRQFill, 40_000)
 	if !l1.Secure || !l2.Secure {
 		t.Fatal("both RFM levels must stay secure")
 	}
@@ -282,13 +244,7 @@ func TestChronosTradeoff(t *testing.T) {
 }
 
 func TestChronosSecure(t *testing.T) {
-	ds := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.DoubleSided(m, 0, 0, 4096)
-	}
-	res, err := RunAttack(Config{Design: DesignChronos, TRH: 500, Seed: 1}, ds, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := hammer(t, Config{Design: DesignChronos, TRH: 500, Seed: 1}, workload.KindDoubleSided, 40_000)
 	if !res.Secure {
 		t.Fatalf("Chronos broken: max %d", res.MaxUnmitigated)
 	}
@@ -299,13 +255,7 @@ func TestChronosSecure(t *testing.T) {
 // can slip in during the ALERT grace window — the arithmetic behind
 // Table 2's ATH < T_RH gaps.
 func TestMOATSlippageBound(t *testing.T) {
-	ds := func(m addrmap.Mapper) (cpu.Source, error) {
-		return workload.DoubleSided(m, 0, 0, 4096)
-	}
-	res, err := RunAttack(Config{Design: DesignPRAC, TRH: 500, Seed: 1}, ds, 60_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := hammer(t, Config{Design: DesignPRAC, TRH: 500, Seed: 1}, workload.KindDoubleSided, 60_000)
 	ath := security.MOATAlertThreshold(500)
 	graceACTs := int(180/46) + 2 // ALERT grace window plus drain slack
 	if res.MaxUnmitigated > ath+graceACTs {

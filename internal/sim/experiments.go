@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"mopac/internal/addrmap"
-	"mopac/internal/cpu"
 	"mopac/internal/mc"
 	"mopac/internal/security"
 	"mopac/internal/workload"
@@ -436,9 +434,10 @@ func (r *Runner) Table15() (SlowdownTable, error) { return r.sweep(specTable15()
 // need, without executing anything, and reports whether the step is
 // planner-backed. Declaring all selected steps before running the
 // first one is what turns per-figure sweeps into one deduped,
-// pool-saturating execution; steps that are not planner-backed (the
-// attack and security steps drive the engine manually) return false
-// and simply run as before.
+// pool-saturating execution. The attack steps (tab9, tab10, sec)
+// declare attack runs, which dedupe across the three tables; steps
+// that are not planner-backed (trace) return false and simply run as
+// before.
 func (r *Runner) PlanStep(id string) bool {
 	switch id {
 	case "tab4":
@@ -475,6 +474,12 @@ func (r *Runner) PlanStep(id string) bool {
 		}
 	case "psweep":
 		r.declarePSweep(500)
+	case "tab9":
+		r.declareAttackTable(table9, attackTRHs)
+	case "tab10":
+		r.declareAttackTable(table10, attackTRHs)
+	case "sec":
+		r.declareSecurity(SecurityTRH)
 	default:
 		return false
 	}
@@ -593,70 +598,87 @@ type AttackRow struct {
 	MaxCount int
 }
 
-// attackPattern builds the pattern for an attack kind.
-func attackPattern(kind security.AttackKind) PatternBuilder {
-	return func(m addrmap.Mapper) (cpu.Source, error) {
-		switch kind {
-		case security.AttackSRQFull:
-			return workload.SRQFill(m, 0, 0, 256)
-		case security.AttackTardiness:
-			// Park two rows of one bank in the SRQ and hammer them so
-			// their ACtr races to TTH.
-			return workload.DoubleSided(m, 0, 0, 4096)
-		default:
-			// The mitigation attack uses the Fig 14 multi-bank pattern.
-			return workload.MultiBank(m, 64, 4096)
+// vectorPatterns maps each §7 attack vector to the fixed pattern that
+// mounts it: the mitigation attack uses Fig 14's multi-bank pattern,
+// the SRQ attack floods one bank with unique rows, and the tardiness
+// attack parks two rows of one bank in the SRQ and hammers them so
+// their ACtr races to TTH.
+var vectorPatterns = map[security.AttackKind]string{
+	security.AttackMitigation: workload.KindMultiBank,
+	security.AttackSRQFull:    workload.KindSRQFill,
+	security.AttackTardiness:  workload.KindDoubleSided,
+}
+
+// attackTable describes one simulated performance-attack table: the
+// design under attack, the vectors mounted against it, and the
+// closed-form model each row is paired with.
+type attackTable struct {
+	design Config
+	kinds  []security.AttackKind
+	derive func(trh int) security.Params
+}
+
+var (
+	// table9 is Table 9: the mitigation attack on MoPAC-C.
+	table9 = attackTable{Config{Design: DesignMoPACC},
+		[]security.AttackKind{security.AttackMitigation}, security.DeriveMoPACC}
+	// table10 is Table 10: all three attacks on single-chip MoPAC-D.
+	table10 = attackTable{Config{Design: DesignMoPACD, Chips: 1},
+		[]security.AttackKind{security.AttackMitigation, security.AttackSRQFull, security.AttackTardiness},
+		security.DeriveMoPACD}
+)
+
+// attackTRHs are the thresholds Tables 9 and 10 report at by default.
+var attackTRHs = []int{250, 500, 1000}
+
+// attackRun resolves one fixed-pattern attack run against the runner's
+// scale; the result is what the planner keys and executes.
+func (r *Runner) attackRun(base Config, pattern string) AttackConfig {
+	base.Seed = r.scale.Seed
+	return AttackConfig{
+		Base:       base,
+		Spec:       workload.AttackSpec{Pattern: pattern, Victim: workload.DefaultVictim},
+		TargetActs: r.scale.AttackActs,
+	}
+}
+
+// attackPair returns a table cell's unprotected and protected runs.
+func (r *Runner) attackPair(t attackTable, trh int, kind security.AttackKind) (base, prot AttackConfig) {
+	d := t.design
+	d.TRH = trh
+	return r.attackRun(Config{Design: DesignBaseline, TRH: trh}, vectorPatterns[kind]),
+		r.attackRun(d, vectorPatterns[kind])
+}
+
+// declareAttackTable registers a table's runs with the planner.
+func (r *Runner) declareAttackTable(t attackTable, trhs []int) {
+	for _, trh := range trhs {
+		for _, kind := range t.kinds {
+			base, prot := r.attackPair(t, trh, kind)
+			r.plan.NeedAttack(base)
+			r.plan.NeedAttack(prot)
 		}
 	}
 }
 
-// AttacksMoPACC simulates the Table 9 performance attack against
-// MoPAC-C and pairs it with the closed-form model.
-func (r *Runner) AttacksMoPACC(trhs ...int) ([]AttackRow, error) {
+// attackTableRows declares, executes, and assembles an attack table.
+func (r *Runner) attackTableRows(t attackTable, trhs []int) ([]AttackRow, error) {
 	if len(trhs) == 0 {
-		trhs = []int{250, 500, 1000}
+		trhs = attackTRHs
+	}
+	r.declareAttackTable(t, trhs)
+	if err := r.plan.Flush(); err != nil {
+		return nil, err
 	}
 	var rows []AttackRow
 	for _, trh := range trhs {
-		base, err := RunAttack(Config{Design: DesignBaseline, TRH: trh, Seed: r.scale.Seed},
-			attackPattern(security.AttackMitigation), r.scale.AttackActs)
-		if err != nil {
-			return nil, err
-		}
-		prot, err := RunAttack(Config{Design: DesignMoPACC, TRH: trh, Seed: r.scale.Seed},
-			attackPattern(security.AttackMitigation), r.scale.AttackActs)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AttackRow{
-			TRH:      trh,
-			Kind:     security.AttackMitigation,
-			Slowdown: AttackSlowdown(base, prot),
-			Model:    security.AttackSlowdown(security.DeriveMoPACC(trh), security.AttackMitigation, security.DefaultAlpha),
-			Secure:   prot.Secure,
-			MaxCount: prot.MaxUnmitigated,
-		})
-	}
-	return rows, nil
-}
-
-// AttacksMoPACD simulates the Table 10 performance attacks against
-// MoPAC-D and pairs them with the closed-form model.
-func (r *Runner) AttacksMoPACD(trhs ...int) ([]AttackRow, error) {
-	if len(trhs) == 0 {
-		trhs = []int{250, 500, 1000}
-	}
-	kinds := []security.AttackKind{security.AttackMitigation, security.AttackSRQFull, security.AttackTardiness}
-	var rows []AttackRow
-	for _, trh := range trhs {
-		for _, kind := range kinds {
-			base, err := RunAttack(Config{Design: DesignBaseline, TRH: trh, Seed: r.scale.Seed},
-				attackPattern(kind), r.scale.AttackActs)
+		for _, kind := range t.kinds {
+			bcfg, pcfg := r.attackPair(t, trh, kind)
+			base, err := r.plan.GetAttack(bcfg)
 			if err != nil {
 				return nil, err
 			}
-			prot, err := RunAttack(Config{Design: DesignMoPACD, TRH: trh, Chips: 1, Seed: r.scale.Seed},
-				attackPattern(kind), r.scale.AttackActs)
+			prot, err := r.plan.GetAttack(pcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -664,13 +686,25 @@ func (r *Runner) AttacksMoPACD(trhs ...int) ([]AttackRow, error) {
 				TRH:      trh,
 				Kind:     kind,
 				Slowdown: AttackSlowdown(base, prot),
-				Model:    security.AttackSlowdown(security.DeriveMoPACD(trh), kind, security.DefaultAlpha),
+				Model:    security.AttackSlowdown(t.derive(trh), kind, security.DefaultAlpha),
 				Secure:   prot.Secure,
 				MaxCount: prot.MaxUnmitigated,
 			})
 		}
 	}
 	return rows, nil
+}
+
+// AttacksMoPACC simulates the Table 9 performance attack against
+// MoPAC-C and pairs it with the closed-form model.
+func (r *Runner) AttacksMoPACC(trhs ...int) ([]AttackRow, error) {
+	return r.attackTableRows(table9, trhs)
+}
+
+// AttacksMoPACD simulates the Table 10 performance attacks against
+// MoPAC-D and pairs them with the closed-form model.
+func (r *Runner) AttacksMoPACD(trhs ...int) ([]AttackRow, error) {
+	return r.attackTableRows(table10, trhs)
 }
 
 // SecurityRow is one security-validation verdict.
@@ -682,37 +716,44 @@ type SecurityRow struct {
 	TRH      int
 }
 
+// SecurityTRH is the threshold the CLI's security suite runs at.
+const SecurityTRH = 500
+
+// The security suite: every pattern against the unprotected baseline
+// (a control that must fail) and the paper's three designs.
+var (
+	securityPatterns = []string{
+		workload.KindDoubleSided, workload.KindMultiBank, workload.KindTRRespass, workload.KindSRQFill,
+	}
+	securityDesigns = []Design{DesignBaseline, DesignPRAC, DesignMoPACC, DesignMoPACD}
+)
+
+// declareSecurity registers the suite's runs with the planner.
+func (r *Runner) declareSecurity(trh int) {
+	for _, d := range securityDesigns {
+		for _, p := range securityPatterns {
+			r.plan.NeedAttack(r.attackRun(Config{Design: d, TRH: trh}, p))
+		}
+	}
+}
+
 // SecurityValidation mounts the attack suite against every protected
 // design (plus the unprotected baseline as a control that must fail)
 // and reports the oracle verdicts.
 func (r *Runner) SecurityValidation(trh int) ([]SecurityRow, error) {
-	patterns := []struct {
-		name  string
-		build PatternBuilder
-	}{
-		{"double-sided", func(m addrmap.Mapper) (cpu.Source, error) {
-			return workload.DoubleSided(m, 0, 0, 4096)
-		}},
-		{"multi-bank", func(m addrmap.Mapper) (cpu.Source, error) {
-			return workload.MultiBank(m, 64, 4096)
-		}},
-		{"many-sided", func(m addrmap.Mapper) (cpu.Source, error) {
-			return workload.ManySided(m, 0, 0, 12)
-		}},
-		{"srq-fill", func(m addrmap.Mapper) (cpu.Source, error) {
-			return workload.SRQFill(m, 0, 0, 256)
-		}},
+	r.declareSecurity(trh)
+	if err := r.plan.Flush(); err != nil {
+		return nil, err
 	}
-	designs := []Design{DesignBaseline, DesignPRAC, DesignMoPACC, DesignMoPACD}
 	var rows []SecurityRow
-	for _, d := range designs {
-		for _, p := range patterns {
-			res, err := RunAttack(Config{Design: d, TRH: trh, Seed: r.scale.Seed}, p.build, r.scale.AttackActs)
+	for _, d := range securityDesigns {
+		for _, p := range securityPatterns {
+			res, err := r.plan.GetAttack(r.attackRun(Config{Design: d, TRH: trh}, p))
 			if err != nil {
-				return nil, fmt.Errorf("%v/%s: %w", d, p.name, err)
+				return nil, err
 			}
 			rows = append(rows, SecurityRow{
-				Design: d, Pattern: p.name, Secure: res.Secure,
+				Design: d, Pattern: p, Secure: res.Secure,
 				MaxCount: res.MaxUnmitigated, TRH: trh,
 			})
 		}

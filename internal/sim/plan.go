@@ -335,7 +335,7 @@ func (p *Planner) runAttackOne(store ResultStore, key string, a AttackConfig) (A
 			}
 		}
 	}
-	att, err := RunAttackConfig(a)
+	att, err := RunAttack(a)
 	if err != nil {
 		return AttackResult{}, err
 	}

@@ -301,12 +301,12 @@ func NewSystem(c Config) (*System, error) {
 	// All controllers share one timing set, so one gap serves them all.
 	s.gap = s.ctrls[0].MinSchedGap()
 
-	// An empty workload name builds a coreless system; attack drivers
-	// (RunAttack) attach their own sources. An "attack:<spec>" name
-	// makes a parameterized attack pattern a first-class workload: every
-	// core replays the spec's access stream, which gives the determinism
-	// suite (and any caller) oracle-on attack runs through the ordinary
-	// Run path.
+	// An empty workload name builds a coreless system; trace replay
+	// attaches its own sources. An "attack:<spec>" name makes an attack
+	// pattern a first-class workload: every core replays the spec's
+	// access stream. RunAttack builds every attack run this way, and the
+	// determinism suite (and any caller) gets oracle-on attack runs
+	// through the ordinary Run path.
 	if spec, isAttack := strings.CutPrefix(c.Workload, "attack:"); isAttack {
 		as, perr := workload.ParseAttackSpec(spec)
 		if perr != nil {
@@ -346,9 +346,9 @@ func NewSystem(c Config) (*System, error) {
 func (s *System) Mapper() addrmap.Mapper { return s.mapper }
 
 // Submit routes a physical-address access into the memory system,
-// paying the frontend latency in both directions. Externally attached
-// cores (trace replay, attack drivers) use it. onDone may be nil for
-// fire-and-forget accesses.
+// paying the frontend latency in both directions, for callers that
+// drive accesses themselves. onDone may be nil for fire-and-forget
+// accesses.
 func (s *System) Submit(addr int64, write bool, onDone func(int64)) {
 	if onDone == nil {
 		s.submit(addr, write, nil, nil)
@@ -464,16 +464,16 @@ func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 	s.eng.Send(len(s.ctrls), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
 }
 
-// Engine exposes the event engine (attack drivers and trace replay
-// advance it manually on coreless systems).
+// Engine exposes the event engine (trace replay advances it manually
+// on coreless systems).
 func (s *System) Engine() *event.Engine { return s.eng }
 
 // Oracle returns the attached security oracle (nil unless requested).
 func (s *System) Oracle() *oracle.Oracle { return s.orc }
 
 // OracleActivations returns the oracle's activation count, or 0 when
-// no oracle is attached — the per-event polling accessor attack drivers
-// use.
+// no oracle is attached — the per-event polling accessor RunAttack
+// uses.
 func (s *System) OracleActivations() int64 {
 	if s.orc == nil {
 		return 0

@@ -20,8 +20,8 @@ type AttackPattern struct {
 	i      int
 }
 
-// NewAttackPattern wraps an explicit location sequence.
-func NewAttackPattern(mapper addrmap.Mapper, locs []addrmap.Loc) (*AttackPattern, error) {
+// newAttackPattern wraps an explicit location sequence.
+func newAttackPattern(mapper addrmap.Mapper, locs []addrmap.Loc) (*AttackPattern, error) {
 	if len(locs) == 0 {
 		return nil, fmt.Errorf("workload: attack pattern needs locations")
 	}
@@ -47,32 +47,19 @@ func (a *AttackPattern) Next() (cpu.Access, bool) {
 // Rows returns the number of distinct locations in the pattern.
 func (a *AttackPattern) Rows() int { return len(a.locs) }
 
-// DoubleSided builds the classic double-sided pattern around victim row
-// v in one bank: aggressors v-1 and v+1 are hammered alternately (§2.3,
-// Figure 8).
-func DoubleSided(mapper addrmap.Mapper, sub, bank, victim int) (*AttackPattern, error) {
-	if victim < 1 || victim >= mapper.Geometry().Rows-1 {
-		return nil, fmt.Errorf("workload: victim row %d has no neighbours", victim)
-	}
-	return NewAttackPattern(mapper, []addrmap.Loc{
-		{Sub: sub, Bank: bank, Row: victim - 1},
-		{Sub: sub, Bank: bank, Row: victim + 1},
-	})
-}
-
-// SingleSided hammers one aggressor row, interleaved with a far-away
+// singleSided hammers one aggressor row, interleaved with a far-away
 // dummy row so every access reopens the aggressor.
-func SingleSided(mapper addrmap.Mapper, sub, bank, row int) (*AttackPattern, error) {
+func singleSided(mapper addrmap.Mapper, sub, bank, row int) (*AttackPattern, error) {
 	dummy := (row + mapper.Geometry().Rows/2) % mapper.Geometry().Rows
-	return NewAttackPattern(mapper, []addrmap.Loc{
+	return newAttackPattern(mapper, []addrmap.Loc{
 		{Sub: sub, Bank: bank, Row: row},
 		{Sub: sub, Bank: bank, Row: dummy},
 	})
 }
 
-// MultiBank builds the §7.2 performance-attack pattern (Figure 14b): one
+// multiBank builds the §7.2 performance-attack pattern (Figure 14b): one
 // row in each of n banks, visited round-robin.
-func MultiBank(mapper addrmap.Mapper, n, row int) (*AttackPattern, error) {
+func multiBank(mapper addrmap.Mapper, n, row int) (*AttackPattern, error) {
 	g := mapper.Geometry()
 	total := g.Subchannels * g.Banks
 	if n <= 0 || n > total {
@@ -82,12 +69,12 @@ func MultiBank(mapper addrmap.Mapper, n, row int) (*AttackPattern, error) {
 	for i := 0; i < n; i++ {
 		locs = append(locs, addrmap.Loc{Sub: i / g.Banks, Bank: i % g.Banks, Row: row})
 	}
-	return NewAttackPattern(mapper, locs)
+	return newAttackPattern(mapper, locs)
 }
 
-// SRQFill builds the §7.4 SRQ-full attack: many unique rows in a single
+// srqFill builds the §7.4 SRQ-full attack: many unique rows in a single
 // bank, far more than the Selected Row Queue can hold.
-func SRQFill(mapper addrmap.Mapper, sub, bank, rows int) (*AttackPattern, error) {
+func srqFill(mapper addrmap.Mapper, sub, bank, rows int) (*AttackPattern, error) {
 	if rows <= 0 || rows > mapper.Geometry().Rows {
 		return nil, fmt.Errorf("workload: bad row count %d", rows)
 	}
@@ -96,12 +83,12 @@ func SRQFill(mapper addrmap.Mapper, sub, bank, rows int) (*AttackPattern, error)
 		// Spread the rows so victim refreshes never overlap aggressors.
 		locs = append(locs, addrmap.Loc{Sub: sub, Bank: bank, Row: (i * 8) % mapper.Geometry().Rows})
 	}
-	return NewAttackPattern(mapper, locs)
+	return newAttackPattern(mapper, locs)
 }
 
-// ManySided builds a TRRespass-style pattern: k aggressor pairs around
+// trrespass builds a TRRespass-style pattern: k aggressor pairs around
 // distinct victims in one bank, defeating small deterministic trackers.
-func ManySided(mapper addrmap.Mapper, sub, bank, k int) (*AttackPattern, error) {
+func trrespass(mapper addrmap.Mapper, sub, bank, k int) (*AttackPattern, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("workload: need at least one aggressor pair")
 	}
@@ -113,7 +100,7 @@ func ManySided(mapper addrmap.Mapper, sub, bank, k int) (*AttackPattern, error) 
 			addrmap.Loc{Sub: sub, Bank: bank, Row: base + 2},
 		)
 	}
-	return NewAttackPattern(mapper, locs)
+	return newAttackPattern(mapper, locs)
 }
 
 // aggressorRows returns n aggressor rows packed around victim,
@@ -132,10 +119,10 @@ func aggressorRows(victim, n int) []int {
 	return rows
 }
 
-// ManySidedAround builds the parameterized many-sided pattern: n
+// manySidedAround builds the parameterized many-sided pattern: n
 // aggressor rows packed around one victim, hammered round-robin. n = 2
-// is the classic double-sided pair.
-func ManySidedAround(mapper addrmap.Mapper, sub, bank, victim, n int) (*AttackPattern, error) {
+// is the classic double-sided pair (§2.3, Figure 8).
+func manySidedAround(mapper addrmap.Mapper, sub, bank, victim, n int) (*AttackPattern, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("workload: need at least one aggressor, got %d", n)
 	}
@@ -147,7 +134,7 @@ func ManySidedAround(mapper addrmap.Mapper, sub, bank, victim, n int) (*AttackPa
 	for _, r := range aggressorRows(victim, n) {
 		locs = append(locs, addrmap.Loc{Sub: sub, Bank: bank, Row: r})
 	}
-	return NewAttackPattern(mapper, locs)
+	return newAttackPattern(mapper, locs)
 }
 
 // decoyRows returns k decoy rows for a wave pattern: unique rows spread
@@ -166,13 +153,13 @@ func decoyRows(geo addrmap.Geometry, victim, k int) []int {
 	return rows
 }
 
-// Wave builds a feinting (wave) pattern: each cycle first sweeps decoys
+// wave builds a feinting (wave) pattern: each cycle first sweeps decoys
 // distinct decoy rows ratio times — draining the sampler / SRQ /
 // tracker budget on rows that never threaten the victim — then lands a
 // burst of burst passes over n real aggressors around the victim. The
 // decoy phase buys the real burst a window in which the mitigation
 // machinery is busy or saturated.
-func Wave(mapper addrmap.Mapper, sub, bank, victim, n, decoys, ratio, burst int) (*AttackPattern, error) {
+func wave(mapper addrmap.Mapper, sub, bank, victim, n, decoys, ratio, burst int) (*AttackPattern, error) {
 	if decoys < 1 || ratio < 1 || burst < 1 {
 		return nil, fmt.Errorf("workload: wave needs decoys, ratio, burst >= 1 (got %d, %d, %d)", decoys, ratio, burst)
 	}
@@ -180,7 +167,7 @@ func Wave(mapper addrmap.Mapper, sub, bank, victim, n, decoys, ratio, burst int)
 	if decoys > geo.Rows/16 {
 		return nil, fmt.Errorf("workload: %d decoys exceed the bank's spread budget", decoys)
 	}
-	aggr, err := ManySidedAround(mapper, sub, bank, victim, n)
+	aggr, err := manySidedAround(mapper, sub, bank, victim, n)
 	if err != nil {
 		return nil, err
 	}
@@ -194,11 +181,11 @@ func Wave(mapper addrmap.Mapper, sub, bank, victim, n, decoys, ratio, burst int)
 	for pass := 0; pass < burst; pass++ {
 		locs = append(locs, aggr.locs...)
 	}
-	return NewAttackPattern(mapper, locs)
+	return newAttackPattern(mapper, locs)
 }
 
-// hammerWidthInstrPerNs is the retirement width of the attack-driver
-// core model (sim.RunAttack wires cpu.Config{Width: 8}): converting a
+// hammerWidthInstrPerNs is the retirement width of the simulator's
+// core model (sim.System.AttachCore wires cpu.Config{Width: 8}): converting a
 // requested idle time in nanoseconds into the instruction gap that
 // produces it.
 const hammerWidthInstrPerNs = 8
@@ -237,7 +224,7 @@ func (p *PhasedPattern) Next() (cpu.Access, bool) {
 // Rows returns the cycle length in accesses.
 func (p *PhasedPattern) Rows() int { return len(p.items) }
 
-// RefreshSync builds a refresh-synchronized burst pattern: after an
+// refreshSync builds a refresh-synchronized burst pattern: after an
 // initial phase offset of phaseNs, each cycle hammers n aggressors
 // around the victim for burst accesses back to back, then idles gapNs
 // before the next burst. With the cycle period tuned near tREFI, every
@@ -245,14 +232,14 @@ func (p *PhasedPattern) Rows() int { return len(p.items) }
 // REF-shadow mitigation (drains, proactive service) of the aggressor
 // activity it needs to observe, and stacking activations into the
 // interval where the design's budget is already spent.
-func RefreshSync(mapper addrmap.Mapper, sub, bank, victim, n, burst int, phaseNs, gapNs int64) (*PhasedPattern, error) {
+func refreshSync(mapper addrmap.Mapper, sub, bank, victim, n, burst int, phaseNs, gapNs int64) (*PhasedPattern, error) {
 	if burst < 1 {
 		return nil, fmt.Errorf("workload: refresh-sync burst must be >= 1, got %d", burst)
 	}
 	if phaseNs < 0 || gapNs < 0 {
 		return nil, fmt.Errorf("workload: refresh-sync phase/gap must be >= 0 (got %d, %d)", phaseNs, gapNs)
 	}
-	aggr, err := ManySidedAround(mapper, sub, bank, victim, n)
+	aggr, err := manySidedAround(mapper, sub, bank, victim, n)
 	if err != nil {
 		return nil, err
 	}
@@ -268,27 +255,60 @@ func RefreshSync(mapper addrmap.Mapper, sub, bank, victim, n, burst int, phaseNs
 	}, nil
 }
 
-// Attack-pattern kinds accepted by AttackSpec.
+// Attack-pattern kinds accepted by AttackSpec. The first four are the
+// knob-driven kinds the attack search explores; the rest are the fixed
+// patterns of the paper's §7 attacks and the security suite.
 const (
 	KindDoubleSided = "double-sided"
 	KindManySided   = "many-sided"
 	KindWave        = "wave"
 	KindRefreshSync = "refresh-sync"
+	KindSingleSided = "single-sided"
+	KindMultiBank   = "multi-bank"
+	KindSRQFill     = "srq-fill"
+	KindTRRespass   = "trrespass"
 )
 
 // Kinds lists the AttackSpec pattern kinds in canonical order.
 func Kinds() []string {
-	return []string{KindDoubleSided, KindManySided, KindWave, KindRefreshSync}
+	return []string{
+		KindDoubleSided, KindManySided, KindWave, KindRefreshSync,
+		KindSingleSided, KindMultiBank, KindSRQFill, KindTRRespass,
+	}
 }
 
-// AttackSpec is a fully parameterized adversarial pattern: the knob
-// vector the attack-search driver optimizes over. The zero value of a
-// knob means "default"; Normalize resolves defaults so two spellings of
-// the same pattern build identical sources (and hash identically).
+// DefaultVictim is the row the fixed patterns are anchored at: the
+// victim of the stock double-sided loop and the hammered row of the
+// single-sided and multi-bank patterns.
+const DefaultVictim = 4096
+
+// fixedKinds lists the knobs each fixed-pattern kind reads: anchor is
+// Sub and Bank, row is Victim (the hammered row). Normalize zeroes
+// every other knob, so equal fixed patterns hash equal.
+var fixedKinds = map[string]struct{ anchor, row bool }{
+	KindSingleSided: {anchor: true, row: true},
+	KindMultiBank:   {row: true}, // every bank of the system
+	KindSRQFill:     {anchor: true},
+	KindTRRespass:   {anchor: true},
+}
+
+// The fixed shapes of the SRQ-fill and TRRespass patterns.
+const (
+	srqFillRows    = 256
+	trrespassPairs = 12
+)
+
+// AttackSpec is a fully parameterized adversarial pattern: the one
+// description of every attack run, from the paper's fixed patterns to
+// the knob vectors the attack-search driver optimizes over. The zero
+// value of a knob means "default"; Normalize resolves defaults so two
+// spellings of the same pattern build identical sources (and hash
+// identically).
 type AttackSpec struct {
 	// Pattern is one of Kinds().
 	Pattern string `json:"pattern"`
-	// Sub and Bank anchor the pattern; Victim is the target row.
+	// Sub and Bank anchor the pattern; Victim is the target row (the
+	// hammered row for single-sided and multi-bank).
 	Sub    int `json:"sub"`
 	Bank   int `json:"bank"`
 	Victim int `json:"victim"`
@@ -315,6 +335,16 @@ type AttackSpec struct {
 func (s AttackSpec) Normalize() AttackSpec {
 	if s.Pattern == "" {
 		s.Pattern = KindDoubleSided
+	}
+	if k, fixed := fixedKinds[s.Pattern]; fixed {
+		out := AttackSpec{Pattern: s.Pattern}
+		if k.anchor {
+			out.Sub, out.Bank = s.Sub, s.Bank
+		}
+		if k.row {
+			out.Victim = s.Victim
+		}
+		return out
 	}
 	if s.Aggressors < 2 || s.Pattern == KindDoubleSided {
 		s.Aggressors = 2
@@ -415,43 +445,58 @@ func (s AttackSpec) Build(mapper addrmap.Mapper) (cpu.Source, error) {
 		return nil, err
 	}
 	s = s.Normalize()
+	var (
+		p   *AttackPattern
+		err error
+	)
 	switch s.Pattern {
 	case KindDoubleSided, KindManySided:
-		p, err := ManySidedAround(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors)
-		if err != nil {
-			return nil, err
-		}
-		p.locs = spreadLocs(geo, p.locs, s.BankSpread)
-		return p, nil
+		p, err = manySidedAround(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors)
 	case KindWave:
-		p, err := Wave(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors, s.Decoys, s.DecoyRatio, s.Burst)
-		if err != nil {
-			return nil, err
-		}
-		p.locs = spreadLocs(geo, p.locs, s.BankSpread)
-		return p, nil
+		p, err = wave(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors, s.Decoys, s.DecoyRatio, s.Burst)
 	case KindRefreshSync:
-		p, err := RefreshSync(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors, s.Burst, s.PhaseNs, s.GapNs)
-		if err != nil {
-			return nil, err
-		}
-		if s.BankSpread > 1 {
-			items := make([]phasedItem, 0, len(p.items)*s.BankSpread)
-			for _, it := range p.items {
-				for b := 0; b < s.BankSpread; b++ {
-					r := it
-					r.loc.Bank = (it.loc.Bank + b) % geo.Banks
-					if b > 0 {
-						r.gap = 0 // only the first replica carries the idle gap
-					}
-					items = append(items, r)
-				}
-			}
-			p.items = items
-		}
-		return p, nil
+		return s.buildRefreshSync(mapper)
+	case KindSingleSided:
+		p, err = singleSided(mapper, s.Sub, s.Bank, s.Victim)
+	case KindMultiBank:
+		p, err = multiBank(mapper, geo.Subchannels*geo.Banks, s.Victim)
+	case KindSRQFill:
+		p, err = srqFill(mapper, s.Sub, s.Bank, srqFillRows)
+	case KindTRRespass:
+		p, err = trrespass(mapper, s.Sub, s.Bank, trrespassPairs)
+	default:
+		return nil, fmt.Errorf("workload: unknown attack pattern %q", s.Pattern)
 	}
-	return nil, fmt.Errorf("workload: unknown attack pattern %q", s.Pattern)
+	if err != nil {
+		return nil, err
+	}
+	p.locs = spreadLocs(geo, p.locs, s.BankSpread)
+	return p, nil
+}
+
+// buildRefreshSync builds a normalized refresh-sync spec, replicating
+// its timed cycle across BankSpread banks.
+func (s AttackSpec) buildRefreshSync(mapper addrmap.Mapper) (cpu.Source, error) {
+	p, err := refreshSync(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors, s.Burst, s.PhaseNs, s.GapNs)
+	if err != nil {
+		return nil, err
+	}
+	if s.BankSpread > 1 {
+		banks := mapper.Geometry().Banks
+		items := make([]phasedItem, 0, len(p.items)*s.BankSpread)
+		for _, it := range p.items {
+			for b := 0; b < s.BankSpread; b++ {
+				r := it
+				r.loc.Bank = (it.loc.Bank + b) % banks
+				if b > 0 {
+					r.gap = 0 // only the first replica carries the idle gap
+				}
+				items = append(items, r)
+			}
+		}
+		p.items = items
+	}
+	return p, nil
 }
 
 // String renders the spec in its canonical parseable form:
@@ -459,6 +504,7 @@ func (s AttackSpec) Build(mapper addrmap.Mapper) (cpu.Source, error) {
 // so equal patterns render equal strings. ParseAttackSpec inverts it.
 func (s AttackSpec) String() string {
 	s = s.Normalize()
+	k, fixed := fixedKinds[s.Pattern]
 	var b strings.Builder
 	b.WriteString(s.Pattern)
 	sep := byte(':')
@@ -469,9 +515,16 @@ func (s AttackSpec) String() string {
 		b.WriteByte('=')
 		b.WriteString(strconv.FormatInt(v, 10))
 	}
-	put("sub", int64(s.Sub))
-	put("bank", int64(s.Bank))
-	put("victim", int64(s.Victim))
+	if !fixed || k.anchor {
+		put("sub", int64(s.Sub))
+		put("bank", int64(s.Bank))
+	}
+	if !fixed || k.row {
+		put("victim", int64(s.Victim))
+	}
+	if fixed {
+		return b.String()
+	}
 	put("aggr", int64(s.Aggressors))
 	if s.Pattern == KindWave {
 		put("decoys", int64(s.Decoys))

@@ -44,9 +44,9 @@ func TestManySidedAroundBoundsAndOrder(t *testing.T) {
 	m := testMapper(t)
 	geo := m.Geometry()
 
-	p, err := ManySidedAround(m, 1, 5, 4096, 4)
+	p, err := manySidedAround(m, 1, 5, 4096, 4)
 	if err != nil {
-		t.Fatalf("ManySidedAround: %v", err)
+		t.Fatalf("manySidedAround: %v", err)
 	}
 	// One full cycle plus one wrapped access: deterministic round-robin.
 	locs := drain(t, m, p, 5)
@@ -61,13 +61,13 @@ func TestManySidedAroundBoundsAndOrder(t *testing.T) {
 	}
 
 	// Victims too close to the bank edge cannot host the cluster.
-	if _, err := ManySidedAround(m, 0, 0, 0, 2); err == nil {
+	if _, err := manySidedAround(m, 0, 0, 0, 2); err == nil {
 		t.Error("victim at row 0 accepted")
 	}
-	if _, err := ManySidedAround(m, 0, 0, geo.Rows-1, 2); err == nil {
+	if _, err := manySidedAround(m, 0, 0, geo.Rows-1, 2); err == nil {
 		t.Error("victim at the last row accepted")
 	}
-	if _, err := ManySidedAround(m, 0, 0, 4096, 0); err == nil {
+	if _, err := manySidedAround(m, 0, 0, 4096, 0); err == nil {
 		t.Error("zero aggressors accepted")
 	}
 }
@@ -75,7 +75,7 @@ func TestManySidedAroundBoundsAndOrder(t *testing.T) {
 func TestWaveShape(t *testing.T) {
 	m := testMapper(t)
 	const victim, aggr, decoys, ratio, burst = 4096, 2, 3, 2, 2
-	p, err := Wave(m, 0, 3, victim, aggr, decoys, ratio, burst)
+	p, err := wave(m, 0, 3, victim, aggr, decoys, ratio, burst)
 	if err != nil {
 		t.Fatalf("Wave: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestWaveShape(t *testing.T) {
 func TestRefreshSyncTiming(t *testing.T) {
 	m := testMapper(t)
 	const phase, gap = 100, 700
-	p, err := RefreshSync(m, 0, 0, 4096, 2, 4, phase, gap)
+	p, err := refreshSync(m, 0, 0, 4096, 2, 4, phase, gap)
 	if err != nil {
 		t.Fatalf("RefreshSync: %v", err)
 	}
@@ -200,12 +200,73 @@ func TestSpecValidateRejects(t *testing.T) {
 	}
 }
 
+// TestFixedKindsReadOnlyTheirKnobs: a fixed pattern reads only its
+// anchor (sub, bank) and hammered row, so knobs it ignores normalize
+// away and cannot split the attack store's keyspace.
+func TestFixedKindsReadOnlyTheirKnobs(t *testing.T) {
+	noisy := AttackSpec{Sub: 1, Bank: 7, Victim: 900, Aggressors: 6, Decoys: 4, DecoyRatio: 2,
+		Burst: 9, PhaseNs: 10, GapNs: 20, BankSpread: 3}
+	for kind, want := range map[string]AttackSpec{
+		KindSingleSided: {Pattern: KindSingleSided, Sub: 1, Bank: 7, Victim: 900},
+		KindMultiBank:   {Pattern: KindMultiBank, Victim: 900},
+		KindSRQFill:     {Pattern: KindSRQFill, Sub: 1, Bank: 7},
+		KindTRRespass:   {Pattern: KindTRRespass, Sub: 1, Bank: 7},
+	} {
+		s := noisy
+		s.Pattern = kind
+		if got := s.Normalize(); got != want {
+			t.Errorf("%s: normalized %+v, want %+v", kind, got, want)
+		}
+	}
+}
+
+// TestFixedKindsShape: each fixed kind builds the paper's pattern.
+func TestFixedKindsShape(t *testing.T) {
+	m := testMapper(t)
+	geo := m.Geometry()
+	build := func(s AttackSpec) []addrmap.Loc {
+		t.Helper()
+		src, err := s.Build(m)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		return drain(t, m, src, src.(*AttackPattern).Rows())
+	}
+	ss := build(AttackSpec{Pattern: KindSingleSided, Sub: 1, Bank: 2, Victim: 100})
+	if len(ss) != 2 || ss[0].Row != 100 || ss[1].Row != 100+geo.Rows/2 || ss[0].Bank != 2 || ss[0].Sub != 1 {
+		t.Errorf("single-sided: %+v", ss)
+	}
+	mb := build(AttackSpec{Pattern: KindMultiBank, Victim: 500})
+	banks := map[int]bool{}
+	for _, l := range mb {
+		if l.Row != 500 {
+			t.Errorf("multi-bank hammered row %d, want 500", l.Row)
+		}
+		banks[l.GlobalBank(geo)] = true
+	}
+	if len(mb) != geo.Subchannels*geo.Banks || len(banks) != len(mb) {
+		t.Errorf("multi-bank touched %d banks over %d accesses", len(banks), len(mb))
+	}
+	sf := build(AttackSpec{Pattern: KindSRQFill, Bank: 4})
+	if len(sf) != srqFillRows || sf[1].Row != 8 || sf[srqFillRows-1].Row != 8*(srqFillRows-1) {
+		t.Errorf("srq-fill: %d rows, stride %d", len(sf), sf[1].Row)
+	}
+	tr := build(AttackSpec{Pattern: KindTRRespass, Bank: 4})
+	if len(tr) != 2*trrespassPairs || tr[0].Row != 100 || tr[1].Row != 102 || tr[2].Row != 110 {
+		t.Errorf("trrespass: %+v", tr[:3])
+	}
+}
+
 func TestParseAttackSpecRoundTrip(t *testing.T) {
 	for _, text := range []string{
 		"double-sided:sub=0,bank=0,victim=4096,aggr=2,spread=1",
 		"many-sided:sub=1,bank=7,victim=512,aggr=9,spread=4",
 		"wave:sub=0,bank=2,victim=9000,aggr=4,decoys=16,ratio=3,burst=12,spread=2",
 		"refresh-sync:sub=1,bank=30,victim=60000,aggr=8,burst=24,phase=1700,gap=2200,spread=1",
+		"single-sided:sub=1,bank=3,victim=77",
+		"multi-bank:victim=4096",
+		"srq-fill:sub=1,bank=2",
+		"trrespass:sub=0,bank=5",
 	} {
 		s, err := ParseAttackSpec(text)
 		if err != nil {
@@ -253,6 +314,7 @@ func FuzzParseAttackSpec(f *testing.F) {
 	f.Add("refresh-sync:phase=1950,gap=3900")
 	f.Add("many-sided")
 	f.Add("wave:victim=-5,aggr=70")
+	f.Add("multi-bank:sub=1,victim=9,aggr=4")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseAttackSpec(text)
 		if err != nil {

@@ -233,7 +233,7 @@ func TestGeneratorValidation(t *testing.T) {
 
 func TestAttackPatterns(t *testing.T) {
 	m := testMapper(t)
-	ds, err := DoubleSided(m, 0, 3, 100)
+	ds, err := manySidedAround(m, 0, 3, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestAttackPatterns(t *testing.T) {
 		t.Fatal("attack accesses must be back-to-back and serialised")
 	}
 
-	mb, err := MultiBank(m, 64, 500)
+	mb, err := multiBank(m, 64, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestAttackPatterns(t *testing.T) {
 		t.Fatalf("multi-bank touched %d banks", len(banks))
 	}
 
-	sf, err := SRQFill(m, 0, 0, 64)
+	sf, err := srqFill(m, 0, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,30 +273,30 @@ func TestAttackPatterns(t *testing.T) {
 		t.Fatalf("SRQ-fill used %d distinct rows", len(rows))
 	}
 
-	ms, err := ManySided(m, 0, 0, 8)
+	ms, err := trrespass(m, 0, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ms.Rows() != 16 {
-		t.Fatalf("many-sided rows = %d, want 16", ms.Rows())
+		t.Fatalf("trrespass rows = %d, want 16", ms.Rows())
 	}
 }
 
 func TestAttackValidation(t *testing.T) {
 	m := testMapper(t)
-	if _, err := DoubleSided(m, 0, 0, 0); err == nil {
+	if _, err := manySidedAround(m, 0, 0, 0, 2); err == nil {
 		t.Fatal("victim 0 accepted")
 	}
-	if _, err := MultiBank(m, 0, 5); err == nil {
+	if _, err := multiBank(m, 0, 5); err == nil {
 		t.Fatal("zero banks accepted")
 	}
-	if _, err := MultiBank(m, 1000, 5); err == nil {
+	if _, err := multiBank(m, 1000, 5); err == nil {
 		t.Fatal("too many banks accepted")
 	}
-	if _, err := NewAttackPattern(m, nil); err == nil {
+	if _, err := newAttackPattern(m, nil); err == nil {
 		t.Fatal("empty pattern accepted")
 	}
-	if _, err := NewAttackPattern(m, []addrmap.Loc{{Row: 1 << 30}}); err == nil {
+	if _, err := newAttackPattern(m, []addrmap.Loc{{Row: 1 << 30}}); err == nil {
 		t.Fatal("out-of-range location accepted")
 	}
 }

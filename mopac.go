@@ -20,8 +20,6 @@
 package mopac
 
 import (
-	"mopac/internal/addrmap"
-	"mopac/internal/cpu"
 	"mopac/internal/security"
 	"mopac/internal/sim"
 	"mopac/internal/workload"
@@ -153,46 +151,35 @@ const (
 // AttackResult summarises a Hammer run.
 type AttackResult = sim.AttackResult
 
-// HammerPattern names the built-in attack patterns.
+// HammerPattern names the built-in attack patterns; each value is an
+// attack-spec kind (workload.Kinds) anchored at bank 0, row 4096.
 type HammerPattern string
 
 // The built-in patterns.
 const (
 	// PatternDoubleSided hammers both neighbours of one victim row.
-	PatternDoubleSided HammerPattern = "double-sided"
+	PatternDoubleSided HammerPattern = workload.KindDoubleSided
 	// PatternSingleSided hammers one aggressor row.
-	PatternSingleSided HammerPattern = "single-sided"
+	PatternSingleSided HammerPattern = workload.KindSingleSided
 	// PatternMultiBank round-robins one row in each of 64 banks (Fig 14).
-	PatternMultiBank HammerPattern = "multi-bank"
+	PatternMultiBank HammerPattern = workload.KindMultiBank
 	// PatternSRQFill floods one bank with 256 unique rows.
-	PatternSRQFill HammerPattern = "srq-fill"
+	PatternSRQFill HammerPattern = workload.KindSRQFill
 	// PatternManySided interleaves 12 aggressor pairs (TRRespass-style).
-	PatternManySided HammerPattern = "many-sided"
+	PatternManySided HammerPattern = workload.KindTRRespass
 )
 
 // Hammer mounts a built-in Rowhammer pattern against the configured
 // design until the attacker lands activations ACTs, and reports the
 // oracle's security verdict plus the attacker's throughput. The config
-// must not name a workload.
+// must not name a workload; zero activations selects the attack default
+// (30,000).
 func Hammer(cfg Config, pattern HammerPattern, activations int64) (AttackResult, error) {
-	return sim.RunAttack(cfg, builtinPattern(pattern), activations)
-}
-
-func builtinPattern(p HammerPattern) sim.PatternBuilder {
-	return func(m addrmap.Mapper) (cpu.Source, error) {
-		switch p {
-		case PatternSingleSided:
-			return workload.SingleSided(m, 0, 0, 4096)
-		case PatternMultiBank:
-			return workload.MultiBank(m, 64, 4096)
-		case PatternSRQFill:
-			return workload.SRQFill(m, 0, 0, 256)
-		case PatternManySided:
-			return workload.ManySided(m, 0, 0, 12)
-		default:
-			return workload.DoubleSided(m, 0, 0, 4096)
-		}
-	}
+	return sim.RunAttack(sim.AttackConfig{
+		Base:       cfg,
+		Spec:       workload.AttackSpec{Pattern: string(pattern), Victim: workload.DefaultVictim},
+		TargetActs: activations,
+	})
 }
 
 // AttackThroughputLoss compares a protected attack run against the
