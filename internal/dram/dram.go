@@ -46,6 +46,13 @@ type BankGuard interface {
 	ABOAction(now int64) []Mitigation
 	// AlertRequested reports whether the guard currently needs an ABO.
 	AlertRequested() bool
+	// Quiet reports that, until its next Activate, Refresh and
+	// ABOAction would return no mitigations and change nothing the
+	// guard reports (Stats, AlertRequested), and that AlertRequested is
+	// false. The device skips a bank's guards at REF and RFM while all
+	// of them are quiet and no ACT has reached the bank since. A guard
+	// that counts REFs is never quiet.
+	Quiet() bool
 }
 
 // nopGuard is the baseline DRAM with no Rowhammer mitigation.
@@ -56,6 +63,7 @@ func (nopGuard) PrechargeClose(int64, int, int64, bool) {}
 func (nopGuard) Refresh(int64) []Mitigation             { return nil }
 func (nopGuard) ABOAction(int64) []Mitigation           { return nil }
 func (nopGuard) AlertRequested() bool                   { return false }
+func (nopGuard) Quiet() bool                            { return true }
 
 // NopGuard returns a guard that never mitigates — the unprotected
 // baseline device.
@@ -114,6 +122,11 @@ type Device struct {
 	cfg    Config
 	banks  []bankState
 	guards [][]BankGuard // [chip][bank]
+	// quiet marks the banks whose guards all reported Quiet after their
+	// last REF or RFM work and that no ACT has reached since: REF and
+	// RFM skip their guards. An ACT clears the mark; a PRE needs one
+	// first, so guard state cannot change under a mark.
+	quiet []bool
 
 	refreshGroup  int // next refresh group index
 	refreshGroups int // total groups (8192 in the default geometry)
@@ -175,6 +188,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg:           cfg,
 		banks:         make([]bankState, cfg.Banks),
 		guards:        make([][]BankGuard, cfg.Chips),
+		quiet:         make([]bool, cfg.Banks),
 		refreshGroups: RefreshGroups,
 		rowsPerGroup:  cfg.Rows / RefreshGroups,
 		trc:           cfg.Trace,
@@ -301,6 +315,7 @@ func (d *Device) Activate(now int64, bank, row int) {
 	d.log.record(LogEntry{At: now, Cmd: CmdACT, Bank: bank, Row: row})
 	d.stats.Activates++
 	d.actsSinceAlert++
+	d.quiet[bank] = false
 	if d.trc != nil {
 		d.trc.Act(now, bank, row)
 	}
@@ -485,6 +500,9 @@ func (d *Device) Refresh(now int64) {
 		if d.cfg.Observer != nil {
 			d.cfg.Observer.ObserveRefresh(now, bank, rowLo, rowHi)
 		}
+		if d.quiet[bank] {
+			continue
+		}
 		for c := range d.guards {
 			g := d.guards[c][bank]
 			mits := g.Refresh(now)
@@ -493,7 +511,19 @@ func (d *Device) Refresh(now int64) {
 				d.markAlert(now)
 			}
 		}
+		d.noteQuiet(bank)
 	}
+}
+
+// noteQuiet marks bank quiet when every chip's guard there reports
+// Quiet after its REF or RFM work.
+func (d *Device) noteQuiet(bank int) {
+	for c := range d.guards {
+		if !d.guards[c][bank].Quiet() {
+			return
+		}
+	}
+	d.quiet[bank] = true
 }
 
 // AlertRequested reports whether the device is asserting ALERT. The
@@ -531,6 +561,9 @@ func (d *Device) ServeABO(now int64) {
 	}
 	for rfm := 0; rfm < d.cfg.RFMLevel; rfm++ {
 		for bank := 0; bank < d.cfg.Banks; bank++ {
+			if d.quiet[bank] {
+				continue
+			}
 			for c := range d.guards {
 				g := d.guards[c][bank]
 				mits := g.ABOAction(now + int64(rfm)*d.cfg.Timing.TRFM)
@@ -539,6 +572,7 @@ func (d *Device) ServeABO(now int64) {
 					d.markAlert(now)
 				}
 			}
+			d.noteQuiet(bank)
 		}
 	}
 }

@@ -198,6 +198,7 @@ func (g *alertGuard) ABOAction(int64) []Mitigation {
 	return []Mitigation{{Row: g.lastRow}}
 }
 func (g *alertGuard) AlertRequested() bool { return g.alert }
+func (g *alertGuard) Quiet() bool          { return false }
 
 func TestAlertAndABO(t *testing.T) {
 	obs := &recObserver{}
@@ -326,6 +327,7 @@ func (p *closeProbe) PrechargeClose(_ int64, _ int, openNs int64, cu bool) {
 func (p *closeProbe) Refresh(int64) []Mitigation   { return nil }
 func (p *closeProbe) ABOAction(int64) []Mitigation { return nil }
 func (p *closeProbe) AlertRequested() bool         { return false }
+func (p *closeProbe) Quiet() bool                  { return true }
 
 func TestNopGuardNeverAlerts(t *testing.T) {
 	g := NopGuard()

@@ -79,7 +79,7 @@ const (
 // idx; seq is unique, so comparing keys orders by (cross, src, seq).
 type entry struct {
 	at    int64
-	birth int64 // engine time when the event was scheduled
+	birth int64 // engine time when scheduled; a SendFrom hop's departure
 	key   uint64
 }
 
@@ -87,11 +87,11 @@ func (e entry) idx() int32 { return int32(e.key & idxMask) }
 
 // before orders entries by (at, birth, cross, src, seq): same-time
 // events fire in birth order, then local-before-hop, then hops by
-// source tag, then scheduling (FIFO) order. Birth never disagrees with
-// seq (the clock is monotone, so later-scheduled events are never
-// younger), so for purely local schedules this is the classic (at, seq)
-// FIFO; the cross and src terms fix the order of same-instant hops,
-// which every stored result depends on.
+// source tag, then scheduling (FIFO) order. For local events birth
+// never disagrees with seq (the clock is monotone, so later-scheduled
+// events are never younger), so purely local schedules get the classic
+// (at, seq) FIFO; the cross and src terms fix the order of same-instant
+// hops, which every stored result depends on.
 func (a entry) before(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -252,20 +252,34 @@ func (e *Engine) AtFunc(t int64, fn Func, ctx any, arg int64) Token {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	return e.schedule(t, 0, fn, ctx, arg)
+	return e.schedule(t, e.now, 0, fn, ctx, arg)
 }
 
 // Send schedules fn(ctx, arg) d nanoseconds from now as a modelled hop
 // from the source tagged src: at equal (at, birth) it fires after every
 // locally scheduled event, and hops from different sources resolve by
-// src, then send order. The simulation layer uses it for the frontend
-// hops (core→controller arrival tagged with the subchannel count,
-// controller→core completion tagged with the subchannel index); the
+// src, then send order. The simulation layer uses it for the
+// core→controller arrival hop, tagged with the subchannel count; the
 // tags fix the order of same-instant hops, which every stored result
 // depends on.
 func (e *Engine) Send(src int, d int64, fn Func, ctx any, arg int64) Token {
+	return e.SendFrom(src, e.now, d, fn, ctx, arg)
+}
+
+// SendFrom is Send for a hop that leaves its source at the future
+// instant birth (>= Now) rather than now: it fires at birth+d and
+// orders exactly as a Send issued at birth would, bar send order among
+// hops of one source at one (at, birth). The simulation layer uses it
+// for the controller→core completion hop, tagged with the subchannel
+// index: the controller knows a read's completion instant when it
+// issues the column command, so the hop is scheduled then, with no
+// event at the completion instant itself.
+func (e *Engine) SendFrom(src int, birth, d int64, fn Func, ctx any, arg int64) Token {
 	if d < 0 {
 		panic("event: negative hop delay")
+	}
+	if birth < e.now {
+		panic("event: hop born in the past")
 	}
 	if src < 0 || src >= maxSources {
 		panic("event: source tag out of range")
@@ -273,26 +287,27 @@ func (e *Engine) Send(src int, d int64, fn Func, ctx any, arg int64) Token {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	return e.schedule(e.now+d, crossBit|uint64(src)<<srcShift, fn, ctx, arg)
+	return e.schedule(birth+d, birth, crossBit|uint64(src)<<srcShift, fn, ctx, arg)
 }
 
-func (e *Engine) schedule(t int64, cross uint64, fn Func, ctx any, arg int64) Token {
+func (e *Engine) schedule(t, birth int64, cross uint64, fn Func, ctx any, arg int64) Token {
 	if e.seq > 1<<(srcShift-idxBits)-1 {
 		panic("event: sequence space exhausted")
 	}
 	idx := e.alloc()
 	it := &e.items[idx]
 	it.fn, it.ctx, it.arg = fn, ctx, arg
-	ent := entry{at: t, birth: e.now, key: cross | e.seq<<idxBits | uint64(idx)}
+	ent := entry{at: t, birth: birth, key: cross | e.seq<<idxBits | uint64(idx)}
 	e.seq++
 	e.live++
 	if t-e.now < wheelSize {
 		b := t & wheelMask
 		q := &e.wheel[b]
 		q.ents = append(q.ents, ent)
-		// Births and sequence numbers only grow, so a new entry sorts
-		// last unless it must precede same-birth hops: walk it back
-		// past those.
+		// Sequence numbers only grow, and births too except for hops
+		// sent from the future, so a new entry sorts last unless it
+		// must precede same-birth hops or future-born ones: walk it
+		// back past those.
 		i := len(q.ents) - 1
 		for ; i > q.head && ent.before(q.ents[i-1]); i-- {
 			q.ents[i] = q.ents[i-1]
@@ -330,6 +345,14 @@ func (e *Engine) peekLive() (entry, int) {
 		e.dead--
 		e.popBucket(b)
 		b = fromNone
+	}
+	if b != fromNone {
+		// The heap root bounds every heap entry, cancelled or not: when
+		// it is due after the wheel front, the wheel front fires first
+		// and the heap need not be touched.
+		if front := e.wheel[b].ents[e.wheel[b].head]; len(e.heap) == 0 || front.at < e.heap[0].at {
+			return front, b
+		}
 	}
 	for len(e.heap) > 0 {
 		ent := e.heap[0]

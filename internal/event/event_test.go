@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -70,6 +71,50 @@ func TestCancel(t *testing.T) {
 	if e.Fired() != 0 {
 		t.Fatalf("Fired = %d, want 0", e.Fired())
 	}
+}
+
+// TestFutureBirthTies pins the same-instant order of hops sent with a
+// future birth: at one (at, birth) every local event fires before every
+// hop, and hops fire by source tag whatever their send order; a local
+// event born later than the hops' birth fires after them.
+func TestFutureBirthTies(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	log := func(ctx any, _ int64) { got = append(got, ctx.(string)) }
+	// Hops leaving at 10 and landing at 15, sent at time 0.
+	e.SendFrom(2, 10, 5, log, "hop2", 0)
+	e.SendFrom(0, 10, 5, log, "hop0", 0)
+	e.SendFrom(1, 10, 5, log, "hop1", 0)
+	e.AtFunc(10, func(any, int64) {
+		e.AtFunc(15, log, "local@10", 0)
+	}, nil, 0)
+	e.AtFunc(12, func(any, int64) {
+		e.AtFunc(15, log, "local@12", 0)
+	}, nil, 0)
+	// A hop sent at 5 but born at 12 ranks by its birth, not by when it
+	// was sent: after the hops born at 10 and the local event born at 12.
+	e.AtFunc(5, func(any, int64) {
+		e.SendFrom(0, 12, 3, log, "hop0@12", 0)
+	}, nil, 0)
+	for e.Step() {
+	}
+	want := []string{"local@10", "hop0", "hop1", "hop2", "local@12", "hop0@12"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+}
+
+// TestSendFromPastPanics checks that a hop cannot depart before now.
+func TestSendFromPastPanics(t *testing.T) {
+	e := NewEngine()
+	e.At(10, func() {})
+	e.Step()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SendFrom with a past birth did not panic")
+		}
+	}()
+	e.SendFrom(0, 5, 10, func(any, int64) {}, nil, 0)
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {

@@ -34,13 +34,17 @@ func (a refEvent) before(b refEvent) bool {
 	return a.key < b.key
 }
 
-func (r *refEngine) schedule(id int, d int64, cross bool, src int) {
+// schedule queues event id d ns after its birth, which is now for
+// local events and now+ahead for hops.
+func (r *refEngine) schedule(id int, d int64, cross bool, src int, ahead int64) {
 	key := r.seq
+	birth := r.now
 	if cross {
 		key |= crossBit | uint64(src)<<srcShift
+		birth += ahead
 	}
 	r.seq++
-	r.pend = append(r.pend, refEvent{at: r.now + d, birth: r.now, key: key, id: id})
+	r.pend = append(r.pend, refEvent{at: birth + d, birth: birth, key: key, id: id})
 }
 
 func (r *refEngine) cancel(id int) {
@@ -101,12 +105,15 @@ type engineDriver struct {
 	fire func(id int)
 }
 
-func (d *engineDriver) schedule(id int, delay int64, cross bool, src int) {
+func (d *engineDriver) schedule(id int, delay int64, cross bool, src int, ahead int64) {
 	fn := func(_ any, arg int64) { d.fire(int(arg)) }
 	var tok Token
-	if cross {
+	switch {
+	case cross && ahead == 0:
 		tok = d.e.Send(src, delay, fn, nil, int64(id))
-	} else {
+	case cross:
+		tok = d.e.SendFrom(src, d.e.Now()+ahead, delay, fn, nil, int64(id))
+	default:
 		tok = d.e.AtFunc(d.e.Now()+delay, fn, nil, int64(id))
 	}
 	d.toks = append(d.toks, tok)
@@ -116,7 +123,7 @@ func (d *engineDriver) cancel(id int) { d.toks[id].Cancel() }
 
 // queueDriver is the surface the randomized script drives.
 type queueDriver interface {
-	schedule(id int, d int64, cross bool, src int)
+	schedule(id int, d int64, cross bool, src int, ahead int64)
 	cancel(id int)
 	step() bool
 	runUntil(deadline int64) int
@@ -168,10 +175,14 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 	act := func(rng *rand.Rand) {
 		switch k := rng.IntN(10); {
 		case k < 4:
-			d.schedule(ids, refDelay(rng), false, 0)
+			d.schedule(ids, refDelay(rng), false, 0, 0)
+			ids++
+		case k < 6:
+			d.schedule(ids, refDelay(rng), true, rng.IntN(4), 0)
 			ids++
 		case k < 7:
-			d.schedule(ids, refDelay(rng), true, rng.IntN(4))
+			// A hop born in the future, as completion hops are.
+			d.schedule(ids, refDelay(rng), true, rng.IntN(4), refDelay(rng))
 			ids++
 		case k < 9:
 			if ids > 0 {
@@ -196,7 +207,7 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 			// dead count past the compaction threshold.
 			first := ids
 			for i := 0; i < 150; i++ {
-				d.schedule(ids, refDelay(rng), rng.IntN(2) == 0, rng.IntN(4))
+				d.schedule(ids, refDelay(rng), rng.IntN(2) == 0, rng.IntN(4), refDelay(rng))
 				ids++
 			}
 			for i := 0; i < 140; i++ {
@@ -221,7 +232,8 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 
 // TestEngineMatchesReference checks the Engine against the linear-scan
 // reference on randomized scripts that mix AtFunc, Send, Cancel,
-// RunUntil and Step at delays on both sides of the wheel's span: every
+// RunUntil and Step at delays on both sides of the wheel's span, hops
+// born now and in the future included: every
 // firing (event and clock), every Pending and NextAt answer, and every
 // RunUntil count must agree.
 func TestEngineMatchesReference(t *testing.T) {

@@ -194,16 +194,29 @@ func TestFleetAffinityAndByteIdentity(t *testing.T) {
 	}
 }
 
+// kill stops the worker's heartbeats without deregistering: to the
+// coordinator the worker simply goes silent, as a crashed one does.
+// Stop afterwards is a no-op.
+func (w *testWorker) kill() {
+	close(w.agent.stop)
+	<-w.agent.done
+}
+
 // abortOnce aborts the connection of the first dispatched job — a
-// worker dying mid-run, deterministically.
-func abortOnce(next http.Handler) http.Handler {
-	var fired atomic.Bool
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs") && fired.CompareAndSwap(false, true) {
-			panic(http.ErrAbortHandler)
-		}
-		next.ServeHTTP(w, r)
-	})
+// worker dying mid-run, deterministically. The worker it fronts is
+// killed first, so no heartbeat re-registers it once the coordinator
+// has dropped it.
+func abortOnce(worker *atomic.Pointer[testWorker]) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		var fired atomic.Bool
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs") && fired.CompareAndSwap(false, true) {
+				worker.Load().kill()
+				panic(http.ErrAbortHandler)
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
 }
 
 // TestFleetFailover kills the primary mid-job and expects the
@@ -220,7 +233,8 @@ func TestFleetFailover(t *testing.T) {
 		coord.Close()
 	})
 	f := &testFleet{coord: coord, coordTS: coordTS}
-	f.addWorker(t, abortOnce) // worker-0 aborts its first job
+	var faulty atomic.Pointer[testWorker]
+	faulty.Store(f.addWorker(t, abortOnce(&faulty))) // worker-0 dies on its first job
 	f.addWorker(t, nil)
 	f.waitWorkers(t, 2)
 

@@ -15,8 +15,9 @@ import (
 // goldenDigest drives one controller with a seeded, bursty request
 // stream — few rows per bank, so hits, conflicts and deep queues all
 // occur, and the run spans several refresh intervals — and digests
-// every completion in firing order together with the final controller
-// and device counters.
+// every completion in the order the controller reports it (completion
+// order: the data bus serialises transfers) together with the final
+// controller and device counters.
 func goldenDigest(t *testing.T, cfg Config) string {
 	t.Helper()
 	const banks, requests = 16, 6000

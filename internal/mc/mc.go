@@ -59,9 +59,12 @@ type Request struct {
 	Write bool
 	// Arrive is the time the request entered the controller.
 	Arrive int64
-	// Done, if non-nil, is scheduled as Done(DoneCtx, doneAt) when the
-	// data transfer completes: a pre-bound completion that allocates no
-	// closure.
+	// Done, if non-nil, is called as Done(DoneCtx, doneAt) when the
+	// controller issues the request's column command, with doneAt the
+	// instant the data transfer completes: a pre-bound completion that
+	// allocates no closure. It runs inside a scheduler pass, so it must
+	// not re-enter the controller; a caller that acts at doneAt
+	// schedules that itself.
 	Done    event.Func
 	DoneCtx any
 
@@ -195,16 +198,6 @@ type Controller struct {
 	// costs one rebuilding scan, mirroring the nextAt staleness rule.
 	sleepMask uint64
 	sleepMin  int64
-
-	// doneQ holds the fire times of pending completion callbacks in
-	// FIFO order. The data bus serialises transfers, so completion
-	// times are strictly increasing and a ring suffices; NextSendAt
-	// drains entries the clock has passed. This is the controller's
-	// contribution to the sim layer's adaptive epoch horizon: a
-	// completion event is the only controller-side event that injects
-	// work back toward the cores.
-	doneQ     []int64
-	doneQHead int
 
 	freeReq []*Request // recycled pooled requests
 
@@ -756,8 +749,8 @@ func (c *Controller) issueBank(now int64, bank int) bool {
 }
 
 // completeRead accounts the serviced request at queue position pos of
-// bank, removes it (keeping arrival order), schedules its completion
-// callback, and recycles its arena slot.
+// bank, removes it (keeping arrival order), reports its completion
+// instant to its callback, and recycles its arena slot.
 func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 	q := &c.queues[bank]
 	si := q.idx[pos]
@@ -802,43 +795,16 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 		c.trc.QueueDepth(c.eng.Now(), c.pending)
 	}
 	if s.done != nil {
-		c.eng.AtFunc(doneAt, s.done, s.doneCtx, doneAt)
-		c.pushDone(doneAt)
+		s.done(s.doneCtx, doneAt)
 	}
 	c.freeSlot(si)
-}
-
-// pushDone records a scheduled completion-callback fire time. The
-// ring's storage is reclaimed whenever the head catches up, so steady
-// state allocates nothing.
-func (c *Controller) pushDone(at int64) {
-	if c.doneQHead == len(c.doneQ) {
-		c.doneQ = c.doneQ[:0]
-		c.doneQHead = 0
-	}
-	c.doneQ = append(c.doneQ, at)
-}
-
-// NextSendAt returns the fire time of the earliest pending completion
-// callback strictly after now, dropping entries the clock has passed
-// (their events have fired: the controller executes in time order).
-// Returns Never when no completion is pending. now must not decrease
-// across calls.
-func (c *Controller) NextSendAt(now int64) int64 {
-	for c.doneQHead < len(c.doneQ) && c.doneQ[c.doneQHead] <= now {
-		c.doneQHead++
-	}
-	if c.doneQHead == len(c.doneQ) {
-		return Never
-	}
-	return c.doneQ[c.doneQHead]
 }
 
 // TickAt returns the instant of the controller's pending scheduler
 // pass. Outside a running pass there is always one armed (protocol
 // deadlines guarantee it), so this is the earliest time the controller
-// can begin new work — together with NextSendAt it feeds the sim
-// layer's adaptive epoch horizon.
+// can begin new work; it feeds the sim layer's adaptive epoch
+// horizon.
 func (c *Controller) TickAt() int64 {
 	if c.tickAt < 0 {
 		return Never
@@ -847,7 +813,7 @@ func (c *Controller) TickAt() int64 {
 }
 
 // MinSchedGap returns the minimum delay between a scheduler pass and
-// the earliest completion callback it can schedule: a column command
+// the earliest completion instant it can report: a column command
 // issued at t completes no earlier than t + min(TCL, TWL) + TBURST.
 // Every DRAM timing parameter is strictly positive, so the gap is too.
 func (c *Controller) MinSchedGap() int64 {
@@ -858,7 +824,7 @@ func (c *Controller) MinSchedGap() int64 {
 	return gap + c.cfg.Timing.TBURST
 }
 
-// Never is NextSendAt/TickAt's "no pending instant" sentinel.
+// Never is TickAt's "no pending instant" sentinel.
 const Never int64 = 1<<63 - 1
 
 // anyHit reports whether any queued request targets row in bank.

@@ -39,6 +39,15 @@ func newRig(t *testing.T, cfg Config, devCfg dram.Config) *rig {
 // run drains the engine up to a deadline.
 func (r *rig) run(deadline int64) { r.eng.RunUntil(deadline) }
 
+// atDone returns a Done callback that runs fn at the reported
+// completion instant, for tests that enqueue more work on completion
+// (Done itself must not re-enter the controller).
+func (r *rig) atDone(fn func()) event.Func {
+	return func(_ any, doneAt int64) {
+		r.eng.AtFunc(doneAt, func(any, int64) { fn() }, nil, 0)
+	}
+}
+
 // read enqueues a read and returns a pointer to its completion time
 // (-1 until served).
 func (r *rig) read(bank, row, col int) *int64 {
@@ -264,6 +273,7 @@ func (g *alertOnNthACT) ABOAction(int64) []dram.Mitigation {
 	return nil
 }
 func (g *alertOnNthACT) AlertRequested() bool { return g.alert }
+func (g *alertOnNthACT) Quiet() bool          { return false }
 
 func TestAlertGraceThenRFM(t *testing.T) {
 	cfg := Config{Timing: timing.DDR5()}
@@ -382,10 +392,10 @@ func TestRandomSoakNoTimingViolations(t *testing.T) {
 			r.c.Enqueue(&Request{
 				Bank: (i * 7) % 8,
 				Row:  (i * 13) % 97,
-				Done: func(any, int64) {
+				Done: r.atDone(func() {
 					served++
 					submit()
-				},
+				}),
 			})
 			if i%3 == 0 {
 				submit()
@@ -412,7 +422,7 @@ func TestRefreshPostponement(t *testing.T) {
 			return
 		}
 		served++
-		r.c.Enqueue(&Request{Bank: 0, Row: served % 64, Done: func(any, int64) { chain() }})
+		r.c.Enqueue(&Request{Bank: 0, Row: served % 64, Done: r.atDone(chain)})
 	}
 	chain()
 	r.run(5 * 3900)
@@ -427,7 +437,7 @@ func TestRefreshPostponement(t *testing.T) {
 			return
 		}
 		sserved++
-		strict.c.Enqueue(&Request{Bank: 0, Row: sserved % 64, Done: func(any, int64) { schain() }})
+		strict.c.Enqueue(&Request{Bank: 0, Row: sserved % 64, Done: strict.atDone(schain)})
 	}
 	schain()
 	strict.run(5 * 3900)

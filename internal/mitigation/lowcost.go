@@ -114,6 +114,10 @@ func (m *MINT) ABOAction(int64) []dram.Mitigation { return nil }
 // AlertRequested implements dram.BankGuard.
 func (m *MINT) AlertRequested() bool { return false }
 
+// Quiet implements dram.BankGuard: the guard counts REFs, so it is
+// never quiet.
+func (m *MINT) Quiet() bool { return false }
+
 // PrIDEConfig parameterises the PrIDE tracker (Jaleel et al., ISCA'24).
 type PrIDEConfig struct {
 	// InvP is the per-activation insertion probability denominator
@@ -202,3 +206,7 @@ func (p *PrIDE) ABOAction(int64) []dram.Mitigation { return nil }
 
 // AlertRequested implements dram.BankGuard.
 func (p *PrIDE) AlertRequested() bool { return false }
+
+// Quiet implements dram.BankGuard: the guard counts REFs, so it is
+// never quiet.
+func (p *PrIDE) Quiet() bool { return false }

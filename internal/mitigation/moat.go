@@ -183,3 +183,7 @@ func (m *MOAT) mitigate(row int) {
 
 // AlertRequested implements dram.BankGuard.
 func (m *MOAT) AlertRequested() bool { return m.alert }
+
+// Quiet implements dram.BankGuard: with no tracked row, ABOAction
+// only clears an alert that cannot be raised and Refresh does nothing.
+func (m *MOAT) Quiet() bool { return m.trackedRow < 0 }

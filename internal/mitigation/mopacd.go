@@ -394,6 +394,15 @@ func (m *MoPACD) AlertRequested() bool {
 	return m.alertSRQ || m.alertTardy || m.alertMitig
 }
 
+// Quiet implements dram.BankGuard: with the SRQ empty there is nothing
+// to drain, and a tracked row below both the eligibility and the alert
+// threshold leaves ABOAction nothing to mitigate. The alert flags are
+// then all clear: the SRQ and tardiness alerts need SRQ entries, and
+// the mitigation alert tracks trackedCnt >= AlertAt.
+func (m *MoPACD) Quiet() bool {
+	return len(m.srq) == 0 && (m.trackedRow < 0 || m.trackedCnt < min(m.cfg.ETH, m.cfg.AlertAt))
+}
+
 // AlertReasons reports the individual alert conditions, for tests and
 // attack diagnostics.
 func (m *MoPACD) AlertReasons() (srqFull, tardiness, mitigation bool) {

@@ -208,3 +208,7 @@ func (q *QPRAC) ABOAction(int64) []dram.Mitigation {
 
 // AlertRequested implements dram.BankGuard.
 func (q *QPRAC) AlertRequested() bool { return q.alert }
+
+// Quiet implements dram.BankGuard: the guard counts REFs, so it is
+// never quiet.
+func (q *QPRAC) Quiet() bool { return false }

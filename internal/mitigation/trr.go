@@ -115,3 +115,7 @@ func (t *TRR) ABOAction(int64) []dram.Mitigation { return nil }
 
 // AlertRequested implements dram.BankGuard; TRR never alerts.
 func (t *TRR) AlertRequested() bool { return false }
+
+// Quiet implements dram.BankGuard: the guard counts REFs, so it is
+// never quiet.
+func (t *TRR) Quiet() bool { return false }

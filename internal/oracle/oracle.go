@@ -89,6 +89,10 @@ type Oracle struct {
 
 	violations []Violation
 
+	// active has bit b set once bank b has seen an activation: a
+	// refresh of any other bank has no count to reset and is skipped.
+	active []uint64
+
 	activations int64
 	mitigations int64
 }
@@ -145,6 +149,10 @@ func (o *Oracle) ObserveActivate(now int64, bank, row int) {
 		o.keys[i] = packKey(bank, row)
 		o.used++
 	}
+	if w := bank >> 6; w >= len(o.active) {
+		o.active = append(o.active, make([]uint64, w+1-len(o.active))...)
+	}
+	o.active[bank>>6] |= 1 << (bank & 63)
 	c := o.counts[i] + 1
 	o.counts[i] = c
 	if c > o.peaks[i] {
@@ -167,8 +175,12 @@ func (o *Oracle) ObserveMitigation(_ int64, bank, row int) {
 }
 
 // ObserveRefresh implements dram.Observer: the periodic sweep resets
-// every row in the refreshed group.
+// every row in the refreshed group. A bank never activated holds no
+// rows and is skipped.
 func (o *Oracle) ObserveRefresh(_ int64, bank, rowLo, rowHi int) {
+	if w := bank >> 6; w >= len(o.active) || o.active[w]&(1<<(bank&63)) == 0 {
+		return
+	}
 	if rowHi-rowLo < 64 {
 		for r := rowLo; r < rowHi; r++ {
 			if i := o.slot(packKey(bank, r)); o.peaks[i] != 0 {
@@ -294,8 +306,10 @@ func (o *Oracle) Threshold() int { return o.trh }
 // peak, though disjoint shards never hit that case), and the violation
 // list concatenates; every accessor already reports in canonical order,
 // so the merged output is deterministic regardless of shard order or
-// observation interleaving. The shards are left untouched and the
-// result shares no state with them.
+// observation interleaving. The set of activated banks unions too, so
+// later refreshes of the merged oracle reset rows from every shard.
+// The shards are left untouched and the result shares no state with
+// them.
 func Merge(shards ...*Oracle) *Oracle {
 	if len(shards) == 0 {
 		panic("oracle: Merge needs at least one shard")
@@ -311,6 +325,12 @@ func Merge(shards ...*Oracle) *Oracle {
 		m.activations += s.activations
 		m.mitigations += s.mitigations
 		m.violations = append(m.violations, s.violations...)
+		if n := len(s.active); n > len(m.active) {
+			m.active = append(m.active, make([]uint64, n-len(m.active))...)
+		}
+		for w, bits := range s.active {
+			m.active[w] |= bits
+		}
 		for i, p := range s.peaks {
 			if p == 0 {
 				continue

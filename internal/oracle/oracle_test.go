@@ -337,6 +337,34 @@ func TestQuickMergeMatchesInterleaved(t *testing.T) {
 	}
 }
 
+// TestMergeThenRefreshResets: a merged oracle keeps observing, and a
+// refresh must reset the rows every shard brought in. The refresh path
+// skips banks the oracle has never seen activated, so the merged
+// oracle must inherit the shards' activated banks along with their
+// rows.
+func TestMergeThenRefreshResets(t *testing.T) {
+	a, b := New(5), New(5)
+	for i := 0; i < 4; i++ {
+		a.ObserveActivate(int64(i), 0, 10)
+		b.ObserveActivate(int64(i), 67, 10) // a bank past the first word
+	}
+	m := Merge(a, b)
+	m.ObserveRefresh(10, 0, 8, 16)
+	m.ObserveRefresh(10, 67, 8, 16)
+	if n := m.liveRows(); n != 0 {
+		t.Fatalf("%d rows kept their counts through a refresh of their group", n)
+	}
+	m.ObserveActivate(11, 0, 10)
+	m.ObserveActivate(11, 67, 10)
+	if !m.Secure() {
+		t.Fatalf("merged oracle counted through a refresh: %v", m.Violations())
+	}
+	// The shards are untouched by the merged oracle's refreshes.
+	if a.liveRows() != 1 || b.liveRows() != 1 {
+		t.Fatal("refreshing the merged oracle changed a shard")
+	}
+}
+
 // TestMergeSingleShardPassesThrough: the one-shard fast path must hand
 // back the shard itself (the serial configuration pays no merge cost).
 func TestMergeSingleShardPassesThrough(t *testing.T) {

@@ -181,42 +181,74 @@ type System struct {
 	running int    // cores that have not yet retired their target
 
 	// Adaptive-horizon state (see horizonBound): per-subchannel queues
-	// of pending frontend-hop delivery instants, and the controllers'
-	// minimum issue-to-completion gap. arrQ tracks core->controller
-	// arrival hops (appended in submit); delivQ tracks controller->core
-	// completion hops (appended in txnComplete).
-	arrQ   []timeQ
-	delivQ []timeQ
-	gap    int64
+	// of frontend-hop instants, and the controllers' minimum
+	// issue-to-completion gap. arrQ holds the landing instants of
+	// core->controller arrival hops (pushed in submit); doneQ holds the
+	// completion instants of reads whose controller->core hop, leaving
+	// then and landing FrontendLatencyNs later, has not yet landed
+	// (pushed in txnIssued).
+	arrQ  []timeQ
+	doneQ []timeQ
+	gap   int64
 }
 
-// timeQ is a FIFO of future event instants. Hop events are scheduled
-// in non-decreasing time order, so a ring with a head cursor suffices;
-// storage is reclaimed whenever the head catches up, keeping the steady
-// state allocation-free.
+// timeQ is a FIFO of event instants. Each queue's instants are pushed
+// in non-decreasing order (arrival hops by send time, completions
+// because the data bus serialises transfers), so a slice with a head
+// cursor suffices. Every push first drops the entries whose events
+// have fired, so the queue stays bounded by the hops in flight however
+// the engine is driven (RunContext or bare Step calls alike).
 type timeQ struct {
 	q    []int64
 	head int
 }
 
-func (t *timeQ) push(at int64) {
-	if t.head == len(t.q) {
-		t.q = t.q[:0]
-		t.head = 0
+// push appends at after dropping the entries at or before drop.
+func (t *timeQ) push(drop, at int64) {
+	t.skip(drop)
+	if t.head > len(t.q)/2 {
+		// Most of the storage holds dropped entries: slide the pending
+		// ones down, keeping storage within twice the pending count.
+		n := copy(t.q, t.q[t.head:])
+		t.q, t.head = t.q[:n], 0
 	}
 	t.q = append(t.q, at)
+}
+
+// skip drops the entries at or before t.
+func (t *timeQ) skip(at int64) {
+	for t.head < len(t.q) && t.q[t.head] <= at {
+		t.head++
+	}
 }
 
 // next drops entries at or before the committed time now (their events
 // have fired) and returns the earliest pending instant, or mc.Never.
 func (t *timeQ) next(now int64) int64 {
-	for t.head < len(t.q) && t.q[t.head] <= now {
-		t.head++
-	}
+	t.skip(now)
 	if t.head == len(t.q) {
 		return mc.Never
 	}
 	return t.q[t.head]
+}
+
+// completions reads a doneQ at the committed time now: it drops the
+// reads whose return hop has landed and returns the earliest pending
+// completion instant (> now) and the earliest landing instant
+// (> now) of a hop already departed, each mc.Never when there is none.
+func (t *timeQ) completions(now int64) (next, land int64) {
+	t.skip(now - FrontendLatencyNs)
+	next, land = mc.Never, mc.Never
+	for _, c := range t.q[t.head:] {
+		if c > now {
+			next = c
+			break
+		}
+		if land == mc.Never {
+			land = c + FrontendLatencyNs
+		}
+	}
+	return next, land
 }
 
 // NewSystem wires a system for the configuration.
@@ -247,7 +279,7 @@ func NewSystem(c Config) (*System, error) {
 
 	s := &System{cfg: c, eng: event.NewEngine(), mapper: mapper, tparams: tparams}
 	s.arrQ = make([]timeQ, geo.Subchannels)
-	s.delivQ = make([]timeQ, geo.Subchannels)
+	s.doneQ = make([]timeQ, geo.Subchannels)
 	s.wstats = NewWorkloadStats(geo, tparams)
 	var obs dram.Observer = s.wstats
 	if c.TrackSecurity {
@@ -403,9 +435,9 @@ func (s *System) addCore(src cpu.Source) error {
 const FrontendLatencyNs = 15
 
 // txn carries one in-flight access's completion context across the
-// controller boundary: the controller fires txnComplete at data
-// completion, which schedules the return-trip hop that finally invokes
-// the submitter's pre-bound callback.
+// controller boundary: the controller calls txnIssued when it issues
+// the column command, which sends the return-trip hop that finally
+// invokes the submitter's pre-bound callback.
 type txn struct {
 	sys  *System
 	done event.Func
@@ -422,16 +454,18 @@ func (s *System) newTxn() *txn {
 	return &txn{sys: s}
 }
 
-// txnComplete runs at data completion and pays the controller-to-core
-// return latency. The hop is tagged with the controller's subchannel
-// index, which fixes the order of two completions reaching the core
-// at the same instant.
-func txnComplete(ctx any, doneAt int64) {
+// txnIssued runs when the controller issues the access's column
+// command, with the instant doneAt its data transfer completes. It
+// sends the controller-to-core return hop at once: the hop leaves at
+// doneAt and lands FrontendLatencyNs later, ordered exactly as a hop
+// sent at doneAt would be. It is tagged with the controller's
+// subchannel index, which fixes the order of two completions reaching
+// the core at the same instant.
+func txnIssued(ctx any, doneAt int64) {
 	t := ctx.(*txn)
-	q := &t.sys.delivQ[t.sub]
-	q.next(t.sys.eng.Now()) // drop fired entries (manual drivers never run horizonBound)
-	q.push(doneAt + FrontendLatencyNs)
-	t.sys.eng.Send(int(t.sub), FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
+	s := t.sys
+	s.doneQ[t.sub].push(s.eng.Now()-FrontendLatencyNs, doneAt)
+	s.eng.SendFrom(int(t.sub), doneAt, FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
 }
 
 // txnDeliver hands the completed access back to its submitter and
@@ -456,11 +490,9 @@ func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 	if done != nil {
 		t := s.newTxn()
 		t.done, t.ctx, t.sub = done, ctx, int32(loc.Sub)
-		r.Done, r.DoneCtx = txnComplete, t
+		r.Done, r.DoneCtx = txnIssued, t
 	}
-	q := &s.arrQ[loc.Sub]
-	q.next(s.eng.Now()) // drop fired entries (manual drivers never run horizonBound)
-	q.push(s.eng.Now() + FrontendLatencyNs)
+	s.arrQ[loc.Sub].push(s.eng.Now(), s.eng.Now()+FrontendLatencyNs)
 	s.eng.Send(len(s.ctrls), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
 }
 
@@ -521,16 +553,18 @@ const maxEpochNs = 1 << 20
 //   - each core's pending self-wake (an advance can submit new misses
 //     at its own instant, and miss completions arriving mid-epoch only
 //     wake the core at strictly later times);
-//   - each controller's earliest pending completion callback, which
-//     fires the controller->core return hop at its own instant;
-//   - each pending completion hop already in flight toward the cores
-//     (its delivery can trigger new submissions at its own instant);
+//   - each subchannel's earliest pending completion instant, at which
+//     the controller->core return hop departs (txnIssued sends it
+//     when the column command issues, born at the completion instant,
+//     so it counts as sent then);
+//   - each completion hop that has departed but not yet landed (its
+//     delivery can trigger new submissions at its own instant);
 //   - each controller's next chance to *schedule* a new completion: no
 //     scheduler pass runs before min(tick, earliest pending arrival
 //     hop), and a pass at t cannot complete a column access before
 //     t + MinSchedGap. DRAM devices and mitigation guards are passive
 //     (they never schedule events), so controller passes and the
-//     completions they schedule are the only controller-side sources.
+//     completions they report are the only controller-side sources.
 //
 // Events already pending at times below the returned ES cannot send:
 // they are controller scheduler passes and arrival deliveries, whose
@@ -547,14 +581,9 @@ func (s *System) horizonBound(start int64) int64 {
 			es = w
 		}
 	}
-	for i := range s.ctrls {
-		ctl := s.ctrls[i]
-		if t := ctl.NextSendAt(now); t < es {
-			es = t
-		}
-		if t := s.delivQ[i].next(now); t < es {
-			es = t
-		}
+	for i, ctl := range s.ctrls {
+		next, land := s.doneQ[i].completions(now)
+		es = min(es, next, land)
 		evt := ctl.TickAt()
 		if t := s.arrQ[i].next(now); t < evt {
 			evt = t
@@ -599,7 +628,7 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	}
 	steps := 0
 	for s.running > 0 {
-		at, ok := s.eng.NextAt()
+		at, ok := s.epochStart()
 		if !ok || at >= maxNs {
 			break
 		}
@@ -615,6 +644,26 @@ func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 		return Result{}, fmt.Errorf("sim: run hit the %d ns cap before all cores finished", maxNs)
 	}
 	return s.collect(), nil
+}
+
+// epochStart returns the instant the next epoch starts at: the
+// earliest pending event or pending completion instant. A completion
+// instant schedules no event of its own (its hop lands
+// FrontendLatencyNs later), but it starts an epoch just as the
+// completion event it replaces did, so the epoch sequence, and with it
+// every Result, does not depend on that choice. The second return is
+// false when nothing is pending.
+func (s *System) epochStart() (int64, bool) {
+	at, ok := s.eng.NextAt()
+	if !ok {
+		return 0, false // a pending completion always has its hop queued
+	}
+	now := s.eng.Now()
+	for i := range s.doneQ {
+		next, _ := s.doneQ[i].completions(now)
+		at = min(at, next)
+	}
+	return at, true
 }
 
 func (s *System) collect() Result {

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"mopac/internal/cpu"
@@ -343,5 +344,50 @@ func TestZeroDivisionGuards(t *testing.T) {
 	}
 	if AttackSlowdown(AttackResult{}, AttackResult{}) != 0 {
 		t.Fatal("zero-baseline attack slowdown must be 0")
+	}
+}
+
+// TestHopQueuesBoundedUnderStep drives a coreless system through
+// Engine.Step alone, as RunAttack and trace replay do, with a closed
+// loop of reads in flight. The horizon queues must stay bounded by the
+// reads in flight, not grow with every read served: nothing but their
+// own pushes drains them outside RunContext.
+func TestHopQueuesBoundedUnderStep(t *testing.T) {
+	sys, err := NewSystem(Config{Design: DesignMoPACD, TRH: 500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, reads = 16, 20_000
+	rng := rand.New(rand.NewPCG(1, 2))
+	submitted, served, peak := 0, 0, 0
+	var submit func()
+	submit = func() {
+		submitted++
+		peak = max(peak, submitted-served)
+		sys.Submit(rng.Int64N(1<<30)&^63, false, func(int64) {
+			served++
+			if submitted < reads {
+				submit()
+			}
+		})
+	}
+	for i := 0; i < window; i++ {
+		submit()
+	}
+	for served < reads {
+		if !sys.Engine().Step() {
+			t.Fatalf("stalled after %d reads", served)
+		}
+		for i := range sys.ctrls {
+			if n := len(sys.doneQ[i].q); n > 2*peak {
+				t.Fatalf("subchannel %d completion queue holds %d entries after %d reads; %d in flight at most", i, n, served, peak)
+			}
+			if n := len(sys.arrQ[i].q); n > 2*peak {
+				t.Fatalf("subchannel %d arrival queue holds %d entries after %d reads; %d in flight at most", i, n, served, peak)
+			}
+		}
+	}
+	if peak != window {
+		t.Fatalf("peak in flight %d, want %d", peak, window)
 	}
 }
