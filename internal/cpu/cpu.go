@@ -188,11 +188,18 @@ func coreWake(ctx any, _ int64) {
 
 // missDone is the pre-bound miss-completion handler. The first advance
 // settles retirement under the old blocker before the miss completes, so
-// stalled time is not credited as progress.
+// stalled time is not credited as progress. When retirement already sits
+// at the blocker, that advance would change nothing but lastT: the
+// previous one left nothing to drop, fill or issue, the stall already
+// open and no wake armed, and none of that has changed since.
 func missDone(ctx any, _ int64) {
 	m := ctx.(*miss)
 	c := m.core
-	c.advance()
+	if c.retired == c.oldestBlocker() {
+		c.lastT = c.eng.Now()
+	} else {
+		c.advance()
+	}
 	if c.cfg.Trace != nil {
 		c.cfg.Trace.Served(m.issuedAt, c.eng.Now()-m.issuedAt)
 	}
@@ -431,7 +438,6 @@ func (c *Core) advance() {
 	// without the last one, a window of completed misses would let
 	// retirement sail to the end without ever pulling the rest of the
 	// trace.
-	limit = c.oldestBlocker()
 	target := limit
 	// The first unissued miss sits exactly at the issued prefix.
 	if live := c.live(); c.issuedPrefix < len(live) {

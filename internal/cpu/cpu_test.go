@@ -296,6 +296,89 @@ func TestMSHRLimitIgnoresStores(t *testing.T) {
 	}
 }
 
+// runProbed runs a core against a fixed-latency memory whose completion
+// handler first records whether retirement sits at the oldest blocker
+// when the completion arrives, the condition missDone's settle
+// shortcut keys on.
+func runProbed(t *testing.T, target, lat int64, accs []Access) (Stats, []bool) {
+	t.Helper()
+	eng := event.NewEngine()
+	var core *Core
+	var atBlocker []bool
+	probe := func(ctx any, arg int64) {
+		atBlocker = append(atBlocker, core.retired == core.oldestBlocker())
+		missDone(ctx, arg)
+	}
+	var err error
+	core, err = New(eng, Config{
+		Width: 16, ROB: 256, TargetInstr: target,
+		Submit: func(_ int64, _ bool, done event.Func, ctx any) {
+			at := eng.Now() + lat
+			eng.AtFunc(at, probe, ctx, at)
+		},
+	}, &sliceSource{accs: accs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(100_000_000)
+	return core.Stats(), atBlocker
+}
+
+// TestCompletionAtBlockerStats pins a dependent chain in which every
+// completion finds retirement parked at the completing miss. Misses
+// sit at instructions 32, 65, 98, 131 and 164 and each depends on the
+// one before, so each issues when its predecessor returns (t = 0, 200,
+// ..., 800) and completes 200 ns later. Retirement reaches instruction
+// 32 at t = 2 and each later miss 3 ns after the previous completion
+// (33 instructions at 16 per ns, rounded up to the wake), so the
+// stalls are 198 + 4 * 197 = 986 ns. The last 161 instructions after
+// t = 1000 take 11 wakes' worth: finished at 1011.
+func TestCompletionAtBlockerStats(t *testing.T) {
+	accs := []Access{{Gap: 32, Addr: 64}}
+	for i := 1; i < 5; i++ {
+		accs = append(accs, Access{Gap: 32, Addr: int64(i+1) * 64, Dep: true})
+	}
+	st, atBlocker := runProbed(t, 325, 200, accs)
+	if len(atBlocker) != 5 {
+		t.Fatalf("%d completions, want 5", len(atBlocker))
+	}
+	for i, at := range atBlocker {
+		if !at {
+			t.Fatalf("completion %d arrived with retirement short of the blocker", i)
+		}
+	}
+	if st.Retired != 325 || st.StallNs != 986 || st.FinishedAt != 1011 {
+		t.Fatalf("stats %+v, want Retired 325, StallNs 986, FinishedAt 1011", st)
+	}
+}
+
+// TestCompletionWhileRetiringStats pins an MLP stream whose completions
+// all arrive while retirement is still moving. Independent misses at
+// instructions 320, 330 and 340 issue at t = 4, 5 and 6, the first
+// wakes at which retirement (64, 80, 96) brings them inside the
+// 256-entry ROB, so up to three are in flight at once. Each returns
+// 10 ns later, before retirement reaches instruction 320 at t = 20, so
+// retirement never stalls: 1600 instructions at 16 per ns finish at
+// t = 100.
+func TestCompletionWhileRetiringStats(t *testing.T) {
+	st, atBlocker := runProbed(t, 1600, 10, []Access{
+		{Gap: 320, Addr: 64},
+		{Gap: 9, Addr: 128},
+		{Gap: 9, Addr: 192},
+	})
+	if len(atBlocker) != 3 {
+		t.Fatalf("%d completions, want 3", len(atBlocker))
+	}
+	for i, at := range atBlocker {
+		if at {
+			t.Fatalf("completion %d arrived with retirement at the blocker", i)
+		}
+	}
+	if st.Retired != 1600 || st.StallNs != 0 || st.FinishedAt != 100 {
+		t.Fatalf("stats %+v, want Retired 1600, StallNs 0, FinishedAt 100", st)
+	}
+}
+
 // cycleSource repeats a fixed access list forever.
 type cycleSource struct {
 	accs []Access

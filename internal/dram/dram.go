@@ -29,13 +29,16 @@ type Mitigation struct {
 // engine. Implementations live in internal/mitigation (MOAT for PRAC,
 // the MoPAC-C DRAM side, and MoPAC-D with its SRQ).
 type BankGuard interface {
-	// Activate notifies an ACT to row at time now.
-	Activate(now int64, row int)
+	// Activate notifies an ACT to row at time now and returns
+	// AlertRequested as it stands after the call, so the device makes
+	// one call per chip on its hottest path.
+	Activate(now int64, row int) bool
 	// PrechargeClose notifies that the open row closed after openNs of
-	// row-open time. counterUpdate reports whether the precharge
-	// performed the PRAC counter read-modify-write (always true under
-	// PRAC timings, probabilistic under MoPAC-C, never under MoPAC-D).
-	PrechargeClose(now int64, row int, openNs int64, counterUpdate bool)
+	// row-open time and, like Activate, returns AlertRequested after
+	// the call. counterUpdate reports whether the precharge performed
+	// the PRAC counter read-modify-write (always true under PRAC
+	// timings, probabilistic under MoPAC-C, never under MoPAC-D).
+	PrechargeClose(now int64, row int, openNs int64, counterUpdate bool) bool
 	// Refresh notifies a periodic REF; guards may use part of the REF
 	// time for counter updates (MoPAC-D drain-on-REF) and return any
 	// aggressor rows they mitigated.
@@ -58,12 +61,12 @@ type BankGuard interface {
 // nopGuard is the baseline DRAM with no Rowhammer mitigation.
 type nopGuard struct{}
 
-func (nopGuard) Activate(int64, int)                    {}
-func (nopGuard) PrechargeClose(int64, int, int64, bool) {}
-func (nopGuard) Refresh(int64) []Mitigation             { return nil }
-func (nopGuard) ABOAction(int64) []Mitigation           { return nil }
-func (nopGuard) AlertRequested() bool                   { return false }
-func (nopGuard) Quiet() bool                            { return true }
+func (nopGuard) Activate(int64, int) bool                    { return false }
+func (nopGuard) PrechargeClose(int64, int, int64, bool) bool { return false }
+func (nopGuard) Refresh(int64) []Mitigation                  { return nil }
+func (nopGuard) ABOAction(int64) []Mitigation                { return nil }
+func (nopGuard) AlertRequested() bool                        { return false }
+func (nopGuard) Quiet() bool                                 { return true }
 
 // NopGuard returns a guard that never mitigates — the unprotected
 // baseline device.
@@ -119,9 +122,11 @@ type Config struct {
 
 // Device is one DDR5 subchannel.
 type Device struct {
-	cfg    Config
-	banks  []bankState
-	guards [][]BankGuard // [chip][bank]
+	cfg   Config
+	banks []bankState
+	// guards holds every (chip, bank) guard bank-major, at
+	// bank*Chips+chip, so one bank's chips sit side by side.
+	guards []BankGuard
 	// quiet marks the banks whose guards all reported Quiet after their
 	// last REF or RFM work and that no ACT has reached since: REF and
 	// RFM skip their guards. An ACT clears the mark; a PRE needs one
@@ -187,7 +192,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:           cfg,
 		banks:         make([]bankState, cfg.Banks),
-		guards:        make([][]BankGuard, cfg.Chips),
+		guards:        make([]BankGuard, cfg.Banks*cfg.Chips),
 		quiet:         make([]bool, cfg.Banks),
 		refreshGroups: RefreshGroups,
 		rowsPerGroup:  cfg.Rows / RefreshGroups,
@@ -198,12 +203,11 @@ func NewDevice(cfg Config) (*Device, error) {
 		d.refreshGroups = cfg.Rows
 	}
 	for c := 0; c < cfg.Chips; c++ {
-		d.guards[c] = make([]BankGuard, cfg.Banks)
 		for b := 0; b < cfg.Banks; b++ {
 			if cfg.NewGuard != nil {
-				d.guards[c][b] = cfg.NewGuard(c, b)
+				d.guards[b*cfg.Chips+c] = cfg.NewGuard(c, b)
 			} else {
-				d.guards[c][b] = NopGuard()
+				d.guards[b*cfg.Chips+c] = NopGuard()
 			}
 		}
 	}
@@ -249,7 +253,12 @@ func (d *Device) WriteModeRegister(idx int, v uint8) {
 func (d *Device) ModeRegister(idx int) uint8 { return d.modeRegs[idx] }
 
 // Guard returns the guard instance for (chip, bank), for tests and stats.
-func (d *Device) Guard(chip, bank int) BankGuard { return d.guards[chip][bank] }
+func (d *Device) Guard(chip, bank int) BankGuard { return d.bankGuards(bank)[chip] }
+
+// bankGuards returns bank's guards, indexed by chip.
+func (d *Device) bankGuards(bank int) []BankGuard {
+	return d.guards[bank*d.cfg.Chips : (bank+1)*d.cfg.Chips]
+}
 
 // OpenRow returns the open row in bank, or -1 when precharged.
 func (d *Device) OpenRow(bank int) int { return d.banks[bank].openRow }
@@ -319,10 +328,8 @@ func (d *Device) Activate(now int64, bank, row int) {
 	if d.trc != nil {
 		d.trc.Act(now, bank, row)
 	}
-	for c := range d.guards {
-		g := d.guards[c][bank]
-		g.Activate(now, row)
-		if g.AlertRequested() {
+	for _, g := range d.bankGuards(bank) {
+		if g.Activate(now, row) {
 			d.markAlert(now)
 		}
 	}
@@ -437,10 +444,8 @@ func (d *Device) Precharge(now int64, bank int, counterUpdate bool) int {
 	if d.trc != nil {
 		d.trc.Precharge(now, bank, row, counterUpdate, openNs)
 	}
-	for c := range d.guards {
-		g := d.guards[c][bank]
-		g.PrechargeClose(now, row, openNs, counterUpdate)
-		if g.AlertRequested() {
+	for _, g := range d.bankGuards(bank) {
+		if g.PrechargeClose(now, row, openNs, counterUpdate) {
 			d.markAlert(now)
 		}
 	}
@@ -503,8 +508,7 @@ func (d *Device) Refresh(now int64) {
 		if d.quiet[bank] {
 			continue
 		}
-		for c := range d.guards {
-			g := d.guards[c][bank]
+		for c, g := range d.bankGuards(bank) {
 			mits := g.Refresh(now)
 			d.recordMitigations(now, bank, c, mits)
 			if g.AlertRequested() {
@@ -518,8 +522,8 @@ func (d *Device) Refresh(now int64) {
 // noteQuiet marks bank quiet when every chip's guard there reports
 // Quiet after its REF or RFM work.
 func (d *Device) noteQuiet(bank int) {
-	for c := range d.guards {
-		if !d.guards[c][bank].Quiet() {
+	for _, g := range d.bankGuards(bank) {
+		if !g.Quiet() {
 			return
 		}
 	}
@@ -564,8 +568,7 @@ func (d *Device) ServeABO(now int64) {
 			if d.quiet[bank] {
 				continue
 			}
-			for c := range d.guards {
-				g := d.guards[c][bank]
+			for c, g := range d.bankGuards(bank) {
 				mits := g.ABOAction(now + int64(rfm)*d.cfg.Timing.TRFM)
 				d.recordMitigations(now, bank, c, mits)
 				if g.AlertRequested() {

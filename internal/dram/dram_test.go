@@ -183,15 +183,16 @@ type alertGuard struct {
 	alert   bool
 }
 
-func (g *alertGuard) Activate(_ int64, row int) {
+func (g *alertGuard) Activate(_ int64, row int) bool {
 	g.acts++
 	g.lastRow = row
 	if g.acts >= g.after {
 		g.alert = true
 	}
+	return g.alert
 }
-func (g *alertGuard) PrechargeClose(int64, int, int64, bool) {}
-func (g *alertGuard) Refresh(int64) []Mitigation             { return nil }
+func (g *alertGuard) PrechargeClose(int64, int, int64, bool) bool { return g.alert }
+func (g *alertGuard) Refresh(int64) []Mitigation                  { return nil }
 func (g *alertGuard) ABOAction(int64) []Mitigation {
 	g.alert = false
 	g.acts = 0
@@ -296,6 +297,56 @@ func TestMultiChipGuardsReplicated(t *testing.T) {
 	}
 }
 
+// preAlertGuard raises its alert at a precharge when armed.
+type preAlertGuard struct{ armed, alert bool }
+
+func (g *preAlertGuard) Activate(int64, int) bool { return g.alert }
+func (g *preAlertGuard) PrechargeClose(int64, int, int64, bool) bool {
+	g.alert = g.armed
+	return g.alert
+}
+func (g *preAlertGuard) Refresh(int64) []Mitigation { return nil }
+func (g *preAlertGuard) ABOAction(int64) []Mitigation {
+	g.alert = false
+	return nil
+}
+func (g *preAlertGuard) AlertRequested() bool { return g.alert }
+func (g *preAlertGuard) Quiet() bool          { return false }
+
+// TestPrechargeAlertFromOneChip checks that an alert raised only by
+// chip 2's PrechargeClose, on bank 1 of a four-chip device, latches
+// ALERT: the device acts on the bool each chip's call returns, and the
+// bank-major guard layout hands each call to the right (chip, bank).
+func TestPrechargeAlertFromOneChip(t *testing.T) {
+	d, err := NewDevice(Config{
+		Banks: 2, Rows: 64, Chips: 4, Timing: timing.DDR5(),
+		NewGuard: func(chip, bank int) BankGuard {
+			return &preAlertGuard{armed: chip == 2 && bank == 1}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Activate(0, 0, 1)
+	d.Precharge(d.EarliestPrecharge(0, false), 0, false)
+	if d.AlertRequested() {
+		t.Fatal("a precharge of bank 0 raised ALERT")
+	}
+	d.Activate(d.EarliestActivate(1), 1, 1)
+	if d.AlertRequested() {
+		t.Fatal("ALERT before any guard raised it")
+	}
+	d.Precharge(d.EarliestPrecharge(1, false), 1, false)
+	if !d.AlertRequested() {
+		t.Fatal("chip 2's precharge alert did not latch ALERT")
+	}
+	for c := 0; c < 4; c++ {
+		if got := d.Guard(c, 1).AlertRequested(); got != (c == 2) {
+			t.Fatalf("Guard(%d, 1).AlertRequested = %v", c, got)
+		}
+	}
+}
+
 func TestRowOpenTimeReported(t *testing.T) {
 	var gotOpen int64 = -1
 	var gotCU bool
@@ -319,10 +370,11 @@ type closeProbe struct {
 	cu   *bool
 }
 
-func (p *closeProbe) Activate(int64, int) {}
-func (p *closeProbe) PrechargeClose(_ int64, _ int, openNs int64, cu bool) {
+func (p *closeProbe) Activate(int64, int) bool { return false }
+func (p *closeProbe) PrechargeClose(_ int64, _ int, openNs int64, cu bool) bool {
 	*p.open = openNs
 	*p.cu = cu
+	return false
 }
 func (p *closeProbe) Refresh(int64) []Mitigation   { return nil }
 func (p *closeProbe) ABOAction(int64) []Mitigation { return nil }

@@ -15,8 +15,11 @@
 // static function plus a receiver and an int64 payload without
 // allocating a closure. The priority queue is a calendar wheel of one
 // bucket per nanosecond over the next wheelSize ns — where nearly every
-// event the memory system schedules lands — backed by an index-based
-// 4-ary overflow heap for the rare farther event. Cancelled events are
+// event the memory system schedules lands. A farther event waits in an
+// unsorted far list until the wheel front reaches the list's earliest
+// instant, and only then enters an index-based 4-ary overflow heap, so
+// far events cancelled before they are due (controller ticks armed at
+// a refresh deadline) never touch the heap. Cancelled events are
 // dropped lazily on pop and compacted wholesale when they outnumber
 // live ones, so cancel-heavy workloads (controller wake coalescing,
 // core wake-ups) do not bloat the queue.
@@ -73,10 +76,11 @@ const (
 	maxSources = 1 << srcBits
 )
 
-// entry is one priority-queue element, in a wheel bucket or the
-// overflow heap: the (at, birth, key) sort key inline plus the pool
-// slot it refers to. key holds cross | src<<srcShift | seq<<idxBits |
-// idx; seq is unique, so comparing keys orders by (cross, src, seq).
+// entry is one priority-queue element, in a wheel bucket, the far list
+// or the overflow heap: the (at, birth, key) sort key inline plus the
+// pool slot it refers to. key holds cross | src<<srcShift |
+// seq<<idxBits | idx; seq is unique, so comparing keys orders by
+// (cross, src, seq).
 type entry struct {
 	at    int64
 	birth int64 // engine time when scheduled; a SendFrom hop's departure
@@ -148,7 +152,7 @@ const arity = 4
 // nanosecond. 64 makes the occupancy set one machine word and covers
 // the DRAM command gaps, frontend hops and core stalls that make up
 // nearly all of the schedule; only refresh deadlines and long core
-// waits overflow to the heap.
+// waits go to the far list.
 const (
 	wheelSize = 64
 	wheelMask = wheelSize - 1
@@ -164,7 +168,7 @@ type bucket struct {
 // Engine is a discrete-event scheduler. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
-	items []item  // slot pool; wheel and heap entries reference it by index
+	items []item  // slot pool; queue entries reference it by index
 	free  []int32 // released slots available for reuse
 	now   int64
 	seq   uint64
@@ -182,10 +186,19 @@ type Engine struct {
 	wheel    [wheelSize]bucket
 	occupied uint64
 
-	// heap is the overflow: entries due wheelSize ns or more ahead when
-	// scheduled, as a 4-ary min-heap under the same relation. The clock
-	// may carry such an entry into the wheel's span; pops compare the
-	// wheel front with the heap root, so it still fires in order.
+	// far holds the entries due wheelSize ns or more ahead when
+	// scheduled, unsorted; farMin bounds their instants from below
+	// while far is non-empty. They stay here while the wheel front is
+	// due strictly before farMin, so cancelling one costs nothing until
+	// compaction sweeps it out.
+	far    []entry
+	farMin int64
+
+	// heap is the overflow: far entries moved out of the list once the
+	// wheel front reaches farMin (or the wheel empties), as a 4-ary
+	// min-heap under the same relation. The clock may carry such an
+	// entry into the wheel's span; pops compare the wheel front with
+	// the heap root, so it still fires in order.
 	heap []entry
 }
 
@@ -315,8 +328,10 @@ func (e *Engine) schedule(t, birth int64, cross uint64, fn Func, ctx any, arg in
 		q.ents[i] = ent
 		e.occupied |= 1 << uint(b)
 	} else {
-		e.heap = append(e.heap, ent)
-		e.siftUp(len(e.heap) - 1)
+		if len(e.far) == 0 || t < e.farMin {
+			e.farMin = t
+		}
+		e.far = append(e.far, ent)
 	}
 	return Token{e, idx, it.gen}
 }
@@ -331,7 +346,8 @@ const (
 // peekLive prunes cancelled entries off the wheel and heap fronts and
 // returns the next live entry in (at, birth, key) order plus where it
 // sits: a wheel bucket index, fromHeap, or fromNone when the engine is
-// drained.
+// drained. The far list joins the heap first unless the wheel front is
+// due strictly before farMin.
 func (e *Engine) peekLive() (entry, int) {
 	b := fromNone
 	for e.occupied != 0 {
@@ -345,6 +361,9 @@ func (e *Engine) peekLive() (entry, int) {
 		e.dead--
 		e.popBucket(b)
 		b = fromNone
+	}
+	if len(e.far) > 0 && (b == fromNone || e.wheel[b].ents[e.wheel[b].head].at >= e.farMin) {
+		e.flushFar()
 	}
 	if b != fromNone {
 		// The heap root bounds every heap entry, cancelled or not: when
@@ -373,6 +392,18 @@ func (e *Engine) peekLive() (entry, int) {
 		return e.heap[0], fromHeap
 	}
 	return entry{}, fromNone
+}
+
+// flushFar moves the far list's live entries into the heap and
+// releases the cancelled ones.
+func (e *Engine) flushFar() {
+	live := e.keepLive(e.far[:0], e.far)
+	e.dead -= len(e.far) - len(live)
+	for _, ent := range live {
+		e.heap = append(e.heap, ent)
+		e.siftUp(len(e.heap) - 1)
+	}
+	e.far = e.far[:0]
 }
 
 // popBucket removes the front entry of wheel bucket b, recycling the
@@ -465,9 +496,9 @@ func (e *Engine) popRoot() {
 	}
 }
 
-// compact sweeps cancelled entries out of the wheel buckets and the
-// overflow heap in one pass and re-establishes the heap property
-// bottom-up.
+// compact sweeps cancelled entries out of the wheel buckets, the far
+// list and the overflow heap in one pass, tightens farMin, and
+// re-establishes the heap property bottom-up.
 func (e *Engine) compact() {
 	for m := e.occupied; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
@@ -475,6 +506,12 @@ func (e *Engine) compact() {
 		q.ents, q.head = e.keepLive(q.ents[:0], q.ents[q.head:]), 0
 		if len(q.ents) == 0 {
 			e.occupied &^= 1 << uint(b)
+		}
+	}
+	e.far = e.keepLive(e.far[:0], e.far)
+	for i, ent := range e.far {
+		if i == 0 || ent.at < e.farMin {
+			e.farMin = ent.at
 		}
 	}
 	e.heap = e.keepLive(e.heap[:0], e.heap)

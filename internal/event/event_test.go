@@ -239,7 +239,7 @@ func TestCancelHeavyPendingAndCompaction(t *testing.T) {
 	}
 	// 900 dead of 1000 entries crosses the sweep threshold: compaction
 	// must have run, leaving at most the live events plus a sub-threshold
-	// tail of dead ones across the wheel and the overflow heap.
+	// tail of dead ones across the wheel, the far list and the heap.
 	if q := queued(e); q > live+compactMinDead || e.dead > compactMinDead {
 		t.Fatalf("queued = %d dead = %d after mass cancel; compaction never ran (live = %d)",
 			q, e.dead, live)
@@ -265,9 +265,9 @@ func TestCancelHeavyPendingAndCompaction(t *testing.T) {
 }
 
 // queued counts the entries an engine holds, live or cancelled, in the
-// wheel buckets and the overflow heap.
+// wheel buckets, the far list and the overflow heap.
 func queued(e *Engine) int {
-	n := len(e.heap)
+	n := len(e.heap) + len(e.far)
 	for b := range e.wheel {
 		n += len(e.wheel[b].ents) - e.wheel[b].head
 	}
@@ -384,6 +384,72 @@ func BenchmarkEngineSimMix(b *testing.B) {
 	for i := 0; i < inFlight; i++ {
 		e.AfterFunc(int64(i), fire, nil, 0)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// TestFarRearmStaysOffHeap drives the controller-tick pattern: a tick
+// armed at a far deadline that every near event cancels and re-arms at
+// the same instant. The heap must never be touched while the wheel
+// front stays before the deadline, compaction must keep the far list
+// bounded, and the tick must still fire at its deadline.
+func TestFarRearmStaysOffHeap(t *testing.T) {
+	e := NewEngine()
+	const deadline = 100_000
+	var fired []int64
+	tickFn := func(any, int64) { fired = append(fired, e.Now()) }
+	tick := e.AtFunc(deadline, tickFn, nil, 0)
+	var near Func
+	near = func(any, int64) {
+		tick.Cancel()
+		tick = e.AtFunc(deadline, tickFn, nil, 0)
+		if e.Now() < deadline-100 {
+			e.AfterFunc(10, near, nil, 0)
+		}
+	}
+	e.AfterFunc(10, near, nil, 0)
+	maxFar := 0
+	for e.Now() < deadline-100 {
+		e.Step()
+		maxFar = max(maxFar, len(e.far))
+	}
+	if cap(e.heap) != 0 {
+		t.Fatalf("heap touched (cap %d) while the wheel front stayed before the far deadline", cap(e.heap))
+	}
+	if maxFar > compactMinDead+2 {
+		t.Fatalf("far list reached %d entries; compaction should bound it by %d", maxFar, compactMinDead+2)
+	}
+	for e.Step() {
+	}
+	if len(fired) != 1 || fired[0] != deadline {
+		t.Fatalf("tick fired at %v, want once at %d", fired, deadline)
+	}
+}
+
+// BenchmarkEngineFarRearm measures the controller-tick pattern: each op
+// fires one near event that cancels the tick armed at the next refresh
+// deadline and re-arms it there; the tick itself fires every 3900 ns
+// and arms the next deadline.
+func BenchmarkEngineFarRearm(b *testing.B) {
+	const tREFI = 3900
+	e := NewEngine()
+	deadline := int64(tREFI)
+	var tick Token
+	var tickFn, near Func
+	tickFn = func(any, int64) {
+		deadline += tREFI
+		tick = e.AtFunc(deadline, tickFn, nil, 0)
+	}
+	near = func(any, int64) {
+		tick.Cancel()
+		tick = e.AtFunc(deadline, tickFn, nil, 0)
+		e.AfterFunc(10, near, nil, 0)
+	}
+	tick = e.AtFunc(deadline, tickFn, nil, 0)
+	e.AfterFunc(10, near, nil, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

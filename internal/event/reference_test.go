@@ -164,16 +164,20 @@ func refDelay(rng *rand.Rand) int64 {
 }
 
 // playScript runs one seeded script of schedules, hops, cancels,
-// RunUntil and Step calls against d, firing handlers that schedule and
-// cancel in turn, and returns a transcript of everything observable.
+// RunUntil and Step calls against d, firing handlers that schedule,
+// cancel and re-arm in turn, and returns a transcript of everything observable.
 // Each handler's actions derive from its event id alone, so two
 // drivers that fire the same events in the same order see the same
 // script.
 func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string {
 	var log []string
 	ids := 0
+	// rearmID/rearmAt track one far event that near events cancel and
+	// re-arm at the same instant, as a controller re-arms its tick at
+	// the refresh deadline on every arrival.
+	rearmID, rearmAt := -1, int64(0)
 	act := func(rng *rand.Rand) {
-		switch k := rng.IntN(10); {
+		switch k := rng.IntN(11); {
 		case k < 4:
 			d.schedule(ids, refDelay(rng), false, 0, 0)
 			ids++
@@ -188,6 +192,15 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 			if ids > 0 {
 				d.cancel(rng.IntN(ids))
 			}
+		case k < 10:
+			if rearmID >= 0 && rearmAt > d.clock() {
+				d.cancel(rearmID)
+			} else {
+				rearmAt = d.clock() + 4097 + rng.Int64N(1000)
+			}
+			rearmID = ids
+			d.schedule(ids, rearmAt-d.clock(), false, 0, 0)
+			ids++
 		}
 	}
 	setFire(func(id int) {
@@ -233,7 +246,8 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 // TestEngineMatchesReference checks the Engine against the linear-scan
 // reference on randomized scripts that mix AtFunc, Send, Cancel,
 // RunUntil and Step at delays on both sides of the wheel's span, hops
-// born now and in the future included: every
+// born now and in the future and far events re-armed at a fixed
+// instant included: every
 // firing (event and clock), every Pending and NextAt answer, and every
 // RunUntil count must agree.
 func TestEngineMatchesReference(t *testing.T) {

@@ -259,14 +259,15 @@ type alertOnNthACT struct {
 	alert bool
 }
 
-func (g *alertOnNthACT) Activate(_ int64, _ int) {
+func (g *alertOnNthACT) Activate(_ int64, _ int) bool {
 	g.acts++
 	if g.acts >= g.n {
 		g.alert = true
 	}
+	return g.alert
 }
-func (g *alertOnNthACT) PrechargeClose(int64, int, int64, bool) {}
-func (g *alertOnNthACT) Refresh(int64) []dram.Mitigation        { return nil }
+func (g *alertOnNthACT) PrechargeClose(int64, int, int64, bool) bool { return g.alert }
+func (g *alertOnNthACT) Refresh(int64) []dram.Mitigation             { return nil }
 func (g *alertOnNthACT) ABOAction(int64) []dram.Mitigation {
 	g.alert = false
 	g.acts = 0

@@ -77,7 +77,7 @@ func NewMINT(cfg MINTConfig) *MINT {
 func (m *MINT) Stats() TRRStats { return m.stats }
 
 // Activate implements dram.BankGuard.
-func (m *MINT) Activate(_ int64, row int) {
+func (m *MINT) Activate(_ int64, row int) bool {
 	if m.pos == m.sel {
 		m.cand = row
 	}
@@ -90,10 +90,11 @@ func (m *MINT) Activate(_ int64, row int) {
 		m.sel = m.rng.IntN(m.cfg.Window)
 		m.cand = -1
 	}
+	return false
 }
 
 // PrechargeClose implements dram.BankGuard.
-func (m *MINT) PrechargeClose(int64, int, int64, bool) {}
+func (m *MINT) PrechargeClose(int64, int, int64, bool) bool { return false }
 
 // Refresh implements dram.BankGuard: every MitigatePerREFs refreshes,
 // the held selection is victim-refreshed.
@@ -175,19 +176,20 @@ func NewPrIDE(cfg PrIDEConfig) *PrIDE {
 func (p *PrIDE) Stats() TRRStats { return p.stats }
 
 // Activate implements dram.BankGuard.
-func (p *PrIDE) Activate(_ int64, row int) {
+func (p *PrIDE) Activate(_ int64, row int) bool {
 	if p.rng.IntN(p.cfg.InvP) != 0 {
-		return
+		return false
 	}
 	if len(p.fifo) >= p.cfg.QueueSize {
 		p.stats.Evictions++ // insertion dropped: queue full
-		return
+		return false
 	}
 	p.fifo = append(p.fifo, row)
+	return false
 }
 
 // PrechargeClose implements dram.BankGuard.
-func (p *PrIDE) PrechargeClose(int64, int, int64, bool) {}
+func (p *PrIDE) PrechargeClose(int64, int, int64, bool) bool { return false }
 
 // Refresh implements dram.BankGuard.
 func (p *PrIDE) Refresh(int64) []dram.Mitigation {

@@ -77,7 +77,7 @@ type MOATStats struct {
 // threshold.
 type MOAT struct {
 	cfg        MOATConfig
-	counters   map[int]int
+	counters   rowTable
 	trackedRow int
 	trackedCnt int
 	alert      bool
@@ -97,11 +97,11 @@ func NewMOAT(cfg MOATConfig) *MOAT {
 	if cfg.BlastRadius <= 0 {
 		cfg.BlastRadius = security.BlastRadius
 	}
-	return &MOAT{cfg: cfg, counters: make(map[int]int), trackedRow: -1}
+	return &MOAT{cfg: cfg, trackedRow: -1}
 }
 
 // Counter returns the PRAC counter of row as this chip sees it.
-func (m *MOAT) Counter(row int) int { return m.counters[row] }
+func (m *MOAT) Counter(row int) int { return m.counters.get(row) }
 
 // Tracked returns the currently tracked row and its counter value
 // (row -1 when nothing is tracked).
@@ -112,21 +112,20 @@ func (m *MOAT) Stats() MOATStats { return m.stats }
 
 // Activate implements dram.BankGuard. PRAC counters update at precharge,
 // so activation is a no-op for MOAT.
-func (m *MOAT) Activate(int64, int) {}
+func (m *MOAT) Activate(int64, int) bool { return m.alert }
 
 // PrechargeClose implements dram.BankGuard: a counter-update precharge
 // performs the read-modify-write and refreshes the tracked-max entry.
-func (m *MOAT) PrechargeClose(_ int64, row int, _ int64, counterUpdate bool) {
-	if !counterUpdate {
-		return
+func (m *MOAT) PrechargeClose(_ int64, row int, _ int64, counterUpdate bool) bool {
+	if counterUpdate {
+		m.stats.CounterUpdates++
+		m.bump(row, m.cfg.Increment)
 	}
-	m.stats.CounterUpdates++
-	m.bump(row, m.cfg.Increment)
+	return m.alert
 }
 
 func (m *MOAT) bump(row, by int) {
-	c := m.counters[row] + by
-	m.counters[row] = c
+	c := m.counters.add(row, by)
 	if c > m.trackedCnt {
 		m.trackedRow, m.trackedCnt = row, c
 	}
@@ -165,17 +164,16 @@ func (m *MOAT) ABOAction(now int64) []dram.Mitigation {
 // refresh activates it (footnote 5 of the paper).
 func (m *MOAT) mitigate(row int) {
 	m.stats.Mitigations++
-	delete(m.counters, row)
+	m.counters.reset(row)
 	for d := 1; d <= m.cfg.BlastRadius; d++ {
 		for _, v := range [2]int{row - d, row + d} {
 			if v < 0 || (m.cfg.Rows > 0 && v >= m.cfg.Rows) {
 				continue
 			}
-			m.counters[v]++
-			if m.counters[v] > m.trackedCnt && v != row {
+			if c := m.counters.add(v, 1); c > m.trackedCnt && v != row {
 				// Victim increments participate in tracking like any
 				// other counter write.
-				m.trackedRow, m.trackedCnt = v, m.counters[v]
+				m.trackedRow, m.trackedCnt = v, c
 			}
 		}
 	}

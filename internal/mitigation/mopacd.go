@@ -116,7 +116,7 @@ type MoPACD struct {
 	pcg rand.PCG
 	rng *rand.Rand
 
-	counters map[int]int
+	counters rowTable
 	srq      []srqEntry
 
 	winPos  int // position within the current MINT window
@@ -167,7 +167,7 @@ func NewMoPACD(cfg MoPACDConfig) *MoPACD {
 }
 
 // Counter returns the PRAC counter of row as this chip sees it.
-func (m *MoPACD) Counter(row int) int { return m.counters[row] }
+func (m *MoPACD) Counter(row int) int { return m.counters.get(row) }
 
 // SRQLen returns the current Selected Row Queue occupancy.
 func (m *MoPACD) SRQLen() int { return len(m.srq) }
@@ -191,7 +191,7 @@ func (m *MoPACD) findSRQ(row int) int {
 // window sampler. The selected entry is inserted only at the end of the
 // window (footnote 6: inserting earlier would let an attacker predict a
 // guaranteed un-sampled run after an SRQ-full ABO).
-func (m *MoPACD) Activate(now int64, row int) {
+func (m *MoPACD) Activate(now int64, row int) bool {
 	m.stats.Activations++
 	if i := m.findSRQ(row); i >= 0 {
 		m.srq[i].actr++
@@ -204,15 +204,15 @@ func (m *MoPACD) Activate(now int64, row int) {
 		// Footnote-6 ablation: independent Bernoulli(p) selection with
 		// immediate insertion.
 		if m.rng.IntN(m.cfg.InvP) == 0 {
-			if !m.cfg.NUP || m.counters[row] != 0 || m.rng.IntN(2) == 0 {
+			if !m.cfg.NUP || m.counters.get(row) != 0 || m.rng.IntN(2) == 0 {
 				m.insert(now, row)
 			}
 		}
-		return
+		return m.AlertRequested()
 	}
 	if m.winPos == m.winSel {
 		m.winCand = row
-		if m.cfg.NUP && m.counters[row] == 0 && m.rng.IntN(2) == 0 {
+		if m.cfg.NUP && m.counters.get(row) == 0 && m.rng.IntN(2) == 0 {
 			// NUP: a zero-count row survives selection with probability
 			// 1/2, for an effective sampling rate of p/2.
 			m.winCand = -1
@@ -227,6 +227,7 @@ func (m *MoPACD) Activate(now int64, row int) {
 		m.winSel = m.rng.IntN(m.cfg.InvP)
 		m.winCand = -1
 	}
+	return m.AlertRequested()
 }
 
 func (m *MoPACD) insert(now int64, row int) {
@@ -257,14 +258,14 @@ func (m *MoPACD) insert(now int64, row int) {
 // PrechargeClose implements dram.BankGuard. MoPAC-D never uses
 // counter-update precharges; with RowPress protection enabled the
 // row-open time inflates the SCtr of in-SRQ rows by ceil(tON/180 ns).
-func (m *MoPACD) PrechargeClose(_ int64, row int, openNs int64, _ bool) {
-	if !m.cfg.RowPress {
-		return
+func (m *MoPACD) PrechargeClose(_ int64, row int, openNs int64, _ bool) bool {
+	if m.cfg.RowPress && openNs > 0 {
+		if i := m.findSRQ(row); i >= 0 {
+			units := int((openNs + security.RowPressMaxOpenNs - 1) / security.RowPressMaxOpenNs)
+			m.srq[i].sctr += units
+		}
 	}
-	if i := m.findSRQ(row); i >= 0 && openNs > 0 {
-		units := int((openNs + security.RowPressMaxOpenNs - 1) / security.RowPressMaxOpenNs)
-		m.srq[i].sctr += units
-	}
+	return m.AlertRequested()
 }
 
 // drain performs counter updates for up to n SRQ entries, highest ACtr
@@ -306,11 +307,7 @@ func (m *MoPACD) drain(now int64, n int) int {
 }
 
 func (m *MoPACD) bump(row, by int) {
-	if m.counters == nil {
-		m.counters = make(map[int]int)
-	}
-	c := m.counters[row] + by
-	m.counters[row] = c
+	c := m.counters.add(row, by)
 	if c > m.trackedCnt {
 		m.trackedRow, m.trackedCnt = row, c
 	}
@@ -371,18 +368,14 @@ func (m *MoPACD) mitigateTracked(now int64) []dram.Mitigation {
 	if m.cfg.Trace != nil {
 		m.cfg.Trace.Mitigated(now, m.cfg.TraceBank, row)
 	}
-	delete(m.counters, row)
-	if m.counters == nil {
-		m.counters = make(map[int]int)
-	}
+	m.counters.reset(row)
 	for d := 1; d <= m.cfg.BlastRadius; d++ {
 		for _, v := range [2]int{row - d, row + d} {
 			if v < 0 || (m.cfg.Rows > 0 && v >= m.cfg.Rows) {
 				continue
 			}
-			m.counters[v]++
-			if m.counters[v] > m.trackedCnt {
-				m.trackedRow, m.trackedCnt = v, m.counters[v]
+			if c := m.counters.add(v, 1); c > m.trackedCnt {
+				m.trackedRow, m.trackedCnt = v, c
 			}
 		}
 	}

@@ -64,7 +64,7 @@ type QPRACStats struct {
 // QPRAC is the priority-queue PRAC backend for one bank.
 type QPRAC struct {
 	cfg      QPRACConfig
-	counters map[int]int
+	counters rowTable
 	queue    []qpracEntry // kept sorted descending by count; small
 	refs     int
 	alert    bool
@@ -90,34 +90,34 @@ func NewQPRAC(cfg QPRACConfig) *QPRAC {
 	if cfg.BlastRadius <= 0 {
 		cfg.BlastRadius = security.BlastRadius
 	}
-	return &QPRAC{cfg: cfg, counters: make(map[int]int)}
+	return &QPRAC{cfg: cfg}
 }
 
 // Stats returns a copy of the engine statistics.
 func (q *QPRAC) Stats() QPRACStats { return q.stats }
 
 // Counter returns the PRAC counter of row.
-func (q *QPRAC) Counter(row int) int { return q.counters[row] }
+func (q *QPRAC) Counter(row int) int { return q.counters.get(row) }
 
 // QueueLen returns the priority-queue occupancy.
 func (q *QPRAC) QueueLen() int { return len(q.queue) }
 
 // Activate implements dram.BankGuard.
-func (q *QPRAC) Activate(int64, int) {}
+func (q *QPRAC) Activate(int64, int) bool { return q.alert }
 
 // PrechargeClose implements dram.BankGuard.
-func (q *QPRAC) PrechargeClose(_ int64, row int, _ int64, counterUpdate bool) {
+func (q *QPRAC) PrechargeClose(_ int64, row int, _ int64, counterUpdate bool) bool {
 	if !counterUpdate {
-		return
+		return q.alert
 	}
 	q.stats.CounterUpdates++
-	c := q.counters[row] + q.cfg.Increment
-	q.counters[row] = c
+	c := q.counters.add(row, q.cfg.Increment)
 	q.place(row, c)
 	if c >= q.cfg.AlertAt && !q.alert {
 		q.alert = true
 		q.stats.AlertsRaised++
 	}
+	return q.alert
 }
 
 // place inserts or re-ranks row in the bounded priority queue.
@@ -163,13 +163,13 @@ func (q *QPRAC) popHot(min int) int {
 
 // mitigate performs the victim refresh bookkeeping.
 func (q *QPRAC) mitigate(row int) []dram.Mitigation {
-	delete(q.counters, row)
+	q.counters.reset(row)
 	for d := 1; d <= q.cfg.BlastRadius; d++ {
 		for _, v := range [2]int{row - d, row + d} {
 			if v < 0 || (q.cfg.Rows > 0 && v >= q.cfg.Rows) {
 				continue
 			}
-			q.counters[v]++
+			q.counters.add(v, 1)
 		}
 	}
 	// Recompute the alert level from the remaining queue.

@@ -65,16 +65,16 @@ func (t *TRR) Stats() TRRStats { return t.stats }
 // rows increment, free slots insert, and a full table decrements every
 // entry (losing track of interleaved aggressors — the design flaw the
 // many-sided attacks exploit).
-func (t *TRR) Activate(_ int64, row int) {
+func (t *TRR) Activate(_ int64, row int) bool {
 	for i := range t.entries {
 		if t.entries[i].row == row {
 			t.entries[i].count++
-			return
+			return false
 		}
 	}
 	if len(t.entries) < t.cfg.Entries {
 		t.entries = append(t.entries, trrEntry{row: row, count: 1})
-		return
+		return false
 	}
 	keep := t.entries[:0]
 	for _, e := range t.entries {
@@ -86,10 +86,11 @@ func (t *TRR) Activate(_ int64, row int) {
 		}
 	}
 	t.entries = keep
+	return false
 }
 
 // PrechargeClose implements dram.BankGuard.
-func (t *TRR) PrechargeClose(int64, int, int64, bool) {}
+func (t *TRR) PrechargeClose(int64, int, int64, bool) bool { return false }
 
 // Refresh implements dram.BankGuard: every MitigatePerREFs refreshes the
 // hottest tracked row is victim-refreshed and dropped.

@@ -173,7 +173,7 @@ type System struct {
 	ctrls  []*mc.Controller
 	cores  []*cpu.Core
 	// orc (nil unless TrackSecurity) and wstats observe every
-	// subchannel's device through subObserver's global bank namespace.
+	// subchannel's device through an observer's global bank namespace.
 	orc     *oracle.Oracle
 	wstats  *WorkloadStats
 	tparams timing.Params
@@ -281,10 +281,8 @@ func NewSystem(c Config) (*System, error) {
 	s.arrQ = make([]timeQ, geo.Subchannels)
 	s.doneQ = make([]timeQ, geo.Subchannels)
 	s.wstats = NewWorkloadStats(geo, tparams)
-	var obs dram.Observer = s.wstats
 	if c.TrackSecurity {
 		s.orc = oracle.New(c.TRH)
-		obs = MultiObserver(s.wstats, s.orc)
 	}
 
 	chips := 1
@@ -315,7 +313,7 @@ func NewSystem(c Config) (*System, error) {
 			LogDepth: c.CommandLogDepth,
 			Timing:   tparams,
 			NewGuard: ng,
-			Observer: subObserver{obs, sub, geo.Banks},
+			Observer: &observer{s.wstats, s.orc, sub * geo.Banks},
 			Trace:    devTrc,
 		})
 		if derr != nil {
@@ -768,50 +766,28 @@ func Slowdown(base, res Result) float64 {
 	return 1 - res.SumIPC/base.SumIPC
 }
 
-// subObserver offsets bank indices so both subchannels share one
-// observer with a global bank namespace.
-type subObserver struct {
-	inner dram.Observer
-	sub   int
-	banks int
+// observer is one subchannel's dram.Observer: it offsets bank indices
+// into the global bank namespace that wstats and the oracle share, and
+// calls both directly. orc is nil unless the run tracks security.
+type observer struct {
+	ws   *WorkloadStats
+	orc  *oracle.Oracle
+	base int // the subchannel's first global bank
 }
 
-func (o subObserver) ObserveActivate(now int64, bank, row int) {
-	o.inner.ObserveActivate(now, o.sub*o.banks+bank, row)
-}
-func (o subObserver) ObserveMitigation(now int64, bank, row int) {
-	o.inner.ObserveMitigation(now, o.sub*o.banks+bank, row)
-}
-func (o subObserver) ObserveRefresh(now int64, bank, rowLo, rowHi int) {
-	o.inner.ObserveRefresh(now, o.sub*o.banks+bank, rowLo, rowHi)
-}
-
-// multiObserver fans events out to several observers.
-type multiObserver []dram.Observer
-
-// MultiObserver combines observers; nil entries are dropped.
-func MultiObserver(obs ...dram.Observer) dram.Observer {
-	var out multiObserver
-	for _, o := range obs {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-func (m multiObserver) ObserveActivate(now int64, bank, row int) {
-	for _, o := range m {
-		o.ObserveActivate(now, bank, row)
+func (o *observer) ObserveActivate(now int64, bank, row int) {
+	o.ws.ObserveActivate(now, o.base+bank, row)
+	if o.orc != nil {
+		o.orc.ObserveActivate(now, o.base+bank, row)
 	}
 }
-func (m multiObserver) ObserveMitigation(now int64, bank, row int) {
-	for _, o := range m {
-		o.ObserveMitigation(now, bank, row)
+func (o *observer) ObserveMitigation(now int64, bank, row int) {
+	if o.orc != nil {
+		o.orc.ObserveMitigation(now, o.base+bank, row)
 	}
 }
-func (m multiObserver) ObserveRefresh(now int64, bank, rowLo, rowHi int) {
-	for _, o := range m {
-		o.ObserveRefresh(now, bank, rowLo, rowHi)
+func (o *observer) ObserveRefresh(now int64, bank, rowLo, rowHi int) {
+	if o.orc != nil {
+		o.orc.ObserveRefresh(now, o.base+bank, rowLo, rowHi)
 	}
 }

@@ -239,23 +239,6 @@ func TestRunCapReturnsError(t *testing.T) {
 	}
 }
 
-func TestMultiObserver(t *testing.T) {
-	a, b := &countObs{}, &countObs{}
-	m := MultiObserver(a, nil, b)
-	m.ObserveActivate(0, 1, 2)
-	m.ObserveMitigation(0, 1, 2)
-	m.ObserveRefresh(0, 1, 0, 8)
-	if a.n != 3 || b.n != 3 {
-		t.Fatalf("observer fan-out broken: %d/%d", a.n, b.n)
-	}
-}
-
-type countObs struct{ n int }
-
-func (c *countObs) ObserveActivate(int64, int, int)     { c.n++ }
-func (c *countObs) ObserveMitigation(int64, int, int)   { c.n++ }
-func (c *countObs) ObserveRefresh(int64, int, int, int) { c.n++ }
-
 func TestResultSummaryJSON(t *testing.T) {
 	cfg := quickCfg(DesignMoPACD, "mcf")
 	cfg.TrackSecurity = true

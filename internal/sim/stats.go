@@ -33,7 +33,7 @@ func NewWorkloadStats(geo addrmap.Geometry, tp timing.Params) *WorkloadStats {
 	return w
 }
 
-// ObserveActivate implements dram.Observer (global bank namespace).
+// ObserveActivate counts one ACT to row of global bank.
 func (w *WorkloadStats) ObserveActivate(_ int64, bank, row int) {
 	w.acts++
 	w.perRow.incr(uint64(bank)<<32 | uint64(uint32(row)))
@@ -97,12 +97,6 @@ func (t *rowCounter) grow() {
 		t.used++
 	}
 }
-
-// ObserveMitigation implements dram.Observer.
-func (w *WorkloadStats) ObserveMitigation(int64, int, int) {}
-
-// ObserveRefresh implements dram.Observer.
-func (w *WorkloadStats) ObserveRefresh(int64, int, int, int) {}
 
 // Snapshot computes the characterisation over [0, elapsed).
 func (w *WorkloadStats) Snapshot(elapsed int64) WorkloadStatsResult {
