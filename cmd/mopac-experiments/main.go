@@ -281,8 +281,8 @@ func main() {
 	}
 
 	st := runner.Planner().Stats()
-	fmt.Fprintf(os.Stderr, "executed %d simulations (%d store hits, %d unique of %d requested)\n",
-		st.Executed, st.StoreHits, st.Unique, planned.Requested)
+	fmt.Fprintf(os.Stderr, "executed %d simulations (%d store hits, %d unique of %d requested; %d shared a run, %d re-run after diverging)\n",
+		st.Executed, st.StoreHits, st.Unique, planned.Requested, st.Shared, st.Rerun)
 }
 
 // emitTrace runs one instrumented simulation at the report's scale and

@@ -120,18 +120,133 @@ type Config struct {
 	Trace *telemetry.DeviceTracks
 }
 
-// Device is one DDR5 subchannel.
-type Device struct {
-	cfg   Config
-	banks []bankState
+// plane is one set of guards over a device's banks.
+type plane struct {
+	chips int
 	// guards holds every (chip, bank) guard bank-major, at
-	// bank*Chips+chip, so one bank's chips sit side by side.
+	// bank*chips+chip, so one bank's chips sit side by side.
 	guards []BankGuard
 	// quiet marks the banks whose guards all reported Quiet after their
 	// last REF or RFM work and that no ACT has reached since: REF and
 	// RFM skip their guards. An ACT clears the mark; a PRE needs one
 	// first, so guard state cannot change under a mark.
 	quiet []bool
+}
+
+// newPlane builds newGuard(chip, bank) for every chip and bank; a nil
+// newGuard builds NopGuards.
+func newPlane(banks, chips int, newGuard func(chip, bank int) BankGuard) plane {
+	p := plane{chips: chips, guards: make([]BankGuard, banks*chips), quiet: make([]bool, banks)}
+	for c := 0; c < chips; c++ {
+		for b := 0; b < banks; b++ {
+			if newGuard != nil {
+				p.guards[b*chips+c] = newGuard(c, b)
+			} else {
+				p.guards[b*chips+c] = NopGuard()
+			}
+		}
+	}
+	return p
+}
+
+// Banks returns the number of banks in the subchannel.
+func (p *plane) Banks() int { return len(p.quiet) }
+
+// Chips returns the number of replicated mitigation chips.
+func (p *plane) Chips() int { return p.chips }
+
+// Guard returns the guard instance for (chip, bank), for tests and stats.
+func (p *plane) Guard(chip, bank int) BankGuard { return p.bankGuards(bank)[chip] }
+
+// bankGuards returns bank's guards, indexed by chip.
+func (p *plane) bankGuards(bank int) []BankGuard {
+	return p.guards[bank*p.chips : (bank+1)*p.chips]
+}
+
+// activate passes an ACT to bank's guards and reports whether any of
+// them now requests an alert.
+func (p *plane) activate(now int64, bank, row int) bool {
+	p.quiet[bank] = false
+	alert := false
+	for _, g := range p.bankGuards(bank) {
+		if g.Activate(now, row) {
+			alert = true
+		}
+	}
+	return alert
+}
+
+// precharge passes a row close to bank's guards and reports whether any
+// of them now requests an alert.
+func (p *plane) precharge(now int64, bank, row int, openNs int64, counterUpdate bool) bool {
+	alert := false
+	for _, g := range p.bankGuards(bank) {
+		if g.PrechargeClose(now, row, openNs, counterUpdate) {
+			alert = true
+		}
+	}
+	return alert
+}
+
+// refresh runs the REF work of bank's guards unless the bank is quiet,
+// counts their mitigations into st (reporting chip 0's to obs, when
+// set), and reports whether any guard now requests an alert.
+func (p *plane) refresh(now int64, bank int, st *Stats, obs Observer) bool {
+	if p.quiet[bank] {
+		return false
+	}
+	alert := false
+	for c, g := range p.bankGuards(bank) {
+		recordMitigations(st, obs, now, bank, c, g.Refresh(now))
+		if g.AlertRequested() {
+			alert = true
+		}
+	}
+	p.noteQuiet(bank)
+	return alert
+}
+
+// noteQuiet marks bank quiet when every chip's guard there reports
+// Quiet after its REF or RFM work.
+func (p *plane) noteQuiet(bank int) {
+	for _, g := range p.bankGuards(bank) {
+		if !g.Quiet() {
+			return
+		}
+	}
+	p.quiet[bank] = true
+}
+
+// Rider is a guard plane that watches a device's command stream without
+// acting on it. It gets the same ACT, PRE and REF calls as the device's
+// own guards, keeps its own quiet marks and mitigation counts, and
+// never drives ALERT. Its guards therefore end in the state they would
+// reach as the device's own guards, for as long as that device would
+// issue the same commands: until one of them asks for an alert, or the
+// device serves an RFM the rider did not ask for. Either marks the
+// rider diverged, and it gets no further calls.
+type Rider struct {
+	plane
+	stats    Stats
+	diverged bool
+}
+
+// Stats returns the rider's counts. Only Mitigations and
+// GuardMitigations are kept; every command count is the device's.
+func (r *Rider) Stats() Stats { return r.stats }
+
+// Diverged reports whether the rider stopped watching because its
+// guards or the device left the stream its own run would issue.
+func (r *Rider) Diverged() bool { return r.diverged }
+
+// Device is one DDR5 subchannel.
+type Device struct {
+	cfg   Config
+	banks []bankState
+	// plane holds the device's own guards, the ones that drive ALERT.
+	plane
+	// riders are the attached planes that have not diverged.
+	riders []*Rider
 
 	refreshGroup  int // next refresh group index
 	refreshGroups int // total groups (8192 in the default geometry)
@@ -192,8 +307,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:           cfg,
 		banks:         make([]bankState, cfg.Banks),
-		guards:        make([]BankGuard, cfg.Banks*cfg.Chips),
-		quiet:         make([]bool, cfg.Banks),
+		plane:         newPlane(cfg.Banks, cfg.Chips, cfg.NewGuard),
 		refreshGroups: RefreshGroups,
 		rowsPerGroup:  cfg.Rows / RefreshGroups,
 		trc:           cfg.Trace,
@@ -201,15 +315,6 @@ func NewDevice(cfg Config) (*Device, error) {
 	if d.rowsPerGroup == 0 {
 		d.rowsPerGroup = 1
 		d.refreshGroups = cfg.Rows
-	}
-	for c := 0; c < cfg.Chips; c++ {
-		for b := 0; b < cfg.Banks; b++ {
-			if cfg.NewGuard != nil {
-				d.guards[b*cfg.Chips+c] = cfg.NewGuard(c, b)
-			} else {
-				d.guards[b*cfg.Chips+c] = NopGuard()
-			}
-		}
 	}
 	for b := range d.banks {
 		d.banks[b].openRow = -1
@@ -220,14 +325,23 @@ func NewDevice(cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// Banks returns the number of banks in the subchannel.
-func (d *Device) Banks() int { return d.cfg.Banks }
+// AddRider attaches a rider plane of chips guards per bank, built by
+// newGuard(chip, bank) (nil builds NopGuards). Attach riders before the
+// first command.
+func (d *Device) AddRider(chips int, newGuard func(chip, bank int) BankGuard) *Rider {
+	r := &Rider{plane: newPlane(d.cfg.Banks, max(chips, 1), newGuard)}
+	d.riders = append(d.riders, r)
+	return r
+}
+
+// dropRider marks riders[i] diverged and detaches it.
+func (d *Device) dropRider(i int) {
+	d.riders[i].diverged = true
+	d.riders = append(d.riders[:i], d.riders[i+1:]...)
+}
 
 // Rows returns the number of rows per bank.
 func (d *Device) Rows() int { return d.cfg.Rows }
-
-// Chips returns the number of replicated mitigation chips.
-func (d *Device) Chips() int { return d.cfg.Chips }
 
 // Timing returns the device's timing parameters.
 func (d *Device) Timing() timing.Params { return d.cfg.Timing }
@@ -251,14 +365,6 @@ func (d *Device) WriteModeRegister(idx int, v uint8) {
 
 // ModeRegister reads back a mode-register value (0 when never written).
 func (d *Device) ModeRegister(idx int) uint8 { return d.modeRegs[idx] }
-
-// Guard returns the guard instance for (chip, bank), for tests and stats.
-func (d *Device) Guard(chip, bank int) BankGuard { return d.bankGuards(bank)[chip] }
-
-// bankGuards returns bank's guards, indexed by chip.
-func (d *Device) bankGuards(bank int) []BankGuard {
-	return d.guards[bank*d.cfg.Chips : (bank+1)*d.cfg.Chips]
-}
 
 // OpenRow returns the open row in bank, or -1 when precharged.
 func (d *Device) OpenRow(bank int) int { return d.banks[bank].openRow }
@@ -324,14 +430,18 @@ func (d *Device) Activate(now int64, bank, row int) {
 	d.log.record(LogEntry{At: now, Cmd: CmdACT, Bank: bank, Row: row})
 	d.stats.Activates++
 	d.actsSinceAlert++
-	d.quiet[bank] = false
 	if d.trc != nil {
 		d.trc.Act(now, bank, row)
 	}
-	for _, g := range d.bankGuards(bank) {
-		if g.Activate(now, row) {
-			d.markAlert(now)
+	if d.activate(now, bank, row) {
+		d.markAlert(now)
+	}
+	for i := 0; i < len(d.riders); {
+		if d.riders[i].activate(now, bank, row) {
+			d.dropRider(i)
+			continue
 		}
+		i++
 	}
 	if d.cfg.Observer != nil {
 		d.cfg.Observer.ObserveActivate(now, bank, row)
@@ -444,10 +554,15 @@ func (d *Device) Precharge(now int64, bank int, counterUpdate bool) int {
 	if d.trc != nil {
 		d.trc.Precharge(now, bank, row, counterUpdate, openNs)
 	}
-	for _, g := range d.bankGuards(bank) {
-		if g.PrechargeClose(now, row, openNs, counterUpdate) {
-			d.markAlert(now)
+	if d.precharge(now, bank, row, openNs, counterUpdate) {
+		d.markAlert(now)
+	}
+	for i := 0; i < len(d.riders); {
+		if d.riders[i].precharge(now, bank, row, openNs, counterUpdate) {
+			d.dropRider(i)
+			continue
 		}
+		i++
 	}
 	return row
 }
@@ -505,29 +620,23 @@ func (d *Device) Refresh(now int64) {
 		if d.cfg.Observer != nil {
 			d.cfg.Observer.ObserveRefresh(now, bank, rowLo, rowHi)
 		}
-		if d.quiet[bank] {
-			continue
+		if d.refresh(now, bank, &d.stats, d.cfg.Observer) {
+			d.markAlert(now)
 		}
-		for c, g := range d.bankGuards(bank) {
-			mits := g.Refresh(now)
-			d.recordMitigations(now, bank, c, mits)
-			if g.AlertRequested() {
-				d.markAlert(now)
+	}
+	for i := 0; i < len(d.riders); {
+		r, alert := d.riders[i], false
+		for bank := 0; bank < d.cfg.Banks; bank++ {
+			if r.refresh(now, bank, &r.stats, nil) {
+				alert = true
 			}
 		}
-		d.noteQuiet(bank)
-	}
-}
-
-// noteQuiet marks bank quiet when every chip's guard there reports
-// Quiet after its REF or RFM work.
-func (d *Device) noteQuiet(bank int) {
-	for _, g := range d.bankGuards(bank) {
-		if !g.Quiet() {
-			return
+		if alert {
+			d.dropRider(i)
+			continue
 		}
+		i++
 	}
-	d.quiet[bank] = true
 }
 
 // AlertRequested reports whether the device is asserting ALERT. The
@@ -563,6 +672,11 @@ func (d *Device) ServeABO(now int64) {
 	if d.trc != nil {
 		d.trc.ABO(now, level*d.cfg.Timing.TRFM)
 	}
+	// A rider's own run would not have served this RFM.
+	for _, r := range d.riders {
+		r.diverged = true
+	}
+	d.riders = nil
 	for rfm := 0; rfm < d.cfg.RFMLevel; rfm++ {
 		for bank := 0; bank < d.cfg.Banks; bank++ {
 			if d.quiet[bank] {
@@ -570,7 +684,7 @@ func (d *Device) ServeABO(now int64) {
 			}
 			for c, g := range d.bankGuards(bank) {
 				mits := g.ABOAction(now + int64(rfm)*d.cfg.Timing.TRFM)
-				d.recordMitigations(now, bank, c, mits)
+				recordMitigations(&d.stats, d.cfg.Observer, now, bank, c, mits)
 				if g.AlertRequested() {
 					d.markAlert(now)
 				}
@@ -580,19 +694,20 @@ func (d *Device) ServeABO(now int64) {
 	}
 }
 
-// recordMitigations forwards guard mitigations to the observer. Only
-// chip 0's mitigations are reported to the observer to avoid counting
-// the same physical victim refresh once per replicated chip; all chips
-// contribute to GuardMitigations.
-func (d *Device) recordMitigations(now int64, bank, chip int, mits []Mitigation) {
-	d.stats.GuardMitigations += int64(len(mits))
+// recordMitigations counts guard mitigations into st and forwards them
+// to obs (when set). Only chip 0's mitigations count in Mitigations and
+// reach the observer, so the same physical victim refresh is not
+// counted once per replicated chip; all chips contribute to
+// GuardMitigations.
+func recordMitigations(st *Stats, obs Observer, now int64, bank, chip int, mits []Mitigation) {
+	st.GuardMitigations += int64(len(mits))
 	if chip != 0 {
 		return
 	}
 	for _, m := range mits {
-		d.stats.Mitigations++
-		if d.cfg.Observer != nil {
-			d.cfg.Observer.ObserveMitigation(now, bank, m.Row)
+		st.Mitigations++
+		if obs != nil {
+			obs.ObserveMitigation(now, bank, m.Row)
 		}
 	}
 }

@@ -173,6 +173,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	key := cfg.Hash()
 
+	// The lookup may read the disk tier, so it stays outside s.mu.
+	summary, hit := s.cache.Get(key)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -181,7 +183,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Traced submissions always run: the cached summary carries no
 	// trace, and the caller asked for one.
-	if summary, ok := s.cache.Get(key); ok && !req.Trace {
+	if hit && !req.Trace {
 		// Deterministic runs make the cached summary exact; record a
 		// finished job so the hit is inspectable like any other run.
 		job := s.newJobLocked(cfg, key, req.MaxNs)
@@ -354,6 +356,13 @@ func (s *Server) run(job *Job, ctx context.Context, cancel context.CancelCauseFu
 	res, err := sys.RunContext(ctx, job.MaxNs)
 	wall := time.Since(job.Started)
 
+	// Put writes the disk tier, so it runs before s.mu is taken.
+	var summary sim.ResultSummary
+	if err == nil {
+		summary = res.Summary()
+		s.cache.Put(job.Key, summary)
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
@@ -362,8 +371,6 @@ func (s *Server) run(job *Job, ctx context.Context, cancel context.CancelCauseFu
 	case err != nil:
 		s.finishLocked(job, StateFailed, nil, err)
 	default:
-		summary := res.Summary()
-		s.cache.Put(job.Key, summary)
 		s.metrics.ObserveRunTime(job.Config.Design.String(), wall.Nanoseconds())
 		if tracer != nil {
 			var buf bytes.Buffer

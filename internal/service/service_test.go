@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -542,5 +543,134 @@ func TestDiskCacheBacksLRUEviction(t *testing.T) {
 	}
 	if srv.cache.DiskHits() != 1 {
 		t.Fatalf("disk hits = %d, want 1", srv.cache.DiskHits())
+	}
+}
+
+// gatedStore is a DiskStore whose Load and Save, once armed, announce
+// themselves on entered and block until open is called.
+type gatedStore struct {
+	mu      sync.Mutex
+	armLoad bool
+	armSave bool
+	entered chan string
+	release chan struct{}
+	saved   map[string][]byte
+}
+
+func newGatedStore() *gatedStore {
+	g := &gatedStore{entered: make(chan string, 4), saved: make(map[string][]byte)}
+	g.arm(false, false)
+	return g
+}
+
+func (g *gatedStore) arm(load, save bool) {
+	g.mu.Lock()
+	g.armLoad, g.armSave = load, save
+	g.release = make(chan struct{})
+	g.mu.Unlock()
+}
+
+// open disarms the store and releases every blocked call.
+func (g *gatedStore) open() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.armLoad, g.armSave = false, false
+	select {
+	case <-g.release:
+	default:
+		close(g.release)
+	}
+}
+
+func (g *gatedStore) wait(armed bool, what string) {
+	if !armed {
+		return
+	}
+	g.mu.Lock()
+	release := g.release
+	g.mu.Unlock()
+	g.entered <- what
+	<-release
+}
+
+func (g *gatedStore) Load(key string) ([]byte, bool) {
+	g.mu.Lock()
+	armed := g.armLoad
+	g.mu.Unlock()
+	g.wait(armed, "load")
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	data, ok := g.saved[key]
+	return data, ok
+}
+
+func (g *gatedStore) Save(key string, data []byte) error {
+	g.mu.Lock()
+	armed := g.armSave
+	g.mu.Unlock()
+	g.wait(armed, "save")
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.saved[key] = data
+	return nil
+}
+
+// TestDiskIOOutsideServerLock: while the disk tier blocks in Save
+// (after a run) or in Load (a submission's cache lookup), job status
+// and health checks still answer — neither call holds the server lock.
+func TestDiskIOOutsideServerLock(t *testing.T) {
+	gs := newGatedStore()
+	_, ts := newTestServer(t, Options{Workers: 1, Queue: 4, Store: gs})
+	t.Cleanup(gs.open) // runs before the server drains
+	client := &http.Client{Timeout: 5 * time.Second}
+	answers := func(phase, id string) {
+		t.Helper()
+		for _, path := range []string{"/v1/jobs/" + id, "/healthz"} {
+			resp, err := client.Get(ts.URL + path)
+			if err != nil {
+				t.Fatalf("%s: GET %s blocked behind disk I/O: %v", phase, path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: GET %s: status %d", phase, path, resp.StatusCode)
+			}
+		}
+	}
+	waitEntered := func(want string) {
+		t.Helper()
+		select {
+		case got := <-gs.entered:
+			if got != want {
+				t.Fatalf("store call %q blocked, want %q", got, want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no store %s began", want)
+		}
+	}
+
+	gs.arm(false, true)
+	_, a := postJob(t, ts, fastJob(61))
+	waitEntered("save")
+	answers("blocked save", a.ID)
+	gs.open()
+	waitState(t, ts, a.ID, StateDone, 30*time.Second)
+
+	gs.arm(true, false)
+	posted := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(fastJob(62))
+		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			posted <- 0
+			return
+		}
+		resp.Body.Close()
+		posted <- resp.StatusCode
+	}()
+	waitEntered("load")
+	answers("blocked load", a.ID)
+	gs.open()
+	if code := <-posted; code != http.StatusCreated {
+		t.Fatalf("submission behind the blocked load: status %d", code)
 	}
 }

@@ -140,3 +140,40 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		})
 	}
 }
+
+// TestSharedFlushParallelDeterminism flushes a rider-heavy plan (the
+// MoPAC-D figures, where small SRQs also force re-runs) on one worker
+// and on two, and demands the same Result bytes for every config.
+// Under -race it also checks the shared-run queue for data races.
+func TestSharedFlushParallelDeterminism(t *testing.T) {
+	flush := func(parallel int) (map[string][]byte, PlanStats) {
+		r := NewRunner(Scale{InstrPerCore: 20_000, Workloads: []string{"lbm", "add"}, Seed: 5, Parallel: parallel})
+		for _, id := range []string{"fig11", "fig13", "fig19"} {
+			r.PlanStep(id)
+		}
+		p := r.Planner()
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte)
+		for key, cfg := range p.byKey {
+			res, err := p.Get(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[key] = mustJSON(t, res)
+		}
+		return out, p.Stats()
+	}
+	one, st1 := flush(1)
+	two, st2 := flush(2)
+	if st1 != st2 || st2.Shared == 0 || st2.Executed != st2.Unique {
+		t.Fatalf("stats differ or share nothing: -parallel 1 %+v, -parallel 2 %+v", st1, st2)
+	}
+	for key, want := range one {
+		if got := two[key]; string(got) != string(want) {
+			t.Fatalf("config %s: Result differs between one and two workers", key)
+		}
+	}
+	t.Logf("stats %+v", st2)
+}

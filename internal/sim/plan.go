@@ -20,7 +20,8 @@ import (
 // ResultStore is attached, persisted on disk, so identical configs run
 // once per machine rather than once per figure per invocation, warm
 // re-runs execute zero simulations, and an interrupted run resumes
-// where it stopped.
+// where it stopped. Configs whose guards cannot change timing until
+// they alert share one simulation of their guardless twin (share.go).
 
 // ResultStore is the persistence hook behind the planner's in-memory
 // memo: a content-addressed byte store (implemented by internal/store,
@@ -46,8 +47,15 @@ type PlanStats struct {
 	Requested int64
 	// Unique is the number of distinct configs after cross-figure dedup.
 	Unique int64
-	// Executed is the number of simulations actually run this process.
+	// Executed is the number of results simulated this process: a
+	// shared run counts once per rider, and its twin only when the twin
+	// itself was declared (it then rides its own run).
 	Executed int64
+	// Shared counts the riders whose result came from a shared run.
+	Shared int64
+	// Rerun counts the riders that diverged and were simulated again on
+	// their own.
+	Rerun int64
 	// StoreHits is the number of results served from the on-disk store.
 	StoreHits int64
 	// StoreErrors counts failed store writes (disk full, permissions);
@@ -84,6 +92,8 @@ type Planner struct {
 	requested   atomic.Int64
 	completed   atomic.Int64
 	executed    atomic.Int64
+	shared      atomic.Int64
+	rerun       atomic.Int64
 	storeHits   atomic.Int64
 	storeErrors atomic.Int64
 }
@@ -136,6 +146,8 @@ func (p *Planner) Stats() PlanStats {
 		Requested:   p.requested.Load(),
 		Unique:      unique,
 		Executed:    p.executed.Load(),
+		Shared:      p.shared.Load(),
+		Rerun:       p.rerun.Load(),
 		StoreHits:   p.storeHits.Load(),
 		StoreErrors: p.storeErrors.Load(),
 	}
@@ -174,12 +186,25 @@ func (p *Planner) NeedAttack(a AttackConfig) string {
 	return key
 }
 
+// planItem is one unit of Flush work: the solo run or attack
+// evaluation of its one key, or a shared run, in which two or more keys
+// ride one simulation of twin (the twin's own key among them when it
+// was declared).
+type planItem struct {
+	twin Config
+	keys []string
+}
+
 // Flush executes every pending declared config on the worker pool and
-// returns the first failure, if any. On failure the remaining work is
-// cancelled — queued configs are skipped and in-flight simulations are
-// aborted through their run context — so a broken sweep fails fast
-// instead of simulating to completion. Configs declared by other
-// goroutines mid-flush are picked up by their own Flush.
+// returns the first failure, if any. Results the store holds are
+// served first; the store misses that may ride a run of their
+// guardless twin are grouped by twin, and each group of two or more
+// runs as one shared simulation, whose diverged riders are queued again
+// as solo runs. On failure the remaining work is cancelled — queued
+// configs are skipped and in-flight simulations are aborted through
+// their run context — so a broken sweep fails fast instead of
+// simulating to completion. Configs declared by other goroutines
+// mid-flush are picked up by their own Flush.
 func (p *Planner) Flush() error {
 	p.mu.Lock()
 	keys := p.pending
@@ -187,22 +212,20 @@ func (p *Planner) Flush() error {
 	store := p.store
 	attackStore := p.attackStore
 	p.mu.Unlock()
-	if len(keys) == 0 {
+
+	items := p.partition(store, keys)
+	if len(items) == 0 {
 		return nil
 	}
-
 	workers := p.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(keys) {
-		workers = len(keys)
-	}
+	workers = min(workers, len(keys))
 
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	var (
-		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
@@ -211,55 +234,179 @@ func (p *Planner) Flush() error {
 		cancel(err)
 	}
 
-	ch := make(chan string)
+	// Every key is queued at most twice: once in its first item, and
+	// once more as a diverged rider.
+	queue := make(chan *planItem, len(items)+len(keys))
+	var open sync.WaitGroup // items queued but not yet done
+	open.Add(len(items))
+	for _, it := range items {
+		queue <- it
+	}
+	go func() {
+		open.Wait()
+		close(queue)
+	}()
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for key := range ch {
-				p.mu.Lock()
-				cfg, isRun := p.byKey[key]
-				acfg := p.byAttack[key]
-				entry := p.entries[key]
-				p.mu.Unlock()
-				if ctx.Err() != nil {
-					// Fail-fast drain: everything after the first error is
-					// skipped, not simulated.
-					entry.err = fmt.Errorf("sim: plan aborted: %w", context.Cause(ctx))
-					p.finish(entry)
-					continue
+			for it := range queue {
+				var rerun []string
+				if len(it.keys) == 1 {
+					p.runItem(ctx, store, attackStore, it.keys[0], fail)
+				} else {
+					rerun = p.runShared(ctx, store, it, fail)
 				}
-				if !isRun {
-					// Attack evaluations record failures per candidate (the
-					// search treats them as data) instead of aborting the
-					// whole flush.
-					att, err := p.runAttackOne(attackStore, key, acfg)
-					if err != nil {
-						entry.err = fmt.Errorf("attack %s on %s: %w", acfg.Spec, acfg.Base.Design, err)
-					} else {
-						entry.att = att
-					}
-					p.finish(entry)
-					continue
+				open.Add(len(rerun))
+				for _, key := range rerun {
+					queue <- &planItem{keys: []string{key}}
 				}
-				res, err := p.runOne(ctx, store, key, cfg)
-				if err != nil {
-					entry.err = fmt.Errorf("%s/%s (trh %d): %w", cfg.Design, cfg.Workload, cfg.TRH, err)
-					p.finish(entry)
-					fail(entry.err)
-					continue
-				}
-				entry.res = res
-				p.finish(entry)
+				open.Done()
 			}
 		}()
 	}
-	for _, key := range keys {
-		ch <- key
-	}
-	close(ch)
 	wg.Wait()
 	return firstErr
+}
+
+// partition serves what the store holds and turns the rest of keys
+// into work items, in declaration order: attack evaluations and
+// configs that cannot ride run solo, and the riders of one twin join
+// one item, placed where the first of them was declared.
+func (p *Planner) partition(store ResultStore, keys []string) []*planItem {
+	var items []*planItem
+	byTwin := make(map[string]*planItem)
+	for _, key := range keys {
+		p.mu.Lock()
+		cfg, isRun := p.byKey[key]
+		entry := p.entries[key]
+		p.mu.Unlock()
+		if !isRun {
+			items = append(items, &planItem{keys: []string{key}})
+			continue
+		}
+		if storable(store, cfg) {
+			// A record that decodes but is implausible (schema drift
+			// inside a valid envelope) is recomputed and overwritten.
+			if data, ok := store.Load(key); ok {
+				if res, ok := decodeResult(data, key); ok {
+					p.storeHits.Add(1)
+					entry.res = res
+					p.finish(entry)
+					continue
+				}
+			}
+		}
+		if !canRide(cfg) {
+			items = append(items, &planItem{keys: []string{key}})
+			continue
+		}
+		twin := twinOf(cfg)
+		tk := twin.Hash()
+		it := byTwin[tk]
+		if it == nil {
+			it = &planItem{twin: twin}
+			byTwin[tk] = it
+			items = append(items, it)
+		}
+		it.keys = append(it.keys, key)
+	}
+	return items
+}
+
+// runItem produces the result of one attack evaluation or solo run.
+func (p *Planner) runItem(ctx context.Context, store, attackStore ResultStore, key string, fail func(error)) {
+	p.mu.Lock()
+	cfg, isRun := p.byKey[key]
+	acfg := p.byAttack[key]
+	entry := p.entries[key]
+	p.mu.Unlock()
+	if ctx.Err() != nil {
+		// Fail-fast drain: everything after the first error is
+		// skipped, not simulated.
+		entry.err = fmt.Errorf("sim: plan aborted: %w", context.Cause(ctx))
+		p.finish(entry)
+		return
+	}
+	if !isRun {
+		// Attack evaluations record failures per candidate (the
+		// search treats them as data) instead of aborting the
+		// whole flush.
+		att, err := p.runAttackOne(attackStore, key, acfg)
+		if err != nil {
+			entry.err = fmt.Errorf("attack %s on %s: %w", acfg.Spec, acfg.Base.Design, err)
+		} else {
+			entry.att = att
+		}
+		p.finish(entry)
+		return
+	}
+	// The store tier was consulted when the flush began.
+	sys, err := NewSystem(cfg)
+	var res Result
+	if err == nil {
+		res, err = sys.RunContext(ctx, 0)
+	}
+	if err != nil {
+		entry.err = runError(cfg, err)
+		p.finish(entry)
+		fail(entry.err)
+		return
+	}
+	p.executed.Add(1)
+	p.save(store, key, res)
+	entry.res = res
+	p.finish(entry)
+}
+
+// runShared runs a shared item and returns the riders that diverged,
+// for the caller to queue as solo runs.
+func (p *Planner) runShared(ctx context.Context, store ResultStore, it *planItem, fail func(error)) (rerun []string) {
+	p.mu.Lock()
+	members := make([]Config, len(it.keys))
+	entries := make([]*planEntry, len(it.keys))
+	for i, key := range it.keys {
+		members[i], entries[i] = p.byKey[key], p.entries[key]
+	}
+	p.mu.Unlock()
+
+	var (
+		res  []Result
+		rode []bool
+		err  = context.Cause(ctx)
+	)
+	if err != nil {
+		err = fmt.Errorf("sim: plan aborted: %w", err)
+	} else {
+		res, rode, err = rideTwin(ctx, it.twin, members)
+	}
+	if err != nil {
+		for i, entry := range entries {
+			entry.err = runError(members[i], err)
+			p.finish(entry)
+		}
+		fail(entries[0].err)
+		return nil
+	}
+	for i, key := range it.keys {
+		if !rode[i] {
+			p.rerun.Add(1)
+			rerun = append(rerun, key)
+			continue
+		}
+		p.executed.Add(1)
+		p.shared.Add(1)
+		p.save(store, key, res[i])
+		entries[i].res = res[i]
+		p.finish(entries[i])
+	}
+	return rerun
+}
+
+// runError labels a failed run with its config.
+func runError(cfg Config, err error) error {
+	return fmt.Errorf("%s/%s (trh %d): %w", cfg.Design, cfg.Workload, cfg.TRH, err)
 }
 
 // finish publishes an entry and fires the progress callback.
@@ -275,41 +422,26 @@ func (p *Planner) finish(entry *planEntry) {
 	}
 }
 
-// runOne produces one config's result: store tier first, then a real
-// simulation (persisted back on success). Oracle-tracking runs bypass
-// the store — oracle state does not survive serialisation, and serving
-// a security verdict without it would silently report "insecure".
-func (p *Planner) runOne(ctx context.Context, store ResultStore, key string, cfg Config) (Result, error) {
-	storable := store != nil && !cfg.TrackSecurity && cfg.CommandLogDepth == 0
-	if storable {
-		if data, ok := store.Load(key); ok {
-			if res, ok := decodeResult(data, key); ok {
-				p.storeHits.Add(1)
-				return res, nil
-			}
-			// Decoded but implausible (schema drift inside a valid
-			// envelope): recompute below and overwrite.
-		}
+// storable reports whether cfg's result goes through the store.
+// Oracle-tracking runs bypass it — oracle state does not survive
+// serialisation, and serving a security verdict without it would
+// silently report "insecure" — and so do command-logging runs.
+func storable(store ResultStore, cfg Config) bool {
+	return store != nil && !cfg.TrackSecurity && cfg.CommandLogDepth == 0
+}
+
+// save persists a simulated result when its config is storable.
+func (p *Planner) save(store ResultStore, key string, res Result) {
+	if !storable(store, res.Config) {
+		return
 	}
-	sys, err := NewSystem(cfg)
+	data, err := json.Marshal(res)
+	if err == nil {
+		err = store.Save(key, data)
+	}
 	if err != nil {
-		return Result{}, err
+		p.storeErrors.Add(1)
 	}
-	res, err := sys.RunContext(ctx, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	p.executed.Add(1)
-	if storable {
-		if data, err := json.Marshal(res); err == nil {
-			if err := store.Save(key, data); err != nil {
-				p.storeErrors.Add(1)
-			}
-		} else {
-			p.storeErrors.Add(1)
-		}
-	}
-	return res, nil
 }
 
 // attackRecord is the persisted form of one attack evaluation: the

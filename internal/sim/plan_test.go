@@ -76,20 +76,68 @@ func renderTable(t SlowdownTable) string {
 	return b.String()
 }
 
-// TestPlannerMatchesSerialPath is the golden test the refactor hangs
-// on: the deduped, parallel, planner-backed Fig 9 must render
-// byte-identically to the serial reference path.
+// TestPlannerMatchesSerialPath is the golden test the planner hangs
+// on: every figure declared up front and flushed as one deduped,
+// parallel, shared-run batch must render byte-identically to the
+// serial solo path. Fig 9 never rides (MoPAC-C changes the
+// controller); the MoPAC-D figures and Table 12 ride their baselines.
 func TestPlannerMatchesSerialPath(t *testing.T) {
 	sc := planScale()
-	want := renderTable(serialSweep(t, sc, specFig9()))
-
 	r := NewRunner(sc)
-	got, err := r.Fig9()
+	for _, id := range []string{"fig9", "fig11", "fig12", "fig13", "fig17", "fig19", "tab12", "fig1d"} {
+		r.PlanStep(id)
+	}
+	if err := r.Planner().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Planner().Stats(); st.Shared == 0 || st.Executed != st.Unique {
+		t.Fatalf("stats %+v: want shared runs and every unique config executed once", st)
+	}
+
+	figs := map[string]sweepSpec{
+		"fig9": specFig9(), "fig11": specFig11(), "fig17": specFig17(),
+		"fig19": specFig19(Fig19TRH), "fig1d": specFig1d(),
+	}
+	for _, trh := range SweepTRHs {
+		figs[fmt.Sprintf("fig12-%d", trh)] = specFig12(trh)
+		figs[fmt.Sprintf("fig13-%d", trh)] = specFig13(trh)
+	}
+	for name, spec := range figs {
+		want := renderTable(serialSweep(t, sc, spec))
+		got, err := r.sweep(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := renderTable(got); g != want {
+			t.Fatalf("%s: planner table differs from serial path:\nserial:\n%s\nplanner:\n%s", name, want, g)
+		}
+	}
+
+	var want []Table12Row
+	for _, trh := range SweepTRHs {
+		row := Table12Row{TRH: trh}
+		for _, nup := range []bool{false, true} {
+			var acts, ins int64
+			for _, wl := range sc.Workloads {
+				res := soloResult(t, r.scaled(Config{Design: DesignMoPACD, TRH: trh, Workload: wl, NUP: nup}))
+				acts += res.SRQ.Activations
+				ins += res.SRQ.Insertions + res.SRQ.Coalesced
+			}
+			rate := float64(ins) / float64(acts) * 100
+			if nup {
+				row.NUP = rate
+			} else {
+				row.Uniform = rate
+			}
+		}
+		want = append(want, row)
+	}
+	got, err := r.Table12()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := renderTable(got); g != want {
-		t.Fatalf("planner table differs from serial path:\nserial:\n%s\nplanner:\n%s", want, g)
+	if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
+		t.Fatalf("Table 12 differs from serial path:\nserial:  %s\nplanner: %s", w, g)
 	}
 }
 
@@ -172,7 +220,8 @@ func TestPlannerGetUndeclared(t *testing.T) {
 // TestPlannerWarmRunExecutesNothing is the acceptance criterion for
 // the persistent store: a second runner over the same store directory
 // serves every config from disk, executes zero simulations, and
-// produces a byte-identical table.
+// produces byte-identical tables. Fig 11's MoPAC-D columns reach the
+// store through shared runs.
 func TestPlannerWarmRunExecutesNothing(t *testing.T) {
 	dir := t.TempDir()
 	sc := planScale()
@@ -184,16 +233,20 @@ func TestPlannerWarmRunExecutesNothing(t *testing.T) {
 		}
 		r := NewRunner(sc)
 		r.Planner().SetStore(s)
-		table, err := r.Fig9()
+		fig9, err := r.Fig9()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderTable(table), r.Planner().Stats()
+		fig11, err := r.Fig11()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderTable(fig9) + renderTable(fig11), r.Planner().Stats()
 	}
 
 	cold, coldStats := runOnce()
-	if coldStats.Executed == 0 {
-		t.Fatal("cold run executed nothing")
+	if coldStats.Executed != coldStats.Unique || coldStats.Shared == 0 {
+		t.Fatalf("cold run %+v: want every unique config executed, some of them shared", coldStats)
 	}
 	if coldStats.StoreHits != 0 {
 		t.Fatalf("cold run had %d store hits", coldStats.StoreHits)

@@ -258,19 +258,7 @@ func NewSystem(c Config) (*System, error) {
 	}
 	c.setDefaults()
 	spec := designs[c.Design]
-	tparams := spec.timing()
-	mcCfg := mc.Config{
-		Timing:           tparams,
-		Policy:           c.Policy,
-		TimeoutNs:        c.TimeoutNs,
-		RFMLevel:         c.RFMLevel,
-		MaxPostponedREFs: c.MaxPostponedREFs,
-		Seed:             c.Seed ^ 0xc0ffee,
-	}
-	var params security.Params
-	if spec.derive != nil {
-		params = spec.derive(c, &mcCfg)
-	}
+	tparams, mcCfg, params := c.wiring()
 	geo := addrmap.Default()
 	mapper, err := addrmap.NewMOP(geo, 4)
 	if err != nil {
@@ -285,10 +273,6 @@ func NewSystem(c Config) (*System, error) {
 		s.orc = oracle.New(c.TRH)
 	}
 
-	chips := 1
-	if spec.perChip {
-		chips = c.Chips
-	}
 	for sub := 0; sub < geo.Subchannels; sub++ {
 		var devTrc *telemetry.DeviceTracks
 		var mcTrc *telemetry.MCTracks
@@ -308,7 +292,7 @@ func NewSystem(c Config) (*System, error) {
 		dev, derr := dram.NewDevice(dram.Config{
 			Banks:    geo.Banks,
 			Rows:     geo.Rows,
-			Chips:    chips,
+			Chips:    c.guardChips(),
 			RFMLevel: c.RFMLevel,
 			LogDepth: c.CommandLogDepth,
 			Timing:   tparams,
@@ -370,6 +354,35 @@ func NewSystem(c Config) (*System, error) {
 		}
 	}
 	return s, nil
+}
+
+// wiring resolves what c's design sets below the cores: its timing set,
+// the controller config with the design's derive applied, and the
+// derived security parameters. c must be defaulted.
+func (c Config) wiring() (timing.Params, mc.Config, security.Params) {
+	spec := designs[c.Design]
+	tparams := spec.timing()
+	mcCfg := mc.Config{
+		Timing:           tparams,
+		Policy:           c.Policy,
+		TimeoutNs:        c.TimeoutNs,
+		RFMLevel:         c.RFMLevel,
+		MaxPostponedREFs: c.MaxPostponedREFs,
+		Seed:             c.Seed ^ 0xc0ffee,
+	}
+	var params security.Params
+	if spec.derive != nil {
+		params = spec.derive(c, &mcCfg)
+	}
+	return tparams, mcCfg, params
+}
+
+// guardChips is the number of chips whose guard state c replicates.
+func (c Config) guardChips() int {
+	if designs[c.Design].perChip {
+		return c.Chips
+	}
+	return 1
 }
 
 // Mapper returns the system's address mapper.
@@ -697,24 +710,7 @@ func (s *System) collect() Result {
 		res.Dev.Alerts += st.Alerts
 		res.Dev.Mitigations += st.Mitigations
 		res.Dev.GuardMitigations += st.GuardMitigations
-		for chip := 0; chip < dev.Chips(); chip++ {
-			for bank := 0; bank < dev.Banks(); bank++ {
-				if g, ok := dev.Guard(chip, bank).(*mitigation.MoPACD); ok {
-					st := g.Stats()
-					res.SRQ.Activations += st.Activations
-					res.SRQ.Insertions += st.Insertions
-					res.SRQ.Coalesced += st.Coalesced
-					res.SRQ.DroppedFull += st.DroppedFull
-					res.SRQ.CounterUpdates += st.CounterUpdates
-					res.SRQ.DrainsOnREF += st.DrainsOnREF
-					res.SRQ.DrainsOnABO += st.DrainsOnABO
-					res.SRQ.Mitigations += st.Mitigations
-					res.SRQ.TardinessAlerts += st.TardinessAlerts
-					res.SRQ.SRQFullAlerts += st.SRQFullAlerts
-					res.SRQ.MitigAlerts += st.MitigAlerts
-				}
-			}
-		}
+		addSRQ(&res.SRQ, dev)
 	}
 	var lat stats.Histogram
 	for _, ctl := range s.ctrls {
@@ -723,6 +719,35 @@ func (s *System) collect() Result {
 	res.Latency = lat.Snapshot()
 	res.Workload = s.wstats.Snapshot(s.eng.Now())
 	return res
+}
+
+// guardPlane is a device's own guards or a rider plane.
+type guardPlane interface {
+	Chips() int
+	Banks() int
+	Guard(chip, bank int) dram.BankGuard
+}
+
+// addSRQ adds the stats of p's MoPAC-D guards to srq.
+func addSRQ(srq *mitigation.MoPACDStats, p guardPlane) {
+	for chip := 0; chip < p.Chips(); chip++ {
+		for bank := 0; bank < p.Banks(); bank++ {
+			if g, ok := p.Guard(chip, bank).(*mitigation.MoPACD); ok {
+				st := g.Stats()
+				srq.Activations += st.Activations
+				srq.Insertions += st.Insertions
+				srq.Coalesced += st.Coalesced
+				srq.DroppedFull += st.DroppedFull
+				srq.CounterUpdates += st.CounterUpdates
+				srq.DrainsOnREF += st.DrainsOnREF
+				srq.DrainsOnABO += st.DrainsOnABO
+				srq.Mitigations += st.Mitigations
+				srq.TardinessAlerts += st.TardinessAlerts
+				srq.SRQFullAlerts += st.SRQFullAlerts
+				srq.MitigAlerts += st.MitigAlerts
+			}
+		}
+	}
 }
 
 // Summary returns the flat JSON-friendly digest of the run.
