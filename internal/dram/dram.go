@@ -334,10 +334,18 @@ func (d *Device) AddRider(chips int, newGuard func(chip, bank int) BankGuard) *R
 	return r
 }
 
-// dropRider marks riders[i] diverged and detaches it.
+// dropRider detaches riders[i] as diverged.
 func (d *Device) dropRider(i int) {
-	d.riders[i].diverged = true
+	d.riders[i].diverge()
 	d.riders = append(d.riders[:i], d.riders[i+1:]...)
+}
+
+// diverge marks r diverged and releases its guards. Only riders that
+// never diverged are read after a run, so its mark and counts are all
+// it keeps.
+func (r *Rider) diverge() {
+	r.diverged = true
+	r.guards, r.quiet = nil, nil
 }
 
 // Rows returns the number of rows per bank.
@@ -674,7 +682,7 @@ func (d *Device) ServeABO(now int64) {
 	}
 	// A rider's own run would not have served this RFM.
 	for _, r := range d.riders {
-		r.diverged = true
+		r.diverge()
 	}
 	d.riders = nil
 	for rfm := 0; rfm < d.cfg.RFMLevel; rfm++ {

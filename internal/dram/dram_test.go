@@ -485,3 +485,38 @@ func BenchmarkCommandLegality(b *testing.B) {
 		d.Precharge(now, bank, false)
 	}
 }
+
+// TestDroppedRiderHoldsNoGuards: a rider dropped as diverged, by its
+// own alert request or by an RFM it did not ask for, keeps its mark but
+// no longer holds its guards; a rider that keeps watching keeps them.
+func TestDroppedRiderHoldsNoGuards(t *testing.T) {
+	d := newDev(t, timing.DDR5())
+	alerting := d.AddRider(2, func(chip, bank int) BankGuard { return &alertGuard{after: 1} })
+	watching := d.AddRider(2, nil)
+	d.Activate(0, 0, 10)
+	if !alerting.Diverged() || watching.Diverged() {
+		t.Fatalf("diverged after an alert request: alerting %v, watching %v", alerting.Diverged(), watching.Diverged())
+	}
+	if alerting.guards != nil || alerting.quiet != nil {
+		t.Fatalf("dropped rider still holds %d guards and %d quiet marks", len(alerting.guards), len(alerting.quiet))
+	}
+	if len(watching.guards) != 2*d.Banks() || len(watching.quiet) != d.Banks() {
+		t.Fatalf("watching rider holds %d guards and %d quiet marks", len(watching.guards), len(watching.quiet))
+	}
+
+	d, err := NewDevice(Config{
+		Banks: 2, Rows: 1 << 16, Timing: timing.DDR5(),
+		NewGuard: func(chip, bank int) BankGuard { return &alertGuard{after: 1} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watching = d.AddRider(1, nil)
+	d.Activate(0, 0, 10)
+	d.Precharge(32, 0, false)
+	d.ServeABO(100)
+	if !watching.Diverged() || watching.guards != nil || watching.quiet != nil {
+		t.Fatalf("rider after an RFM: diverged %v, %d guards, %d quiet marks",
+			watching.Diverged(), len(watching.guards), len(watching.quiet))
+	}
+}

@@ -173,17 +173,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	key := cfg.Hash()
 
-	// The lookup may read the disk tier, so it stays outside s.mu.
-	summary, hit := s.cache.Get(key)
+	// Traced submissions always run: the cached summary carries no
+	// trace, and the caller asked for one. The lookup may read the disk
+	// tier, so it stays outside s.mu.
+	var (
+		summary sim.ResultSummary
+		hit     bool
+	)
+	if !req.Trace {
+		summary, hit = s.cache.Get(key)
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	// Traced submissions always run: the cached summary carries no
-	// trace, and the caller asked for one.
-	if hit && !req.Trace {
+	if hit {
 		// Deterministic runs make the cached summary exact; record a
 		// finished job so the hit is inspectable like any other run.
 		job := s.newJobLocked(cfg, key, req.MaxNs)

@@ -547,7 +547,8 @@ func TestDiskCacheBacksLRUEviction(t *testing.T) {
 }
 
 // gatedStore is a DiskStore whose Load and Save, once armed, announce
-// themselves on entered and block until open is called.
+// themselves on entered and block until open is called. It counts its
+// loads.
 type gatedStore struct {
 	mu      sync.Mutex
 	armLoad bool
@@ -555,6 +556,7 @@ type gatedStore struct {
 	entered chan string
 	release chan struct{}
 	saved   map[string][]byte
+	loads   int
 }
 
 func newGatedStore() *gatedStore {
@@ -600,6 +602,7 @@ func (g *gatedStore) Load(key string) ([]byte, bool) {
 	g.wait(armed, "load")
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.loads++
 	data, ok := g.saved[key]
 	return data, ok
 }

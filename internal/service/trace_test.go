@@ -100,6 +100,41 @@ func TestTraceBypassesCache(t *testing.T) {
 	}
 }
 
+// TestTracedSubmitSkipsCacheLookup: a traced submission runs whatever
+// the cache holds, so it must not look there. Neither the LRU's hit
+// count nor the disk tier may see it, whether the summary sits in the
+// LRU or only on disk.
+func TestTracedSubmitSkipsCacheLookup(t *testing.T) {
+	disk := newGatedStore()
+	srv, ts := newTestServer(t, Options{Workers: 2, CacheSize: 1, Store: disk})
+
+	onDisk, inLRU := fastJob(71), fastJob(72)
+	for _, req := range []JobRequest{onDisk, inLRU} { // the second evicts the first from the LRU
+		_, st := postJob(t, ts, req)
+		waitState(t, ts, st.ID, StateDone, 30*time.Second)
+	}
+	hits := srv.cache.Hits()
+	disk.mu.Lock()
+	loads := disk.loads
+	disk.mu.Unlock()
+	for name, req := range map[string]JobRequest{"lru": inLRU, "disk": onDisk} {
+		req.Trace = true
+		resp, st := postJob(t, ts, req)
+		if resp.StatusCode != http.StatusCreated || st.CacheHit {
+			t.Fatalf("%s: traced resubmission: status %d, cache hit %v; want a fresh run", name, resp.StatusCode, st.CacheHit)
+		}
+		waitState(t, ts, st.ID, StateDone, 30*time.Second)
+	}
+	if got := srv.cache.Hits(); got != hits {
+		t.Errorf("traced submissions moved the cache hit count: %d -> %d", hits, got)
+	}
+	disk.mu.Lock()
+	defer disk.mu.Unlock()
+	if disk.loads != loads {
+		t.Errorf("traced submissions read the disk tier: %d loads, want %d", disk.loads, loads)
+	}
+}
+
 // TestTraceErrorStatuses pins the endpoint's failure modes: 404 for an
 // unknown job, 404 for a finished job that never asked for a trace,
 // and 409 for a traced job that has not finished.
