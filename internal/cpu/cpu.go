@@ -163,20 +163,39 @@ func (c *Core) recycleMiss(m *miss) {
 
 // New creates a core and schedules its first work at engine time.
 func New(eng *event.Engine, cfg Config, src Source) (*Core, error) {
+	c := new(Core)
+	if err := c.Init(eng, cfg, src); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Init sets c, zero or used before, up as New does. A used core keeps
+// the storage of its window and miss pool, its window's misses
+// included, but none of its state. eng must be new or reset, since c's
+// pending wake, if any, is forgotten.
+func (c *Core) Init(eng *event.Engine, cfg Config, src Source) error {
 	if cfg.Width <= 0 || cfg.ROB <= 0 || cfg.TargetInstr <= 0 {
-		return nil, fmt.Errorf("cpu: config must be positive: %+v", cfg)
+		return fmt.Errorf("cpu: config must be positive: %+v", cfg)
 	}
 	if cfg.Submit == nil {
-		return nil, fmt.Errorf("cpu: Submit is required")
+		return fmt.Errorf("cpu: Submit is required")
 	}
-	c := &Core{cfg: cfg, eng: eng, src: src, stallStart: -1, wakeAt: -1, maxIssuedInstr: -1}
+	for _, m := range c.live() {
+		c.recycleMiss(m)
+	}
+	clear(c.window)
+	*c = Core{
+		cfg: cfg, eng: eng, src: src, window: c.window[:0], freeMiss: c.freeMiss,
+		stallStart: -1, wakeAt: -1, maxIssuedInstr: -1,
+	}
 	c.lastT = eng.Now()
 	// The initial advance goes through the tracked wake path: WakeAt
 	// must account every pending self-scheduled event, because the
 	// sim layer's adaptive epoch horizon treats it as the earliest
 	// instant this core could inject new memory traffic.
 	c.scheduleWake(eng.Now())
-	return c, nil
+	return nil
 }
 
 // coreWake clears the wake token and runs a scheduler pass.

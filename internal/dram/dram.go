@@ -14,6 +14,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 
 	"mopac/internal/telemetry"
 	"mopac/internal/timing"
@@ -227,8 +228,11 @@ func (p *plane) noteQuiet(bank int) {
 // rider diverged, and it gets no further calls.
 type Rider struct {
 	plane
-	stats    Stats
-	diverged bool
+	stats Stats
+	// diverged is the mark one config's riders share across devices:
+	// the first of them to diverge sets it, and every device drops the
+	// others at its next ACT, PRE, REF or RFM.
+	diverged *bool
 }
 
 // Stats returns the rider's counts. Only Mitigations and
@@ -237,7 +241,7 @@ func (r *Rider) Stats() Stats { return r.stats }
 
 // Diverged reports whether the rider stopped watching because its
 // guards or the device left the stream its own run would issue.
-func (r *Rider) Diverged() bool { return r.diverged }
+func (r *Rider) Diverged() bool { return *r.diverged }
 
 // Device is one DDR5 subchannel.
 type Device struct {
@@ -289,6 +293,18 @@ const RefreshGroups = 8192
 // NewDevice constructs a subchannel device. The zero-value Config fields
 // default to the paper's Table 3 organisation.
 func NewDevice(cfg Config) (*Device, error) {
+	d := new(Device)
+	if err := d.Init(cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Init sets d, zero or used before, up as NewDevice does. A used device
+// keeps the storage of its bank state and mode registers; its guards,
+// riders and command log are built anew, so none of them is shared with
+// what the last run left behind.
+func (d *Device) Init(cfg Config) error {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 32
 	}
@@ -302,14 +318,16 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg.RFMLevel = 1
 	}
 	if err := cfg.Timing.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	d := &Device{
+	clear(d.modeRegs)
+	*d = Device{
 		cfg:           cfg,
-		banks:         make([]bankState, cfg.Banks),
+		banks:         slices.Grow(d.banks[:0], cfg.Banks)[:cfg.Banks],
 		plane:         newPlane(cfg.Banks, cfg.Chips, cfg.NewGuard),
 		refreshGroups: RefreshGroups,
 		rowsPerGroup:  cfg.Rows / RefreshGroups,
+		modeRegs:      d.modeRegs,
 		trc:           cfg.Trace,
 	}
 	if d.rowsPerGroup == 0 {
@@ -317,19 +335,24 @@ func NewDevice(cfg Config) (*Device, error) {
 		d.refreshGroups = cfg.Rows
 	}
 	for b := range d.banks {
-		d.banks[b].openRow = -1
+		d.banks[b] = bankState{openRow: -1}
 	}
 	if cfg.LogDepth > 0 {
 		d.log.entries = make([]LogEntry, 0, cfg.LogDepth)
 	}
-	return d, nil
+	return nil
 }
 
 // AddRider attaches a rider plane of chips guards per bank, built by
-// newGuard(chip, bank) (nil builds NopGuards). Attach riders before the
+// newGuard(chip, bank) (nil builds NopGuards). diverged is the
+// divergence mark the rider shares with its config's riders on other
+// devices; nil gives it a mark of its own. Attach riders before the
 // first command.
-func (d *Device) AddRider(chips int, newGuard func(chip, bank int) BankGuard) *Rider {
-	r := &Rider{plane: newPlane(d.cfg.Banks, max(chips, 1), newGuard)}
+func (d *Device) AddRider(chips int, newGuard func(chip, bank int) BankGuard, diverged *bool) *Rider {
+	if diverged == nil {
+		diverged = new(bool)
+	}
+	r := &Rider{plane: newPlane(d.cfg.Banks, max(chips, 1), newGuard), diverged: diverged}
 	d.riders = append(d.riders, r)
 	return r
 }
@@ -344,7 +367,7 @@ func (d *Device) dropRider(i int) {
 // never diverged are read after a run, so its mark and counts are all
 // it keeps.
 func (r *Rider) diverge() {
-	r.diverged = true
+	*r.diverged = true
 	r.guards, r.quiet = nil, nil
 }
 
@@ -427,7 +450,7 @@ func (d *Device) Activate(now int64, bank, row int) {
 		panic(fmt.Sprintf("dram: ACT to bank %d at %d violates tFAW (oldest of last four at %d)",
 			bank, now, d.faw[d.fawIdx]))
 	}
-	tm := d.cfg.Timing
+	tm := &d.cfg.Timing
 	b.openRow = row
 	b.openedAt = now
 	b.earliestRD = now + tm.TRCD
@@ -445,7 +468,7 @@ func (d *Device) Activate(now int64, bank, row int) {
 		d.markAlert(now)
 	}
 	for i := 0; i < len(d.riders); {
-		if d.riders[i].activate(now, bank, row) {
+		if r := d.riders[i]; r.Diverged() || r.activate(now, bank, row) {
 			d.dropRider(i)
 			continue
 		}
@@ -505,7 +528,7 @@ func (d *Device) Write(now int64, bank int) int64 {
 	if now < b.earliestRD || now < d.blockedUntil {
 		panic(fmt.Sprintf("dram: WR to bank %d at %d before earliest %d", bank, now, b.earliestRD))
 	}
-	tm := d.cfg.Timing
+	tm := &d.cfg.Timing
 	done := now + tm.TWL + tm.TBURST
 	if pre := done + tm.TWR; pre > b.earliestPRE {
 		b.earliestPRE = pre
@@ -546,7 +569,7 @@ func (d *Device) Precharge(now int64, bank int, counterUpdate bool) int {
 	if now < d.EarliestPrecharge(bank, counterUpdate) {
 		panic(fmt.Sprintf("dram: PRE to bank %d at %d before earliest", bank, now))
 	}
-	tm := d.cfg.Timing
+	tm := &d.cfg.Timing
 	row := b.openRow
 	openNs := now - b.openedAt
 	b.openRow = -1
@@ -566,7 +589,7 @@ func (d *Device) Precharge(now int64, bank int, counterUpdate bool) int {
 		d.markAlert(now)
 	}
 	for i := 0; i < len(d.riders); {
-		if d.riders[i].precharge(now, bank, row, openNs, counterUpdate) {
+		if r := d.riders[i]; r.Diverged() || r.precharge(now, bank, row, openNs, counterUpdate) {
 			d.dropRider(i)
 			continue
 		}
@@ -609,7 +632,7 @@ func (d *Device) Refresh(now int64) {
 	if now < d.EarliestRefresh() {
 		panic("dram: REF before precharges completed")
 	}
-	tm := d.cfg.Timing
+	tm := &d.cfg.Timing
 	d.blockedUntil = now + tm.TRFC
 	for i := range d.banks {
 		if d.banks[i].earliestACT < d.blockedUntil {
@@ -633,13 +656,14 @@ func (d *Device) Refresh(now int64) {
 		}
 	}
 	for i := 0; i < len(d.riders); {
-		r, alert := d.riders[i], false
-		for bank := 0; bank < d.cfg.Banks; bank++ {
-			if r.refresh(now, bank, &r.stats, nil) {
-				alert = true
-			}
+		// A rider that asks for an alert at one bank is dropped, so the
+		// rest of its banks need no REF work.
+		r := d.riders[i]
+		drop := r.Diverged()
+		for bank := 0; bank < d.cfg.Banks && !drop; bank++ {
+			drop = r.refresh(now, bank, &r.stats, nil)
 		}
-		if alert {
+		if drop {
 			d.dropRider(i)
 			continue
 		}

@@ -491,8 +491,8 @@ func BenchmarkCommandLegality(b *testing.B) {
 // no longer holds its guards; a rider that keeps watching keeps them.
 func TestDroppedRiderHoldsNoGuards(t *testing.T) {
 	d := newDev(t, timing.DDR5())
-	alerting := d.AddRider(2, func(chip, bank int) BankGuard { return &alertGuard{after: 1} })
-	watching := d.AddRider(2, nil)
+	alerting := d.AddRider(2, func(chip, bank int) BankGuard { return &alertGuard{after: 1} }, nil)
+	watching := d.AddRider(2, nil, nil)
 	d.Activate(0, 0, 10)
 	if !alerting.Diverged() || watching.Diverged() {
 		t.Fatalf("diverged after an alert request: alerting %v, watching %v", alerting.Diverged(), watching.Diverged())
@@ -511,12 +511,67 @@ func TestDroppedRiderHoldsNoGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watching = d.AddRider(1, nil)
+	watching = d.AddRider(1, nil, nil)
 	d.Activate(0, 0, 10)
 	d.Precharge(32, 0, false)
 	d.ServeABO(100)
 	if !watching.Diverged() || watching.guards != nil || watching.quiet != nil {
 		t.Fatalf("rider after an RFM: diverged %v, %d guards, %d quiet marks",
 			watching.Diverged(), len(watching.guards), len(watching.quiet))
+	}
+}
+
+// countGuard counts the ACT, PRE and REF calls it gets.
+type countGuard struct{ calls *int }
+
+func (g countGuard) Activate(int64, int) bool { *g.calls++; return false }
+func (g countGuard) PrechargeClose(int64, int, int64, bool) bool {
+	*g.calls++
+	return false
+}
+func (g countGuard) Refresh(int64) []Mitigation   { *g.calls++; return nil }
+func (g countGuard) ABOAction(int64) []Mitigation { return nil }
+func (g countGuard) AlertRequested() bool         { return false }
+func (g countGuard) Quiet() bool                  { return false }
+
+// TestDivergedMemberLeavesEveryDevice: a config rides both subchannels
+// with one shared divergence mark. Once its rider on subchannel 0 asks
+// for an alert, its rider on subchannel 1 gets no further guard calls
+// and reports diverged, while another config's rider there keeps
+// watching.
+func TestDivergedMemberLeavesEveryDevice(t *testing.T) {
+	sub0, sub1 := newDev(t, timing.DDR5()), newDev(t, timing.DDR5())
+	var calls, otherCalls int
+	mark := new(bool)
+	alerting := sub0.AddRider(1, func(chip, bank int) BankGuard { return &alertGuard{after: 2} }, mark)
+	twin := sub1.AddRider(1, func(chip, bank int) BankGuard { return countGuard{&calls} }, mark)
+	other := sub1.AddRider(1, func(chip, bank int) BankGuard { return countGuard{&otherCalls} }, nil)
+
+	cycle := func(d *Device, now int64) {
+		d.Activate(now, 0, 10)
+		d.Precharge(now+32, 0, false)
+		d.Refresh(now + 100)
+	}
+	cycle(sub0, 0)
+	cycle(sub1, 0)
+	perCycle := 2 + sub1.Banks() // ACT, PRE, and REF at every bank
+	if alerting.Diverged() || calls != perCycle {
+		t.Fatalf("before the alert: diverged %v, %d calls on subchannel 1, want %d", alerting.Diverged(), calls, perCycle)
+	}
+	cycle(sub0, 1000)
+	if !alerting.Diverged() || !twin.Diverged() {
+		t.Fatalf("after the alert: diverged %v on subchannel 0, %v on subchannel 1", alerting.Diverged(), twin.Diverged())
+	}
+	for i := int64(0); i < 3; i++ {
+		cycle(sub1, 1000+1000*i)
+	}
+	if calls != perCycle {
+		t.Fatalf("the diverged member's rider on subchannel 1 got %d guard calls after it diverged", calls-perCycle)
+	}
+	if other.Diverged() || otherCalls != 4*perCycle {
+		t.Fatalf("the other rider: diverged %v after %d calls, want %d", other.Diverged(), otherCalls, 4*perCycle)
+	}
+	if twin.guards != nil || len(sub1.riders) != 1 {
+		t.Fatalf("subchannel 1 still holds the diverged rider (%d riders)", len(sub1.riders))
 	}
 }

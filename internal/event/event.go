@@ -166,7 +166,7 @@ type bucket struct {
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable;
-// call NewEngine.
+// call NewEngine, or Reset.
 type Engine struct {
 	items []item  // slot pool; queue entries reference it by index
 	free  []int32 // released slots available for reuse
@@ -204,16 +204,35 @@ type Engine struct {
 
 // NewEngine returns an engine with its clock at time zero.
 func NewEngine() *Engine {
-	// Carve every bucket's initial capacity out of one backing array,
-	// so construction costs one allocation instead of several per
-	// bucket; a bucket that outgrows its carve moves out on append.
-	const depth = 8
 	e := &Engine{}
-	ents := make([]entry, wheelSize*depth)
-	for b := range e.wheel {
-		e.wheel[b].ents = ents[b*depth : b*depth : (b+1)*depth]
-	}
+	e.Reset()
 	return e
+}
+
+// Reset returns e, zero or used, to the state NewEngine gives: clock at
+// zero, nothing pending. A used engine keeps its storage (slot pool,
+// wheel buckets, far list and heap), so a run on a reset engine
+// allocates only where it outgrows the last one. Pool indices never
+// order events (sequence numbers decide first), so a reset engine runs
+// any schedule exactly as a new one does. Tokens issued before Reset
+// must not be used after it.
+func (e *Engine) Reset() {
+	clear(e.items) // drop the handler contexts of events never fired
+	*e = Engine{items: e.items[:0], free: e.free[:0], wheel: e.wheel, far: e.far[:0], heap: e.heap[:0]}
+	if e.wheel[0].ents == nil {
+		// Carve every bucket's initial capacity out of one backing
+		// array, so construction costs one allocation instead of
+		// several per bucket; a bucket that outgrows its carve moves
+		// out on append.
+		const depth = 8
+		ents := make([]entry, wheelSize*depth)
+		for b := range e.wheel {
+			e.wheel[b].ents = ents[b*depth : b*depth : (b+1)*depth]
+		}
+	}
+	for b := range e.wheel {
+		e.wheel[b] = bucket{ents: e.wheel[b].ents[:0]}
+	}
 }
 
 // Now returns the current simulation time in nanoseconds.

@@ -134,10 +134,10 @@ type Controller struct {
 	eng *event.Engine
 	dev *dram.Device
 	cfg Config
-	// pcg is embedded by value and wrapped by rng (rand.Rand holds no
-	// state of its own), saving the generator a separate allocation.
+	// pcg and its rand.Rand wrapper are held by value, saving the
+	// generator two separate allocations.
 	pcg rand.PCG
-	rng *rand.Rand
+	rng rand.Rand
 
 	// Per-bank queues in struct-of-arrays form, in arrival order: the
 	// scheduler's hot scans (row-hit matching) touch only the small
@@ -215,16 +215,23 @@ type bankQ struct {
 	idx []int32
 }
 
-// newBankQs carves every bank's initial queue capacity out of two
+// newBankQs returns empty queues for banks, reusing qs when it has
+// that many. New queues carve every bank's initial capacity out of two
 // shared backing arrays, so construction costs two allocations
 // instead of two per bank. A queue that outgrows its carve is moved
 // to its own array by append, which is correct and rare: per-bank
 // depth is bounded in practice by the cores' miss windows.
-func newBankQs(banks int) []bankQ {
+func newBankQs(qs []bankQ, banks int) []bankQ {
+	if len(qs) == banks {
+		for b := range qs {
+			qs[b].row, qs[b].idx = qs[b].row[:0], qs[b].idx[:0]
+		}
+		return qs
+	}
 	const depth = 12
 	rows := make([]int32, banks*depth)
 	idxs := make([]int32, banks*depth)
-	qs := make([]bankQ, banks)
+	qs = make([]bankQ, banks)
 	for b := range qs {
 		lo, hi := b*depth, (b+1)*depth
 		qs[b].row = rows[lo:lo:hi]
@@ -285,51 +292,79 @@ func (c *Controller) recycleRequest(r *Request) {
 // New returns a controller bound to an engine and a device. The device's
 // timing must equal cfg.Timing.
 func New(eng *event.Engine, dev *dram.Device, cfg Config) (*Controller, error) {
-	if err := cfg.Timing.Validate(); err != nil {
+	c := new(Controller)
+	if err := c.Init(eng, dev, cfg); err != nil {
 		return nil, err
 	}
-	if dev.Banks() > 64 {
-		return nil, fmt.Errorf("mc: %d banks exceed the 64-bank scheduler mask", dev.Banks())
+	return c, nil
+}
+
+// Init binds c, zero or used before, to an engine and a device as New
+// does. A used controller keeps its storage (bank queues, request
+// arena, per-bank state and request pool) but none of its state: it
+// schedules exactly as a new one. eng must be new or reset, since c's
+// pending scheduler pass, if any, is forgotten.
+func (c *Controller) Init(eng *event.Engine, dev *dram.Device, cfg Config) error {
+	if err := cfg.Timing.Validate(); err != nil {
+		return err
+	}
+	banks := dev.Banks()
+	if banks > 64 {
+		return fmt.Errorf("mc: %d banks exceed the 64-bank scheduler mask", banks)
 	}
 	if cfg.CUProbInv < 0 {
-		return nil, fmt.Errorf("mc: CUProbInv = %d", cfg.CUProbInv)
+		return fmt.Errorf("mc: CUProbInv = %d", cfg.CUProbInv)
 	}
 	if cfg.Policy == TimeoutPage && cfg.TimeoutNs <= 0 {
-		return nil, fmt.Errorf("mc: timeout policy needs TimeoutNs > 0")
+		return fmt.Errorf("mc: timeout policy needs TimeoutNs > 0")
 	}
 	if cfg.RFMLevel <= 0 {
 		cfg.RFMLevel = 1
 	}
 	if cfg.MaxPostponedREFs < 0 || cfg.MaxPostponedREFs > 4 {
-		return nil, fmt.Errorf("mc: MaxPostponedREFs = %d out of [0,4]", cfg.MaxPostponedREFs)
+		return fmt.Errorf("mc: MaxPostponedREFs = %d out of [0,4]", cfg.MaxPostponedREFs)
 	}
 	if cfg.CUProbInv > 0 {
 		// MoPAC-C handshake (§5.2): publish the selected p on the DRAM
 		// mode register so the chip configures the matching ATH*.
 		code, err := pMenuCode(cfg.CUProbInv)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dev.WriteModeRegister(dram.MRMoPACPMenu, code)
 	}
-	c := &Controller{
+	clear(c.slots) // drop the completion contexts of requests never served
+	*c = Controller{
 		eng:       eng,
 		dev:       dev,
 		cfg:       cfg,
-		queues:    newBankQs(dev.Banks()),
-		cuBit:     make([]bool, dev.Banks()),
-		lastUse:   make([]int64, dev.Banks()),
-		hitStreak: make([]int, dev.Banks()),
-		nextAt:    make([]int64, dev.Banks()),
+		queues:    newBankQs(c.queues, banks),
+		slots:     c.slots[:0],
+		freeSlots: c.freeSlots[:0],
+		cuBit:     zeroed(c.cuBit, banks),
+		lastUse:   zeroed(c.lastUse, banks),
+		hitStreak: zeroed(c.hitStreak, banks),
+		nextAt:    zeroed(c.nextAt, banks),
 		sleepMin:  never,
 		refDue:    cfg.Timing.TREFI,
 		tickAt:    -1,
+		freeReq:   c.freeReq,
 		trc:       cfg.Trace,
 	}
 	c.pcg.Seed(cfg.Seed, 0x6d635f6374726c)
-	c.rng = rand.New(&c.pcg)
+	c.rng = *rand.New(&c.pcg)
 	c.wake(c.refDue)
-	return c, nil
+	return nil
+}
+
+// zeroed returns n zero elements, in s's storage when it has room.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Stats returns a copy of the controller counters.

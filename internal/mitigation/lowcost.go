@@ -37,10 +37,10 @@ type MINTConfig struct {
 // and victim-refreshes the held selection at the next eligible REF.
 type MINT struct {
 	cfg MINTConfig
-	// pcg is embedded by value (rand.Rand is a stateless wrapper), saving
-	// the selection stream a separate allocation.
+	// pcg and its rand.Rand wrapper are held by value, saving the
+	// selection stream two separate allocations.
 	pcg   rand.PCG
-	rng   *rand.Rand
+	rng   rand.Rand
 	pos   int
 	sel   int
 	held  int // row awaiting mitigation (-1: none)
@@ -68,7 +68,7 @@ func NewMINT(cfg MINTConfig) *MINT {
 		cand: -1,
 	}
 	m.pcg.Seed(cfg.Seed, 0x6d696e74)
-	m.rng = rand.New(&m.pcg)
+	m.rng = *rand.New(&m.pcg)
 	m.sel = m.rng.IntN(cfg.Window)
 	return m
 }
@@ -144,7 +144,7 @@ type PrIDE struct {
 	cfg PrIDEConfig
 	// pcg embedded by value, like MINT's.
 	pcg   rand.PCG
-	rng   *rand.Rand
+	rng   rand.Rand
 	fifo  []int
 	refs  int
 	stats TRRStats
@@ -168,7 +168,7 @@ func NewPrIDE(cfg PrIDEConfig) *PrIDE {
 	}
 	p := &PrIDE{cfg: cfg}
 	p.pcg.Seed(cfg.Seed, 0x70726964)
-	p.rng = rand.New(&p.pcg)
+	p.rng = *rand.New(&p.pcg)
 	return p
 }
 

@@ -109,12 +109,12 @@ type MoPACDStats struct {
 // and raises ALERT for SRQ-full, tardiness, or mitigation conditions.
 type MoPACD struct {
 	cfg MoPACDConfig
-	// pcg is embedded by value and wrapped by rng: a device builds one
-	// engine per bank per chip, so the two heap objects rand.New +
+	// pcg and its rand.Rand wrapper are held by value: a device builds
+	// one engine per bank per chip, so the two heap objects rand.New +
 	// rand.NewPCG would cost here are a measurable share of system
 	// construction.
 	pcg rand.PCG
-	rng *rand.Rand
+	rng rand.Rand
 
 	counters rowTable
 	srq      []srqEntry
@@ -161,7 +161,7 @@ func NewMoPACD(cfg MoPACDConfig) *MoPACD {
 		trackedRow: -1,
 	}
 	m.pcg.Seed(cfg.Seed, 0xd0_5e1ec7ed)
-	m.rng = rand.New(&m.pcg)
+	m.rng = *rand.New(&m.pcg)
 	m.winSel = m.rng.IntN(cfg.InvP)
 	return m
 }

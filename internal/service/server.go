@@ -360,6 +360,7 @@ func (s *Server) run(job *Job, ctx context.Context, cancel context.CancelCauseFu
 		return
 	}
 	res, err := sys.RunContext(ctx, job.MaxNs)
+	sys.Release()
 	wall := time.Since(job.Started)
 
 	// Put writes the disk tier, so it runs before s.mu is taken.

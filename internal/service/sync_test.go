@@ -7,8 +7,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"mopac/internal/sim"
 )
 
 // TestSubmitWaitReturnsTerminalStatus checks the synchronous mode the
@@ -140,4 +143,74 @@ func TestJobEventsSSE(t *testing.T) {
 	if nresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job events status %d, want 404", nresp.StatusCode)
 	}
+}
+
+// TestConcurrentJobsMatchSoloRuns posts distinct jobs from four clients
+// at once, on three workers that hand their finished Systems back for
+// reuse while a cancelled run returns one mid-flight, and checks every
+// job's summary against the job's own run.
+func TestConcurrentJobsMatchSoloRuns(t *testing.T) {
+	var reqs []JobRequest
+	for i, d := range []string{"baseline", "prac", "mopac-c", "mopac-d", "mint", "qprac"} {
+		for _, wl := range []string{"lbm", "mcf"} {
+			reqs = append(reqs, JobRequest{Design: d, Workload: wl, Cores: 4, InstrPerCore: 5_000, Seed: uint64(100 + i)})
+		}
+	}
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		cfg, err := req.ToConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := sim.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], _ = json.Marshal(res.Summary())
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 3, Queue: 64})
+	_, slow := postJob(t, ts, slowJob(1))
+	waitState(t, ts, slow.ID, StateRunning, 10*time.Second)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(reqs); i += 4 {
+				body, _ := json.Marshal(reqs[i])
+				resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var status JobStatus
+				err = json.NewDecoder(resp.Body).Decode(&status)
+				resp.Body.Close()
+				if err != nil || status.State != StateDone || status.Result == nil {
+					t.Errorf("job %d: state %s, error %v %q", i, status.State, err, status.Error)
+					continue
+				}
+				if got, _ := json.Marshal(status.Result); !bytes.Equal(got, want[i]) {
+					t.Errorf("job %d (%s on %s): summary differs from its own run:\n got %s\nwant %s",
+						i, reqs[i].Design, reqs[i].Workload, got, want[i])
+				}
+			}
+		}()
+	}
+	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+slow.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	wg.Wait()
+	waitState(t, ts, slow.ID, StateCancelled, 10*time.Second)
 }

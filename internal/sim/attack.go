@@ -57,6 +57,7 @@ func RunAttack(a AttackConfig) (AttackResult, error) {
 	if err != nil {
 		return AttackResult{}, err
 	}
+	defer sys.Release()
 
 	const capNs = 10_000_000_000
 	for sys.OracleActivations() < a.TargetActs && sys.eng.Now() < capNs {

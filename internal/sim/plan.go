@@ -347,6 +347,7 @@ func (p *Planner) runItem(ctx context.Context, store, attackStore ResultStore, k
 	var res Result
 	if err == nil {
 		res, err = sys.RunContext(ctx, 0)
+		sys.Release()
 	}
 	if err != nil {
 		entry.err = runError(cfg, err)

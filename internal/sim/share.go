@@ -55,18 +55,26 @@ func rideTwin(ctx context.Context, twin Config, members []Config) (res []Result,
 	if err != nil {
 		return nil, nil, err
 	}
+	defer sys.Release()
+	return sys.ride(ctx, members)
+}
+
+// ride runs s, just built for the members' twin, with one rider
+// plane per member on every device; see rideTwin.
+func (s *System) ride(ctx context.Context, members []Config) (res []Result, rode []bool, err error) {
 	planes := make([][]*dram.Rider, len(members))
 	for i, m := range members {
-		planes[i] = sys.addRiders(m)
+		planes[i] = s.addRiders(m)
 	}
-	twinRes, err := sys.RunContext(ctx, 0)
+	twinRes, err := s.RunContext(ctx, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	res = make([]Result, len(members))
 	rode = make([]bool, len(members))
 	for i, m := range members {
-		if planes[i] == nil || slices.ContainsFunc(planes[i], (*dram.Rider).Diverged) {
+		// A member's riders share one divergence mark.
+		if planes[i] == nil || planes[i][0].Diverged() {
 			continue
 		}
 		res[i], rode[i] = riderResult(twinRes, m, planes[i]), true
@@ -74,8 +82,8 @@ func rideTwin(ctx context.Context, twin Config, members []Config) (res []Result,
 	return res, rode, nil
 }
 
-// addRiders attaches m's guards to every device as rider planes, or
-// returns nil when they cannot be built.
+// addRiders attaches m's guards to every device as rider planes that
+// share one divergence mark, or returns nil when they cannot be built.
 func (s *System) addRiders(m Config) []*dram.Rider {
 	m.setDefaults()
 	spec := designs[m.Design]
@@ -91,8 +99,9 @@ func (s *System) addRiders(m Config) []*dram.Rider {
 		}
 	}
 	riders := make([]*dram.Rider, len(s.devs))
+	diverged := new(bool)
 	for sub, dev := range s.devs {
-		riders[sub] = dev.AddRider(m.guardChips(), newGuards[sub])
+		riders[sub] = dev.AddRider(m.guardChips(), newGuards[sub], diverged)
 	}
 	return riders
 }

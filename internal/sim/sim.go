@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"mopac/internal/addrmap"
 	"mopac/internal/cpu"
@@ -192,6 +193,17 @@ type System struct {
 	gap   int64
 }
 
+// resetTimeQs returns n empty queues, reusing qs's storage.
+func resetTimeQs(qs []timeQ, n int) []timeQ {
+	if len(qs) != n {
+		return make([]timeQ, n)
+	}
+	for i := range qs {
+		qs[i] = timeQ{q: qs[i].q[:0]}
+	}
+	return qs
+}
+
 // timeQ is a FIFO of event instants. Each queue's instants are pushed
 // in non-decreasing order (arrival hops by send time, completions
 // because the data bus serialises transfers), so a slice with a head
@@ -251,24 +263,74 @@ func (t *timeQ) completions(now int64) (next, land int64) {
 	return next, land
 }
 
-// NewSystem wires a system for the configuration.
+// released holds Systems handed back by Release for NewSystem to reuse.
+var released sync.Pool
+
+// NewSystem wires a system for the configuration. It reuses the memory
+// of a System released earlier when one is at hand (see Release).
 func NewSystem(c Config) (*System, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	s, _ := released.Get().(*System)
+	if s == nil {
+		s = new(System)
+	}
+	if err := s.init(c); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Release hands s's memory to a later NewSystem, which re-initialises
+// it in place: the event engine, the controllers, devices and cores,
+// the workload-stats row table and the horizon queues keep their
+// storage. Neither s nor anything obtained from it (engine, controllers,
+// devices, cores) may be used after Release. Results collected from s
+// stay valid: nothing a Result points to is ever reused, and guards,
+// riders and the oracle are built anew for every run.
+func (s *System) Release() { released.Put(s) }
+
+// reuse returns the element that s's storage holds just past its
+// length from an earlier run, or a new one.
+func reuse[T any](s []*T) *T {
+	if n := len(s); n < cap(s) {
+		if p := s[:n+1][n]; p != nil {
+			return p
+		}
+	}
+	return new(T)
+}
+
+// init wires s, zero or released, for the validated configuration c.
+// Everything s keeps from an earlier run is storage: each component's
+// Init or reset clears its state, so a recycled System runs exactly as
+// a new one.
+func (s *System) init(c Config) error {
 	c.setDefaults()
 	spec := designs[c.Design]
 	tparams, mcCfg, params := c.wiring()
 	geo := addrmap.Default()
 	mapper, err := addrmap.NewMOP(geo, 4)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	s := &System{cfg: c, eng: event.NewEngine(), mapper: mapper, tparams: tparams}
-	s.arrQ = make([]timeQ, geo.Subchannels)
-	s.doneQ = make([]timeQ, geo.Subchannels)
-	s.wstats = NewWorkloadStats(geo, tparams)
+	eng, wstats := s.eng, s.wstats
+	if eng == nil {
+		eng = event.NewEngine()
+	} else {
+		eng.Reset()
+	}
+	if wstats == nil {
+		wstats = new(WorkloadStats)
+	}
+	wstats.reset(geo, tparams)
+	*s = System{
+		cfg: c, eng: eng, mapper: mapper,
+		devs: s.devs[:0], ctrls: s.ctrls[:0], cores: s.cores[:0],
+		wstats: wstats, tparams: tparams, freeTxn: s.freeTxn,
+		arrQ: resetTimeQs(s.arrQ, geo.Subchannels), doneQ: resetTimeQs(s.doneQ, geo.Subchannels),
+	}
 	if c.TrackSecurity {
 		s.orc = oracle.New(c.TRH)
 	}
@@ -286,10 +348,11 @@ func NewSystem(c Config) (*System, error) {
 		if spec.guard != nil {
 			var gerr error
 			if ng, gerr = spec.guard(c, params, geo.Rows, gTrc); gerr != nil {
-				return nil, gerr
+				return gerr
 			}
 		}
-		dev, derr := dram.NewDevice(dram.Config{
+		dev := reuse(s.devs)
+		if err := dev.Init(dram.Config{
 			Banks:    geo.Banks,
 			Rows:     geo.Rows,
 			Chips:    c.guardChips(),
@@ -299,17 +362,16 @@ func NewSystem(c Config) (*System, error) {
 			NewGuard: ng,
 			Observer: &observer{s.wstats, s.orc, sub * geo.Banks},
 			Trace:    devTrc,
-		})
-		if derr != nil {
-			return nil, derr
-		}
-		subCfg := mcCfg
-		subCfg.Trace = mcTrc
-		ctl, cerr := mc.New(s.eng, dev, subCfg)
-		if cerr != nil {
-			return nil, cerr
+		}); err != nil {
+			return err
 		}
 		s.devs = append(s.devs, dev)
+		subCfg := mcCfg
+		subCfg.Trace = mcTrc
+		ctl := reuse(s.ctrls)
+		if err := ctl.Init(s.eng, dev, subCfg); err != nil {
+			return err
+		}
 		s.ctrls = append(s.ctrls, ctl)
 	}
 	// All controllers share one timing set, so one gap serves them all.
@@ -324,36 +386,36 @@ func NewSystem(c Config) (*System, error) {
 	if spec, isAttack := strings.CutPrefix(c.Workload, "attack:"); isAttack {
 		as, perr := workload.ParseAttackSpec(spec)
 		if perr != nil {
-			return nil, perr
+			return perr
 		}
 		if verr := as.Validate(geo); verr != nil {
-			return nil, verr
+			return verr
 		}
 		for core := 0; core < c.Cores; core++ {
 			src, berr := as.Build(mapper)
 			if berr != nil {
-				return nil, berr
+				return berr
 			}
 			if err := s.addCore(src); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	} else if c.Workload != "" {
 		specs, err := workload.PerCoreSpecs(c.Workload, c.Cores)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for core := 0; core < c.Cores; core++ {
 			gen, gerr := workload.NewGenerator(specs[core], mapper, core, c.Cores, c.Seed+77)
 			if gerr != nil {
-				return nil, gerr
+				return gerr
 			}
 			if err := s.addCore(gen); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // wiring resolves what c's design sets below the cores: its timing set,
@@ -407,12 +469,12 @@ func callOnDone(ctx any, at int64) { ctx.(func(int64))(at) }
 // AttachCore adds an externally sourced core (e.g. a trace replay) to
 // the system and returns it.
 func (s *System) AttachCore(src cpu.Source, targetInstr int64) (*cpu.Core, error) {
-	core, err := cpu.New(s.eng, cpu.Config{
+	core := reuse(s.cores)
+	if err := core.Init(s.eng, cpu.Config{
 		Width: 8, ROB: 256, TargetInstr: targetInstr, Submit: s.submit,
 		OnFinish: s.coreFinished,
 		Trace:    s.coreTrack(),
-	}, src)
-	if err != nil {
+	}, src); err != nil {
 		return nil, err
 	}
 	s.cores = append(s.cores, core)

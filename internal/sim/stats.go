@@ -21,16 +21,18 @@ type WorkloadStats struct {
 	banks  int
 }
 
-// NewWorkloadStats returns an empty collector.
-func NewWorkloadStats(geo addrmap.Geometry, tp timing.Params) *WorkloadStats {
-	w := &WorkloadStats{
-		geo:   geo,
-		tREFW: tp.TREFW,
-		tREFI: tp.TREFI,
-		banks: geo.Subchannels * geo.Banks,
+// reset empties w, zero or used before, for a run on geo with timing
+// tp. It keeps the row table's storage: Snapshot only counts the
+// table's entries, so its capacity never reaches a result.
+func (w *WorkloadStats) reset(geo addrmap.Geometry, tp timing.Params) {
+	*w = WorkloadStats{
+		geo:    geo,
+		tREFW:  tp.TREFW,
+		tREFI:  tp.TREFI,
+		perRow: w.perRow,
+		banks:  geo.Subchannels * geo.Banks,
 	}
-	w.perRow.init(1 << 10)
-	return w
+	w.perRow.reset()
 }
 
 // ObserveActivate counts one ACT to row of global bank.
@@ -50,6 +52,25 @@ type rowCounter struct {
 	keys   []uint64
 	counts []int64
 	used   int
+}
+
+// Row-table capacities: a new table's, and the largest a reset keeps.
+// A long run's table is dropped rather than cleared for every short run
+// after it.
+const (
+	minRowTable  = 1 << 10
+	maxKeptTable = 1 << 16
+)
+
+// reset empties t, keeping its storage unless it has none or more than
+// maxKeptTable slots.
+func (t *rowCounter) reset() {
+	if len(t.keys) == 0 || len(t.keys) > maxKeptTable {
+		t.init(minRowTable)
+		return
+	}
+	clear(t.counts) // a zero count marks a free slot
+	t.used = 0
 }
 
 func (t *rowCounter) init(capacity int) {

@@ -14,10 +14,10 @@ import (
 type Generator struct {
 	spec   Spec
 	mapper addrmap.Mapper
-	// pcg embedded by value (rand.Rand holds no state of its own),
-	// saving the stream a separate allocation.
+	// pcg and its rand.Rand wrapper are held by value, saving the
+	// stream two separate allocations.
 	pcg rand.PCG
-	rng *rand.Rand
+	rng rand.Rand
 
 	rowLo, rowSpan int // this core's private row region per bank
 	hot            []int
@@ -48,7 +48,7 @@ func NewGenerator(spec Spec, mapper addrmap.Mapper, core, cores int, seed uint64
 		gapMean: math.Max(0, 1000/spec.MPKI-1),
 	}
 	g.pcg.Seed(seed, uint64(core)*0x9e3779b97f4a7c15+0x6d6f70)
-	g.rng = rand.New(&g.pcg)
+	g.rng = *rand.New(&g.pcg)
 	rows := mapper.Geometry().Rows
 	g.rowSpan = rows / cores
 	g.rowLo = core * g.rowSpan

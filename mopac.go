@@ -83,6 +83,7 @@ func Simulate(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Release()
 	return sys.Run(0)
 }
 
