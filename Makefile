@@ -44,7 +44,7 @@ fuzz:
 # relocate, -no-store to disable), so re-runs and the second invocation
 # below only simulate what the first did not.
 experiments:
-	$(GO) run ./cmd/mopac-experiments -instr 1000000 -acts 150000 -o EXPERIMENTS-results.md
+	$(GO) run ./cmd/mopac-experiments -instr 1000000 -o EXPERIMENTS-results.md
 	$(GO) run ./cmd/mopac-experiments -instr 1000000 -only overheads -o EXPERIMENTS-overheads.md
 
 analyze:

@@ -215,7 +215,6 @@ func toJobRequest(c sim.Config) (service.JobRequest, error) {
 		InstrPerCore:     c.InstrPerCore,
 		NUP:              c.NUP,
 		RowPress:         c.RowPress,
-		QPRAC:            c.QPRAC,
 		Chips:            c.Chips,
 		SRQSize:          c.SRQSize,
 		DrainOnREF:       c.DrainOnREF,

@@ -30,6 +30,14 @@ import (
 	"mopac/internal/telemetry"
 )
 
+// orAll spells an empty subset flag as "all".
+func orAll(flagValue string) string {
+	if flagValue == "" {
+		return "all"
+	}
+	return flagValue
+}
+
 func main() {
 	var (
 		instr    = flag.Int64("instr", 1_000_000, "instructions per core")
@@ -219,10 +227,12 @@ func main() {
 		}
 	}
 
+	// The header names everything the body depends on and nothing
+	// else (no date), so two runs at one revision are byte-identical.
 	fmt.Fprintf(w, "# MoPAC experiment report\n\n")
-	fmt.Fprintf(w, "Scale: %d instructions/core, %d attack ACTs, seed %d, %d workloads. Generated %s.\n\n",
-		sc.InstrPerCore, sc.AttackActs, sc.Seed, len(runner.Scale().Workloads),
-		time.Now().UTC().Format("2006-01-02"))
+	fmt.Fprintf(w, "Hash version `%s`. Scale: `-instr %d -acts %d -seed %d -workloads %s -only %s` (%d workloads).\n\n",
+		sim.HashVersion(), sc.InstrPerCore, sc.AttackActs, sc.Seed, orAll(*wls), orAll(*only),
+		len(runner.Scale().Workloads))
 
 	// Phase 1: declare every selected planner-backed step, so the whole
 	// report becomes one deduped batch instead of a pool-drain per

@@ -28,7 +28,6 @@ func main() {
 		chips    = flag.Int("chips", 4, "chips per subchannel (MoPAC-D)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		oracle   = flag.Bool("oracle", false, "attach the security oracle")
-		qprac    = flag.Bool("qprac", false, "use the QPRAC backend for -design prac")
 		rfmLevel = flag.Int("rfm-level", 1, "RFMs per ABO episode")
 		postpone = flag.Int("postpone-refs", 0, "max postponed refreshes (0-4)")
 		policy   = flag.String("policy", "open", "row closure policy: open | close | timeout")
@@ -75,7 +74,7 @@ func main() {
 		Design: dd, TRH: *trh, Workload: *wl, Cores: *cores,
 		InstrPerCore: *instr, NUP: *nup, RowPress: *rowpress,
 		Chips: *chips, Seed: *seed, TrackSecurity: *oracle,
-		QPRAC: *qprac, RFMLevel: *rfmLevel, MaxPostponedREFs: *postpone,
+		RFMLevel: *rfmLevel, MaxPostponedREFs: *postpone,
 		Policy: pp, TimeoutNs: *timeout,
 	}
 	var tracer *telemetry.Tracer

@@ -182,13 +182,8 @@ func run(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	for !core.Done() && sys.Engine().Now() < 5_000_000_000 {
-		if !sys.Engine().Step() {
-			break
-		}
-	}
-	if !core.Done() {
-		fatalf("trace exhausted or run stalled at %d ns", sys.Engine().Now())
+	if _, err := sys.Run(5_000_000_000); err != nil {
+		fatalf("trace exhausted or run failed: %v", err)
 	}
 	st := core.Stats()
 	fmt.Printf("design=%s instr=%d misses=%d time=%.3fms IPC=%.2f\n",

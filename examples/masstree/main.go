@@ -121,10 +121,8 @@ func runDesign(d mopac.Design) (ipc float64, hitRate float64, mpki float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for !core.Done() {
-		if !sys.Engine().Step() {
-			log.Fatal("run stalled")
-		}
+	if _, err := sys.Run(0); err != nil {
+		log.Fatal(err)
 	}
 	st := core.Stats()
 	return core.IPC(), llc.Stats().HitRate(), float64(st.Misses) / target * 1000

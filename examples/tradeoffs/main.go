@@ -30,7 +30,7 @@ func main() {
 		{"PrIDE", mopac.Config{Design: mopac.PrIDE}},
 		{"Chronos", mopac.Config{Design: mopac.Chronos}},
 		{"PRAC+MOAT", mopac.Config{Design: mopac.PRAC}},
-		{"PRAC+QPRAC", mopac.Config{Design: mopac.PRAC, QPRAC: true}},
+		{"PRAC+QPRAC", mopac.Config{Design: mopac.QPRAC}},
 		{"MoPAC-C", mopac.Config{Design: mopac.MoPACC}},
 		{"MoPAC-D", mopac.Config{Design: mopac.MoPACD}},
 		{"MoPAC-D+NUP", mopac.Config{Design: mopac.MoPACD, NUP: true}},
@@ -69,7 +69,7 @@ func main() {
 			note = "breaks under many-sided patterns"
 		case c.cfg.Design == mopac.MINT || c.cfg.Design == mopac.PrIDE:
 			note = "tolerates only T_RH >= ~1500-2000 (Table 13)"
-		case c.cfg.QPRAC:
+		case c.cfg.Design == mopac.QPRAC:
 			note = "proactive REF service, near-zero ABOs"
 		case c.cfg.Design == mopac.Chronos:
 			note = "no tRP inflation; doubled tFAW throttles dense ACTs"

@@ -38,13 +38,13 @@ var throughputGoldens = []struct {
 			return res, res.TimeNs, err
 		},
 		digests: [5]string{
-			"79a30ad3c77678b5b052b08d9f6b2f21f6ec285257f81668e1d5fedd73ea1231",
-			"2182460e6b931588fe22d3ccf0eb915c069f36ff7e4e05f967c8949ebd6cbcf3",
-			"69dfa06425aac7c3fc5ddf9864b305798729f2700df724053bb238c5f17eaf44",
-			"fca842eb609be50b9e106a9f53f6d2b17e2107011da8afc9ba673d171f6e0700",
-			"b4c04855180fad670d6959c8fdbc834f4e49f2555cdf6299a4c026119d273093",
+			"cf9a733c70227a39c726590c0a128df2c9de6778510eedd2c7d1d47a97910ea5",
+			"9100e701fbc90830539f8a51c34e8d6018e145db3a38a0efc75a12c55c2863d1",
+			"1492e82a555be0267a9ee333721a987fbb9612923220d3dc7b6e6911ce0e32b2",
+			"f2de6adfa80c149b8e40beb920d01a56da8e5819157c2ed75ebc970d638da679",
+			"8783f690644c8b81dccf313a0af06beb1169e57dfe6b2c4a9d6c40898c89f464",
 		},
-		meanNs: 70_738.2,
+		meanNs: 71_132,
 	},
 	{
 		name: "Hammer",

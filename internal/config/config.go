@@ -35,10 +35,9 @@ type Run struct {
 	Cores int `json:"cores,omitempty"`
 	// Seed seeds every expansion (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// NUP / RowPress / QPRAC toggle the design options.
+	// NUP / RowPress toggle the design options.
 	NUP      bool `json:"nup,omitempty"`
 	RowPress bool `json:"rowpress,omitempty"`
-	QPRAC    bool `json:"qprac,omitempty"`
 	// Chips, SRQSize, DrainOnREF, RFMLevel, MaxPostponedREFs tune the
 	// MoPAC-D and protocol parameters; nil DrainOnREF keeps the derived
 	// rate.
@@ -234,7 +233,6 @@ func (f *File) Expand() ([]Expansion, error) {
 						InstrPerCore:     r.InstrPerCore,
 						NUP:              r.NUP,
 						RowPress:         r.RowPress,
-						QPRAC:            r.QPRAC,
 						Chips:            r.Chips,
 						SRQSize:          r.SRQSize,
 						DrainOnREF:       r.DrainOnREF,

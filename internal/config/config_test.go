@@ -132,7 +132,7 @@ func TestExampleRoundTrips(t *testing.T) {
 func TestExpandedConfigsRun(t *testing.T) {
 	f := load(t, `{"runs":[{
 		"designs":["mopac-d"],"workloads":["add"],
-		"instr_per_core": 60000, "qprac": false, "oracle": true
+		"instr_per_core": 60000, "oracle": true
 	}]}`)
 	exps, err := f.Expand()
 	if err != nil {

@@ -190,10 +190,6 @@ func (c *Core) Init(eng *event.Engine, cfg Config, src Source) error {
 		stallStart: -1, wakeAt: -1, maxIssuedInstr: -1,
 	}
 	c.lastT = eng.Now()
-	// The initial advance goes through the tracked wake path: WakeAt
-	// must account every pending self-scheduled event, because the
-	// sim layer's adaptive epoch horizon treats it as the earliest
-	// instant this core could inject new memory traffic.
 	c.scheduleWake(eng.Now())
 	return nil
 }
@@ -229,12 +225,6 @@ func missDone(ctx any, _ int64) {
 
 // Stats returns the core's progress counters.
 func (c *Core) Stats() Stats { return c.stats }
-
-// WakeAt returns the instant of the core's pending self-scheduled
-// advance, or -1 when none is armed (the core is stalled on a miss, or
-// finished). Between events this is the earliest time the core itself
-// can act — the sim layer's epoch-horizon computation relies on that.
-func (c *Core) WakeAt() int64 { return c.wakeAt }
 
 // Done reports whether the core has retired its target.
 func (c *Core) Done() bool { return c.stats.FinishedAt > 0 }

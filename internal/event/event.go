@@ -53,55 +53,28 @@ type item struct {
 }
 
 // idxBits is the key space reserved for the pool-slot index: up to ~1M
-// concurrently pending events per engine, leaving 37 bits of sequence
-// numbers (~1.4e11 scheduled events) below the cross/src fields before
-// the engine refuses to run.
+// concurrently pending events per engine, leaving 44 bits of sequence
+// numbers (~1.8e13 scheduled events) before the engine refuses to run.
 const idxBits = 20
 
 const idxMask = 1<<idxBits - 1
 
-// crossBit marks an entry scheduled through Send — a modelled hop
-// between components. It sits above the source and sequence fields so
-// that at equal (at, birth) every locally scheduled event precedes
-// every hop.
-const crossBit = uint64(1) << 63
-
-// srcBits is the key space for a hop's source tag, directly below the
-// cross bit: hops landing at the same (at, birth) order by source, then
-// by send order.
-const (
-	srcBits  = 6
-	srcShift = 63 - srcBits
-	// maxSources bounds the source tags Send accepts.
-	maxSources = 1 << srcBits
-)
-
 // entry is one priority-queue element, in a wheel bucket, the far list
-// or the overflow heap: the (at, birth, key) sort key inline plus the
-// pool slot it refers to. key holds cross | src<<srcShift |
-// seq<<idxBits | idx; seq is unique, so comparing keys orders by
-// (cross, src, seq).
+// or the overflow heap: the (at, key) sort key inline plus the pool
+// slot it refers to. key holds seq<<idxBits | idx; seq is unique, so
+// comparing keys orders by scheduling order.
 type entry struct {
-	at    int64
-	birth int64 // engine time when scheduled; a SendFrom hop's departure
-	key   uint64
+	at  int64
+	key uint64
 }
 
 func (e entry) idx() int32 { return int32(e.key & idxMask) }
 
-// before orders entries by (at, birth, cross, src, seq): same-time
-// events fire in birth order, then local-before-hop, then hops by
-// source tag, then scheduling (FIFO) order. For local events birth
-// never disagrees with seq (the clock is monotone, so later-scheduled
-// events are never younger), so purely local schedules get the classic
-// (at, seq) FIFO; the cross and src terms fix the order of same-instant
-// hops, which every stored result depends on.
+// before orders entries by (at, seq): same-instant events fire in the
+// order they were scheduled.
 func (a entry) before(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.birth != b.birth {
-		return a.birth < b.birth
 	}
 	return a.key < b.key
 }
@@ -158,8 +131,8 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// bucket holds the wheel entries of one instant, sorted by the engine's
-// (at, birth, key) relation; ents[head:] are still queued.
+// bucket holds the wheel entries of one instant in scheduling order;
+// ents[head:] are still queued.
 type bucket struct {
 	ents []entry
 	head int
@@ -284,67 +257,24 @@ func (e *Engine) AtFunc(t int64, fn Func, ctx any, arg int64) Token {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	return e.schedule(t, e.now, 0, fn, ctx, arg)
+	return e.schedule(t, fn, ctx, arg)
 }
 
-// Send schedules fn(ctx, arg) d nanoseconds from now as a modelled hop
-// from the source tagged src: at equal (at, birth) it fires after every
-// locally scheduled event, and hops from different sources resolve by
-// src, then send order. The simulation layer uses it for the
-// core→controller arrival hop, tagged with the subchannel count; the
-// tags fix the order of same-instant hops, which every stored result
-// depends on.
-func (e *Engine) Send(src int, d int64, fn Func, ctx any, arg int64) Token {
-	return e.SendFrom(src, e.now, d, fn, ctx, arg)
-}
-
-// SendFrom is Send for a hop that leaves its source at the future
-// instant birth (>= Now) rather than now: it fires at birth+d and
-// orders exactly as a Send issued at birth would, bar send order among
-// hops of one source at one (at, birth). The simulation layer uses it
-// for the controller→core completion hop, tagged with the subchannel
-// index: the controller knows a read's completion instant when it
-// issues the column command, so the hop is scheduled then, with no
-// event at the completion instant itself.
-func (e *Engine) SendFrom(src int, birth, d int64, fn Func, ctx any, arg int64) Token {
-	if d < 0 {
-		panic("event: negative hop delay")
-	}
-	if birth < e.now {
-		panic("event: hop born in the past")
-	}
-	if src < 0 || src >= maxSources {
-		panic("event: source tag out of range")
-	}
-	if fn == nil {
-		panic("event: nil handler")
-	}
-	return e.schedule(birth+d, birth, crossBit|uint64(src)<<srcShift, fn, ctx, arg)
-}
-
-func (e *Engine) schedule(t, birth int64, cross uint64, fn Func, ctx any, arg int64) Token {
-	if e.seq > 1<<(srcShift-idxBits)-1 {
+func (e *Engine) schedule(t int64, fn Func, ctx any, arg int64) Token {
+	if e.seq > 1<<(64-idxBits)-1 {
 		panic("event: sequence space exhausted")
 	}
 	idx := e.alloc()
 	it := &e.items[idx]
 	it.fn, it.ctx, it.arg = fn, ctx, arg
-	ent := entry{at: t, birth: birth, key: cross | e.seq<<idxBits | uint64(idx)}
+	ent := entry{at: t, key: e.seq<<idxBits | uint64(idx)}
 	e.seq++
 	e.live++
 	if t-e.now < wheelSize {
 		b := t & wheelMask
-		q := &e.wheel[b]
-		q.ents = append(q.ents, ent)
-		// Sequence numbers only grow, and births too except for hops
-		// sent from the future, so a new entry sorts last unless it
-		// must precede same-birth hops or future-born ones: walk it
-		// back past those.
-		i := len(q.ents) - 1
-		for ; i > q.head && ent.before(q.ents[i-1]); i-- {
-			q.ents[i] = q.ents[i-1]
-		}
-		q.ents[i] = ent
+		// A bucket holds one instant and sequence numbers only grow,
+		// so a new entry sorts last.
+		e.wheel[b].ents = append(e.wheel[b].ents, ent)
 		e.occupied |= 1 << uint(b)
 	} else {
 		if len(e.far) == 0 || t < e.farMin {
@@ -363,7 +293,7 @@ const (
 )
 
 // peekLive prunes cancelled entries off the wheel and heap fronts and
-// returns the next live entry in (at, birth, key) order plus where it
+// returns the next live entry in (at, key) order plus where it
 // sits: a wheel bucket index, fromHeap, or fromNone when the engine is
 // drained. The far list joins the heap first unless the wheel front is
 // due strictly before farMin.

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -71,50 +70,6 @@ func TestCancel(t *testing.T) {
 	if e.Fired() != 0 {
 		t.Fatalf("Fired = %d, want 0", e.Fired())
 	}
-}
-
-// TestFutureBirthTies pins the same-instant order of hops sent with a
-// future birth: at one (at, birth) every local event fires before every
-// hop, and hops fire by source tag whatever their send order; a local
-// event born later than the hops' birth fires after them.
-func TestFutureBirthTies(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	log := func(ctx any, _ int64) { got = append(got, ctx.(string)) }
-	// Hops leaving at 10 and landing at 15, sent at time 0.
-	e.SendFrom(2, 10, 5, log, "hop2", 0)
-	e.SendFrom(0, 10, 5, log, "hop0", 0)
-	e.SendFrom(1, 10, 5, log, "hop1", 0)
-	e.AtFunc(10, func(any, int64) {
-		e.AtFunc(15, log, "local@10", 0)
-	}, nil, 0)
-	e.AtFunc(12, func(any, int64) {
-		e.AtFunc(15, log, "local@12", 0)
-	}, nil, 0)
-	// A hop sent at 5 but born at 12 ranks by its birth, not by when it
-	// was sent: after the hops born at 10 and the local event born at 12.
-	e.AtFunc(5, func(any, int64) {
-		e.SendFrom(0, 12, 3, log, "hop0@12", 0)
-	}, nil, 0)
-	for e.Step() {
-	}
-	want := []string{"local@10", "hop0", "hop1", "hop2", "local@12", "hop0@12"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("order %v, want %v", got, want)
-	}
-}
-
-// TestSendFromPastPanics checks that a hop cannot depart before now.
-func TestSendFromPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(10, func() {})
-	e.Step()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SendFrom with a past birth did not panic")
-		}
-	}()
-	e.SendFrom(0, 5, 10, func(any, int64) {}, nil, 0)
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
@@ -345,41 +300,32 @@ func BenchmarkEngineCancelHeavy(b *testing.B) {
 // simulation runs at, with a fixed seeded delay mix shaped like the
 // simulator's: 93 % land 1–63 ns ahead in the wheel, 3 % 64 ns or more
 // ahead in the overflow heap, 2 % fire at the current instant and 2 %
-// are Send hops. Each op fires one event, whose handler schedules its
-// replacement. The one-event-in-flight benchmarks above never queue
-// more than a bucket's worth of work.
+// are 15 ns frontend hops. Each op fires one event, whose handler
+// schedules its replacement. The one-event-in-flight benchmarks above
+// never queue more than a bucket's worth of work.
 func BenchmarkEngineSimMix(b *testing.B) {
 	const inFlight = 32
-	type hop struct {
-		d    int64
-		send bool
-		src  int
-	}
 	rng := rand.New(rand.NewPCG(1, 2))
-	mix := make([]hop, 1024)
+	mix := make([]int64, 1024)
 	for i := range mix {
 		switch k := rng.IntN(100); {
 		case k < 93:
-			mix[i] = hop{d: 1 + rng.Int64N(wheelSize-1)}
+			mix[i] = 1 + rng.Int64N(wheelSize-1)
 		case k < 96:
-			mix[i] = hop{d: wheelSize + rng.Int64N(4000)}
+			mix[i] = wheelSize + rng.Int64N(4000)
 		case k < 98:
-			mix[i] = hop{}
+			mix[i] = 0
 		default:
-			mix[i] = hop{d: 15, send: true, src: rng.IntN(3)}
+			mix[i] = 15 // a frontend hop
 		}
 	}
 	e := NewEngine()
 	next := 0
 	var fire Func
 	fire = func(any, int64) {
-		h := mix[next%len(mix)]
+		d := mix[next%len(mix)]
 		next++
-		if h.send {
-			e.Send(h.src, h.d, fire, nil, 0)
-		} else {
-			e.AfterFunc(h.d, fire, nil, 0)
-		}
+		e.AfterFunc(d, fire, nil, 0)
 	}
 	for i := 0; i < inFlight; i++ {
 		e.AfterFunc(int64(i), fire, nil, 0)

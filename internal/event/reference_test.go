@@ -9,8 +9,7 @@ import (
 
 // refEngine is the specification the Engine's queue must implement: a
 // flat list of pending events, each step firing the minimum under
-// (at, birth, key) by a linear scan. Its key packs the same
-// cross | src | seq fields as the Engine's, minus the pool index.
+// (at, seq) by a linear scan.
 type refEngine struct {
 	now  int64
 	seq  uint64
@@ -19,32 +18,22 @@ type refEngine struct {
 }
 
 type refEvent struct {
-	at, birth int64
-	key       uint64
-	id        int
+	at  int64
+	seq uint64
+	id  int
 }
 
 func (a refEvent) before(b refEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.birth != b.birth {
-		return a.birth < b.birth
-	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
 
-// schedule queues event id d ns after its birth, which is now for
-// local events and now+ahead for hops.
-func (r *refEngine) schedule(id int, d int64, cross bool, src int, ahead int64) {
-	key := r.seq
-	birth := r.now
-	if cross {
-		key |= crossBit | uint64(src)<<srcShift
-		birth += ahead
-	}
+// schedule queues event id d ns from now.
+func (r *refEngine) schedule(id int, d int64) {
+	r.pend = append(r.pend, refEvent{at: r.now + d, seq: r.seq, id: id})
 	r.seq++
-	r.pend = append(r.pend, refEvent{at: birth + d, birth: birth, key: key, id: id})
 }
 
 func (r *refEngine) cancel(id int) {
@@ -105,25 +94,16 @@ type engineDriver struct {
 	fire func(id int)
 }
 
-func (d *engineDriver) schedule(id int, delay int64, cross bool, src int, ahead int64) {
+func (d *engineDriver) schedule(id int, delay int64) {
 	fn := func(_ any, arg int64) { d.fire(int(arg)) }
-	var tok Token
-	switch {
-	case cross && ahead == 0:
-		tok = d.e.Send(src, delay, fn, nil, int64(id))
-	case cross:
-		tok = d.e.SendFrom(src, d.e.Now()+ahead, delay, fn, nil, int64(id))
-	default:
-		tok = d.e.AtFunc(d.e.Now()+delay, fn, nil, int64(id))
-	}
-	d.toks = append(d.toks, tok)
+	d.toks = append(d.toks, d.e.AtFunc(d.e.Now()+delay, fn, nil, int64(id)))
 }
 
 func (d *engineDriver) cancel(id int) { d.toks[id].Cancel() }
 
 // queueDriver is the surface the randomized script drives.
 type queueDriver interface {
-	schedule(id int, d int64, cross bool, src int, ahead int64)
+	schedule(id int, d int64)
 	cancel(id int)
 	step() bool
 	runUntil(deadline int64) int
@@ -163,7 +143,7 @@ func refDelay(rng *rand.Rand) int64 {
 	}
 }
 
-// playScript runs one seeded script of schedules, hops, cancels,
+// playScript runs one seeded script of schedules, cancels,
 // RunUntil and Step calls against d, firing handlers that schedule,
 // cancel and re-arm in turn, and returns a transcript of everything observable.
 // Each handler's actions derive from its event id alone, so two
@@ -178,15 +158,13 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 	rearmID, rearmAt := -1, int64(0)
 	act := func(rng *rand.Rand) {
 		switch k := rng.IntN(11); {
-		case k < 4:
-			d.schedule(ids, refDelay(rng), false, 0, 0)
-			ids++
 		case k < 6:
-			d.schedule(ids, refDelay(rng), true, rng.IntN(4), 0)
+			d.schedule(ids, refDelay(rng))
 			ids++
 		case k < 7:
-			// A hop born in the future, as completion hops are.
-			d.schedule(ids, refDelay(rng), true, rng.IntN(4), refDelay(rng))
+			// An event landing a delay past a later instant, as a
+			// completion hop lands past its transfer's end.
+			d.schedule(ids, refDelay(rng)+refDelay(rng))
 			ids++
 		case k < 9:
 			if ids > 0 {
@@ -199,7 +177,7 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 				rearmAt = d.clock() + 4097 + rng.Int64N(1000)
 			}
 			rearmID = ids
-			d.schedule(ids, rearmAt-d.clock(), false, 0, 0)
+			d.schedule(ids, rearmAt-d.clock())
 			ids++
 		}
 	}
@@ -220,7 +198,7 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 			// dead count past the compaction threshold.
 			first := ids
 			for i := 0; i < 150; i++ {
-				d.schedule(ids, refDelay(rng), rng.IntN(2) == 0, rng.IntN(4), refDelay(rng))
+				d.schedule(ids, refDelay(rng))
 				ids++
 			}
 			for i := 0; i < 140; i++ {
@@ -244,12 +222,11 @@ func playScript(seed uint64, d queueDriver, setFire func(func(id int))) []string
 }
 
 // TestEngineMatchesReference checks the Engine against the linear-scan
-// reference on randomized scripts that mix AtFunc, Send, Cancel,
-// RunUntil and Step at delays on both sides of the wheel's span, hops
-// born now and in the future and far events re-armed at a fixed
-// instant included: every
-// firing (event and clock), every Pending and NextAt answer, and every
-// RunUntil count must agree.
+// reference on randomized scripts that mix AtFunc, Cancel, RunUntil
+// and Step at delays on both sides of the wheel's span, far events
+// re-armed at a fixed instant included: every firing (event and
+// clock), every Pending and NextAt answer, and every RunUntil count
+// must agree.
 func TestEngineMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		ref := &refEngine{}

@@ -654,7 +654,7 @@ func (c *Controller) issueReady(now int64) bool {
 
 // never marks a bank with no future command of its own: only new work
 // (an enqueue) can change that, and enqueuing clears the cache entry.
-const never = Never
+const never int64 = 1<<63 - 1
 
 // earliestClose returns the earliest time the open row of bank may be
 // precharged with the flavour the cuBit dictates.
@@ -834,33 +834,6 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 	}
 	c.freeSlot(si)
 }
-
-// TickAt returns the instant of the controller's pending scheduler
-// pass. Outside a running pass there is always one armed (protocol
-// deadlines guarantee it), so this is the earliest time the controller
-// can begin new work; it feeds the sim layer's adaptive epoch
-// horizon.
-func (c *Controller) TickAt() int64 {
-	if c.tickAt < 0 {
-		return Never
-	}
-	return c.tickAt
-}
-
-// MinSchedGap returns the minimum delay between a scheduler pass and
-// the earliest completion instant it can report: a column command
-// issued at t completes no earlier than t + min(TCL, TWL) + TBURST.
-// Every DRAM timing parameter is strictly positive, so the gap is too.
-func (c *Controller) MinSchedGap() int64 {
-	gap := c.cfg.Timing.TCL
-	if c.cfg.Timing.TWL < gap {
-		gap = c.cfg.Timing.TWL
-	}
-	return gap + c.cfg.Timing.TBURST
-}
-
-// Never is TickAt's "no pending instant" sentinel.
-const Never int64 = 1<<63 - 1
 
 // anyHit reports whether any queued request targets row in bank.
 func (c *Controller) anyHit(bank, row int) bool {

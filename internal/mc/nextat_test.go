@@ -16,7 +16,7 @@ import (
 // cache into one of its edges and checks both the cached value and the
 // externally visible service behaviour.
 
-// TestNextAtEnqueueResetsCache: a drained bank parks its cache at Never
+// TestNextAtEnqueueResetsCache: a drained bank parks its cache at never
 // (no command without new work); Enqueue must reset the entry to 0
 // (unknown) so the next pass rescans the bank instead of skipping it
 // forever.
@@ -28,9 +28,9 @@ func TestNextAtEnqueueResetsCache(t *testing.T) {
 		t.Fatalf("first read done at %d, want 31", *done)
 	}
 	// Open-page policy: the row stays open, the queue is empty, and the
-	// bank has no command of its own — the cache must say Never.
+	// bank has no command of its own — the cache must say never.
 	if got := r.c.nextAt[0]; got != never {
-		t.Fatalf("drained bank nextAt = %d, want Never", got)
+		t.Fatalf("drained bank nextAt = %d, want never", got)
 	}
 	d2 := r.read(0, 5, 1)
 	if got := r.c.nextAt[0]; got != 0 {
@@ -39,7 +39,7 @@ func TestNextAtEnqueueResetsCache(t *testing.T) {
 	r.run(400)
 	// Row hit on the still-open row: served promptly, not starved.
 	if *d2 < 0 {
-		t.Fatal("request on a Never-cached bank never served")
+		t.Fatal("request on a never-cached bank never served")
 	}
 	if s := r.c.Stats(); s.RowHits != 1 {
 		t.Fatalf("stats: %+v (want the second read to hit the open row)", s)
@@ -79,7 +79,7 @@ func TestNextAtRefreshWindowInteraction(t *testing.T) {
 
 // TestNextAtDrainedBankRowOpen: with close-page policy a drained bank
 // still owes itself a precharge, so its cache must hold that future
-// close instant — not Never — and the close must actually happen.
+// close instant — not never — and the close must actually happen.
 func TestNextAtDrainedBankRowOpen(t *testing.T) {
 	r := newRig(t, Config{Timing: timing.DDR5(), Policy: ClosePage}, dram.Config{})
 	done := r.read(0, 5, 0)
@@ -103,13 +103,13 @@ func TestNextAtDrainedBankRowOpen(t *testing.T) {
 	}
 	// After the final precharge the bank really has nothing left.
 	if got := r.c.nextAt[0]; got != never {
-		t.Fatalf("drained close-page bank nextAt = %d, want Never", got)
+		t.Fatalf("drained close-page bank nextAt = %d, want never", got)
 	}
 }
 
 // TestIdleSetMatchesNeverCache drives a bursty multi-bank stream under
 // every page policy and checks after each event that the idle set
-// holds only banks whose cache says Never, and that each of them has
+// holds only banks whose cache says never, and that each of them has
 // an empty queue: a bank wrongly left idle would never be scanned
 // again and its requests would starve.
 func TestIdleSetMatchesNeverCache(t *testing.T) {

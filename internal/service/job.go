@@ -39,7 +39,6 @@ type JobRequest struct {
 	InstrPerCore     int64  `json:"instr_per_core,omitempty"`
 	NUP              bool   `json:"nup,omitempty"`
 	RowPress         bool   `json:"rowpress,omitempty"`
-	QPRAC            bool   `json:"qprac,omitempty"`
 	Chips            int    `json:"chips,omitempty"`
 	SRQSize          int    `json:"srq_size,omitempty"`
 	DrainOnREF       *int   `json:"drain_on_ref,omitempty"`
@@ -96,7 +95,6 @@ func (r JobRequest) ToConfig() (sim.Config, error) {
 		InstrPerCore:     r.InstrPerCore,
 		NUP:              r.NUP,
 		RowPress:         r.RowPress,
-		QPRAC:            r.QPRAC,
 		Chips:            r.Chips,
 		SRQSize:          r.SRQSize,
 		DrainOnREF:       r.DrainOnREF,

@@ -258,6 +258,7 @@ func TestSubmitValidation400(t *testing.T) {
 		{"unknown workload", `{"design":"baseline","workload":"nosuch"}`},
 		{"missing workload", `{"design":"baseline"}`},
 		{"unknown field", `{"design":"baseline","workload":"lbm","bogus":1}`},
+		{"removed qprac key", `{"design":"prac","workload":"lbm","qprac":true}`},
 		{"garbage", `{nope`},
 	}
 	for _, tc := range cases {

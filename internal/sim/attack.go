@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"mopac/internal/oracle"
@@ -41,8 +42,9 @@ const topRowCount = 8
 // the attack is the only traffic source, built through NewSystem's
 // "attack:<spec>" workload with Cores parallel attacker threads
 // replaying the same pattern. Deterministic for a given (normalized)
-// config.
-func RunAttack(a AttackConfig) (AttackResult, error) {
+// config. A run whose ctx ends first returns an error wrapping
+// ErrCanceled.
+func RunAttack(ctx context.Context, a AttackConfig) (AttackResult, error) {
 	if a.Base.Workload != "" {
 		return AttackResult{}, fmt.Errorf("sim: attack runs must not carry a workload")
 	}
@@ -60,13 +62,8 @@ func RunAttack(a AttackConfig) (AttackResult, error) {
 	defer sys.Release()
 
 	const capNs = 10_000_000_000
-	for sys.OracleActivations() < a.TargetActs && sys.eng.Now() < capNs {
-		if !sys.eng.Step() {
-			return AttackResult{}, fmt.Errorf("sim: attack stalled at %d ns", sys.eng.Now())
-		}
-	}
-	if n := sys.OracleActivations(); n < a.TargetActs {
-		return AttackResult{}, fmt.Errorf("sim: attack hit the time cap with %d/%d ACTs", n, a.TargetActs)
+	if err := sys.run(ctx, capNs, func() bool { return sys.OracleActivations() >= a.TargetActs }); err != nil {
+		return AttackResult{}, fmt.Errorf("sim: attack with %d/%d ACTs: %w", sys.OracleActivations(), a.TargetActs, err)
 	}
 
 	orc := sys.Oracle()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -155,18 +156,25 @@ func TestPlannerAttackBadCandidateIsData(t *testing.T) {
 	}
 }
 
-// TestQPRACDesignAlias: the first-class qprac design must be exactly
-// the PRAC design with the QPRAC backend flag — one mechanism, two
-// spellings.
-func TestQPRACDesignAlias(t *testing.T) {
-	named := hammer(t, Config{Design: DesignQPRAC, TRH: 500, Seed: 1}, workload.KindDoubleSided, 20_000)
-	flagged := hammer(t, Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, workload.KindDoubleSided, 20_000)
-	if named.TimeNs != flagged.TimeNs || named.Alerts != flagged.Alerts ||
-		named.Mitigations != flagged.Mitigations || named.MaxUnmitigated != flagged.MaxUnmitigated {
-		t.Fatalf("DesignQPRAC diverged from PRAC+QPRAC: %+v vs %+v", named, flagged)
+// TestPlannerCancelsAttackItems: a figure run failing mid-flush
+// cancels the attack evaluations in flight, as it cancels figure runs,
+// instead of leaving them to simulate to completion.
+func TestPlannerCancelsAttackItems(t *testing.T) {
+	p := NewPlanner(2)
+	long := AttackConfig{Base: Config{Design: DesignMoPACD, TRH: 500, Seed: 1},
+		Spec: workload.AttackSpec{Victim: 4096}, TargetActs: 20_000_000}
+	p.NeedAttack(long)
+	p.Need(Config{Design: DesignPRAC, Workload: "no-such-workload"})
+	if err := p.Flush(); err == nil {
+		t.Fatal("flush with a bad config must fail")
 	}
-	if !named.Secure {
-		t.Fatalf("QPRAC failed the double-sided attack (max %d)", named.MaxUnmitigated)
+	_, err := p.GetAttack(long)
+	if err == nil {
+		t.Fatal("attack evaluation ran to completion after the flush failed")
+	}
+	// It is cancelled mid-run, or skipped when the failure came first.
+	if !errors.Is(err, ErrCanceled) && !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("attack evaluation error = %v, want ErrCanceled or plan-aborted", err)
 	}
 }
 

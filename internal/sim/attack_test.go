@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"mopac/internal/workload"
@@ -10,7 +12,7 @@ import (
 // row, failing the test on error.
 func hammer(t *testing.T, base Config, pattern string, acts int64) AttackResult {
 	t.Helper()
-	res, err := RunAttack(AttackConfig{
+	res, err := RunAttack(context.Background(), AttackConfig{
 		Base:       base,
 		Spec:       workload.AttackSpec{Pattern: pattern, Victim: workload.DefaultVictim},
 		TargetActs: acts,
@@ -65,14 +67,29 @@ func TestAttackSlowdownMeasurable(t *testing.T) {
 
 func TestAttackValidation(t *testing.T) {
 	spec := workload.AttackSpec{Victim: workload.DefaultVictim}
-	if _, err := RunAttack(AttackConfig{Base: Config{Design: DesignPRAC, Workload: "mcf"}, Spec: spec, TargetActs: 100}); err == nil {
+	if _, err := RunAttack(context.Background(), AttackConfig{Base: Config{Design: DesignPRAC, Workload: "mcf"}, Spec: spec, TargetActs: 100}); err == nil {
 		t.Fatal("attack with a workload accepted")
 	}
-	if _, err := RunAttack(AttackConfig{Base: Config{Design: DesignPRAC}, Spec: spec, TargetActs: -1}); err == nil {
+	if _, err := RunAttack(context.Background(), AttackConfig{Base: Config{Design: DesignPRAC}, Spec: spec, TargetActs: -1}); err == nil {
 		t.Fatal("negative activation target accepted")
 	}
-	if _, err := RunAttack(AttackConfig{Base: Config{Design: DesignPRAC}, Spec: workload.AttackSpec{Pattern: "sideways"}}); err == nil {
+	if _, err := RunAttack(context.Background(), AttackConfig{Base: Config{Design: DesignPRAC}, Spec: workload.AttackSpec{Pattern: "sideways"}}); err == nil {
 		t.Fatal("unknown pattern accepted")
+	}
+}
+
+// TestAttackCanceled: an attack given a context that has already ended
+// stops before its first event and says why.
+func TestAttackCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunAttack(ctx, AttackConfig{
+		Base:       Config{Design: DesignMoPACD, TRH: 500, Seed: 1},
+		Spec:       workload.AttackSpec{Pattern: workload.KindDoubleSided, Victim: workload.DefaultVictim},
+		TargetActs: 30_000,
+	})
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled attack returned %v, want ErrCanceled wrapping context.Canceled", err)
 	}
 }
 

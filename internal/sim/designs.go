@@ -36,8 +36,7 @@ const (
 	DesignChronos
 	// DesignQPRAC is the §9.1 QPRAC alternative as a first-class design:
 	// PRAC timings with the priority-queue mitigation service instead of
-	// MOAT. Identical to DesignPRAC with Config.QPRAC set; having its
-	// own name makes it targetable by every CLI and the attack search.
+	// MOAT.
 	DesignQPRAC
 )
 
@@ -69,7 +68,7 @@ type designSpec struct {
 // the index, so entries are append-only: never reorder or remove one.
 var designs = [...]designSpec{
 	DesignBaseline: {name: "Baseline", timing: timing.DDR5},
-	DesignPRAC:     {name: "PRAC", timing: timing.PRAC, derive: deriveCounting, guard: pracGuard},
+	DesignPRAC:     {name: "PRAC", timing: timing.PRAC, derive: deriveCounting, guard: factoryGuard},
 	DesignMoPACC:   {name: "MoPAC-C", timing: timing.MoPACC, derive: deriveMoPACC, guard: factoryGuard},
 	DesignMoPACD:   {name: "MoPAC-D", timing: timing.MoPACD, derive: deriveMoPACD, guard: factoryGuard, perChip: true},
 	// TRR, MINT and PrIDE run on baseline timings and mitigate in the
@@ -152,14 +151,6 @@ func factoryGuard(c Config, p security.Params, rows int, trc *telemetry.GuardTra
 		DrainOnREF: c.DrainOnREF,
 		Trace:      trc,
 	})
-}
-
-// pracGuard is MOAT, or QPRAC when Config.QPRAC selects it.
-func pracGuard(c Config, p security.Params, rows int, trc *telemetry.GuardTracks) (func(chip, bank int) dram.BankGuard, error) {
-	if c.QPRAC {
-		return qpracGuard(c, p, rows, trc)
-	}
-	return factoryGuard(c, p, rows, trc)
 }
 
 func qpracGuard(_ Config, p security.Params, rows int, _ *telemetry.GuardTracks) (func(chip, bank int) dram.BankGuard, error) {

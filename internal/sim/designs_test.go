@@ -52,7 +52,7 @@ func TestTRRStopsSimpleDoubleSided(t *testing.T) {
 // under hammering (the §9.1 trade-off).
 func TestQPRACBackendFewerABOs(t *testing.T) {
 	moat := hammer(t, Config{Design: DesignPRAC, TRH: 500, Seed: 1}, workload.KindDoubleSided, 50_000)
-	qprac := hammer(t, Config{Design: DesignPRAC, TRH: 500, QPRAC: true, Seed: 1}, workload.KindDoubleSided, 50_000)
+	qprac := hammer(t, Config{Design: DesignQPRAC, TRH: 500, Seed: 1}, workload.KindDoubleSided, 50_000)
 	if !moat.Secure || !qprac.Secure {
 		t.Fatalf("both PRAC backends must hold: moat=%v qprac=%v", moat.Secure, qprac.Secure)
 	}
@@ -66,13 +66,10 @@ func TestQPRACBackendFewerABOs(t *testing.T) {
 
 // QPRAC on benign workloads behaves like PRAC (same timings dominate).
 func TestQPRACBenignPerformanceMatchesMOAT(t *testing.T) {
-	run := func(qprac bool) Result {
-		return mustRun(t, Config{
-			Design: DesignPRAC, TRH: 500, QPRAC: qprac,
-			Workload: "mcf", InstrPerCore: 100_000, Seed: 1,
-		})
+	run := func(d Design) Result {
+		return mustRun(t, Config{Design: d, TRH: 500, Workload: "mcf", InstrPerCore: 100_000, Seed: 1})
 	}
-	moat, qprac := run(false), run(true)
+	moat, qprac := run(DesignPRAC), run(DesignQPRAC)
 	d := Slowdown(moat, qprac)
 	if d > 0.02 || d < -0.02 {
 		t.Fatalf("QPRAC vs MOAT benign delta %.3f, want ~0", d)

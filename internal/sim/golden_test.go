@@ -18,27 +18,27 @@ var goldenResults = []struct {
 	cfg  Config
 	want string
 }{
-	{"Baseline/mcf", Config{Design: DesignBaseline, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "f9b68259a245fffe305591f4df6c35f4a72dc3f8b2d22a419e8b4bb1f6174aa2"},
-	{"PRAC/mcf", Config{Design: DesignPRAC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "7451c2a3ef6d2da03ee09bc9c8305e8304f0f4906d35f08df24a21281737fdce"},
-	{"MoPACC/mcf", Config{Design: DesignMoPACC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "259b21644bf3fb865fd738b0ef3e35065d9b22faa053fe6af10fcd2c5e07fa21"},
-	{"MoPACD/mcf", Config{Design: DesignMoPACD, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "3c1eebef6f58cdb09cce4a444603ba43790c3609b7241001d621b93a24c280b0"},
-	{"TRR/mcf", Config{Design: DesignTRR, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "e095bd69b7ec18258e3ab3773514a36fa1b565defb4c2e954e44a925334cbda2"},
-	{"MINT/mcf", Config{Design: DesignMINT, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "38406d488c1c861a2f5a5e57ce56b6785c5ecedb3118a23dae5d64fc866a36fa"},
-	{"PrIDE/mcf", Config{Design: DesignPrIDE, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "971d8578276fb69865be4c412eb2a4adaac02b903f4b0fbba24aad149b6b85a7"},
-	{"Chronos/mcf", Config{Design: DesignChronos, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "9d934c1ec271243a5122ffd4bd3892c8e005b4e4fc2f616db32acf796724f3a1"},
-	{"QPRAC/mcf", Config{Design: DesignQPRAC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "6fdef39a1671daf7c697b06eb23a18ab43a5fa1e219dbdbdad1763ab615af54d"},
-	{"Baseline/add", Config{Design: DesignBaseline, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "36630298db30232565e57d13d7d95142f2a6524578f3c95e472dc69535875f02"},
-	{"PRAC/add", Config{Design: DesignPRAC, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "3f339e18bffe3baa94ffd902c8de2bdde676f581771234cdefee9ef77361d758"},
-	{"MoPACC/add", Config{Design: DesignMoPACC, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "f9eceb8d6501e4fd8ac2372d2a3d3881b36a81f1c29fe2a8cf4703db8d03fcb9"},
-	{"MoPACD/add", Config{Design: DesignMoPACD, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "deea520d2df0ed5a3cda161840bf6168dbd5fa6aa678bde11b78f59fc95861a0"},
-	{"TRR/add", Config{Design: DesignTRR, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "0dd0b29efdfd8af20172e8d6c2247956312f32a62041ee550968cf1e1a31b582"},
-	{"MINT/add", Config{Design: DesignMINT, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "6957414cf38a1db8a6214bae15d6273222ecf1822107a5f7c13f836c465ae6c9"},
-	{"PrIDE/add", Config{Design: DesignPrIDE, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "c1320c01df7688d2bc7d57fc00b8d01c8e8b9e4305aa2c7beb7bd06b32d3ea2e"},
-	{"Chronos/add", Config{Design: DesignChronos, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "859374bc05198bc2338cc3f990f89523166a11ea7de04098ecb3860bca3778f5"},
-	{"QPRAC/add", Config{Design: DesignQPRAC, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "d1a7d21cddf834e6f14f259faf4d48e1b2cc176c9dd3c8d3391a06de730e1dc1"},
-	{"MoPACD/attack-oracle", Config{Design: DesignMoPACD, Workload: "attack:refresh-sync:sub=1,bank=27,victim=64053,aggr=4,burst=7,phase=3895,gap=189,spread=5", Cores: 2, InstrPerCore: 40_000, Seed: 2, TrackSecurity: true}, "4d8838fbf9df6e08f7afc6aafbc94552ca661e51f9b077f73e1879ec4ab499eb"},
-	{"MoPACC/mcf/close-page", Config{Design: DesignMoPACC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1, Policy: mc.ClosePage}, "d1addd22c56fdb550d3ce1827d1222728adc860556002eadbf9ec62bd9a78770"},
-	{"PRAC/add/timeout-page", Config{Design: DesignPRAC, Workload: "add", InstrPerCore: 20_000, Seed: 1, Policy: mc.TimeoutPage, TimeoutNs: 100}, "b0b665bad00e7eb6d33675c19916cf3f56ae753c283c9d11dcdc732886eacdf0"},
+	{"Baseline/mcf", Config{Design: DesignBaseline, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "f3522804d432512d6bc7f006c773a0d597a14d3db0ced64a936beb0a524e4caf"},
+	{"PRAC/mcf", Config{Design: DesignPRAC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "13e0fb04fc6eebb67ffaf7c63e8cf59e4c7da3e79cef007fdb3ae6a40109f609"},
+	{"MoPACC/mcf", Config{Design: DesignMoPACC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "14ca3380cf3e4f8d7f71d5391914cbec142f7c4b2c6a087c1c44c4e095263d88"},
+	{"MoPACD/mcf", Config{Design: DesignMoPACD, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "7af6b4e40b68ac7781bfd05ab2b96bc505ff13a7a629acad71afb4e469277021"},
+	{"TRR/mcf", Config{Design: DesignTRR, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "65f1622112587f4b86585c9bd9453631af0010b504dcc51dbb5b0e7b65843464"},
+	{"MINT/mcf", Config{Design: DesignMINT, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "b294178c8a35f0d7c3a0fe96744e8b18dd8492bf47d5025f728ebedcbf38dfd4"},
+	{"PrIDE/mcf", Config{Design: DesignPrIDE, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "3b5f0f2c581e1ce589187b5173f5edb5a6dc09f7e42b210f4526f7bb0eb587df"},
+	{"Chronos/mcf", Config{Design: DesignChronos, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "e24dbdeec3dcffc9eaec794fec54c749be8fa57fdfce05e6de67d4ddbec02461"},
+	{"QPRAC/mcf", Config{Design: DesignQPRAC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1}, "929bfdff16bb7bd4c410837da331b90d181ba3443d384018c1c238b69fc9829c"},
+	{"Baseline/add", Config{Design: DesignBaseline, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "20ffc5e1057da2e049351342c7a2fa9384fdd0be4e8c675870837a6b1aeefb5b"},
+	{"PRAC/add", Config{Design: DesignPRAC, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "e8a220e621d124fa5c223e6c30b3feb3cb51afc851fabaa520bd6e25118b165d"},
+	{"MoPACC/add", Config{Design: DesignMoPACC, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "131cff537efbb216bcfbb7a4df1cdaa3efed424719ba935636729222f7cd4f2e"},
+	{"MoPACD/add", Config{Design: DesignMoPACD, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "354a995ca3ad3853360e646f64eba95485c9d2c1819b71eed5610181d93b7686"},
+	{"TRR/add", Config{Design: DesignTRR, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "f7043086f179e933e3f9326ca201e578a3cce1edb58fd96ed7728691b6a5bb51"},
+	{"MINT/add", Config{Design: DesignMINT, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "a31e1b407e856b054830cd725cf49b821391be92ed4feb7ee38c91920a5b59b3"},
+	{"PrIDE/add", Config{Design: DesignPrIDE, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "d083882038272dbef686f6d211b1762d52688394e0ba7da56910de138dbf5ad2"},
+	{"Chronos/add", Config{Design: DesignChronos, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "b5a1193f4d139865ffabda17510083783b0e17b4e0c375ae381863966ca4e163"},
+	{"QPRAC/add", Config{Design: DesignQPRAC, Workload: "add", InstrPerCore: 20_000, Seed: 1}, "7a41391fa32a516251bbce20e9dca608cc6dd64b2662c6a2c2eb8dd8fa9a3d33"},
+	{"MoPACD/attack-oracle", Config{Design: DesignMoPACD, Workload: "attack:refresh-sync:sub=1,bank=27,victim=64053,aggr=4,burst=7,phase=3895,gap=189,spread=5", Cores: 2, InstrPerCore: 40_000, Seed: 2, TrackSecurity: true}, "721f039702483c2744bac0dfaeb3812dd5b69ac99b2a0406d38a1502f4d6c55f"},
+	{"MoPACC/mcf/close-page", Config{Design: DesignMoPACC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1, Policy: mc.ClosePage}, "62aec6d3438f3d8049ca0a60477b143b99eae3b7276869b4852e26979d827a59"},
+	{"PRAC/add/timeout-page", Config{Design: DesignPRAC, Workload: "add", InstrPerCore: 20_000, Seed: 1, Policy: mc.TimeoutPage, TimeoutNs: 100}, "ec4ff853091f061e59a3f3a814ce5bc2ea91023ade3d96fe7d792160ba5864e8"},
 }
 
 func TestGoldenResults(t *testing.T) {

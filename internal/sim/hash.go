@@ -4,13 +4,19 @@ import "mopac/internal/runkey"
 
 // hashVersion is the Config key-encoding version. Bumping it orphans
 // every persisted result-store entry and cached summary at once, which
-// is the intended effect of changing what a key means. v2: the run
-// loop became epoch-aligned: it checks for completion only at the
-// epoch bounds of System.horizonBound (DESIGN.md §4e) and executes
-// every event before the first bound at which all cores are done,
-// rather than stopping at the final retirement. That shifts tail stats
-// slightly, so v1 records do not describe v2 runs.
-const hashVersion = "mopac-config-v2"
+// is the intended effect of changing what a key means. v3: a run stops
+// at the event that retires its last core, so TimeNs is the latest
+// core's FinishedAt, and events due at one instant fire in the order
+// they were scheduled (DESIGN.md §4e); the qprac field, a second
+// spelling of DesignQPRAC, is gone from the encoding. v2 runs executed
+// every event up to an epoch bound past the last retirement and
+// ordered same-instant frontend hops by source tag, so v2 records do
+// not describe v3 runs.
+const hashVersion = "mopac-config-v3"
+
+// HashVersion returns the Config key-encoding version, which names the
+// result semantics a report or store was produced under.
+func HashVersion() string { return hashVersion }
 
 // Hash returns a content-addressed key for the run the configuration
 // describes. The config is normalised first (setDefaults), so a zero
@@ -44,7 +50,6 @@ func (c Config) addHashFields(b *runkey.Builder) {
 	b.Bool("nup", c.NUP)
 	b.Bool("rowpress", c.RowPress)
 	b.Int("chips", int64(c.Chips))
-	b.Bool("qprac", c.QPRAC)
 	b.Int("pinv", int64(c.PInvOverride))
 	b.Int("rfmlevel", int64(c.RFMLevel))
 	b.Int("maxpostponed", int64(c.MaxPostponedREFs))

@@ -41,7 +41,7 @@ func TestHashDistinguishesRuns(t *testing.T) {
 }
 
 func TestHashIsStable(t *testing.T) {
-	cfg := Config{Design: DesignPRAC, Workload: "mcf", Seed: 7, QPRAC: true}
+	cfg := Config{Design: DesignQPRAC, Workload: "mcf", Seed: 7}
 	if cfg.Hash() != cfg.Hash() {
 		t.Fatal("hash must be deterministic")
 	}
@@ -62,9 +62,9 @@ func TestHashGolden(t *testing.T) {
 		want string
 	}{
 		{Config{},
-			"174f4f8e269ca5245d87b4cca09b790357aee39bd623feac934139c3fcc23073"},
+			"e5189aaaa327f02362a30dfe5ded6f51e2b2fa8904d5ad6c66e12713ca899569"},
 		{Config{Design: DesignMoPACD, Workload: "lbm", Seed: 1},
-			"63f5f53ee5613ee8792124891c31c6fec0342f3dfad134fb4c4fcd72402da9fa"},
+			"ddd729fc3cc28a30a97e3f0cde48273a663b487479e7d8a36edcf104ee5d561c"},
 	}
 	for i, g := range golden {
 		if got := g.cfg.Hash(); got != g.want {
@@ -111,7 +111,6 @@ func TestHashSeparatesEveryPlannerKnob(t *testing.T) {
 		"nup":             {Design: DesignMoPACD, Workload: "lbm", Seed: 1, NUP: true},
 		"rowpress":        {Design: DesignMoPACD, Workload: "lbm", Seed: 1, RowPress: true},
 		"chips":           {Design: DesignMoPACD, Workload: "lbm", Seed: 1, Chips: 16},
-		"qprac":           {Design: DesignMoPACD, Workload: "lbm", Seed: 1, QPRAC: true},
 		"pinv":            {Design: DesignMoPACD, Workload: "lbm", Seed: 1, PInvOverride: 8},
 		"rfmlevel":        {Design: DesignMoPACD, Workload: "lbm", Seed: 1, RFMLevel: 2},
 		"maxpostponed":    {Design: DesignMoPACD, Workload: "lbm", Seed: 1, MaxPostponedREFs: 4},

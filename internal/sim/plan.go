@@ -333,7 +333,7 @@ func (p *Planner) runItem(ctx context.Context, store, attackStore ResultStore, k
 		// Attack evaluations record failures per candidate (the
 		// search treats them as data) instead of aborting the
 		// whole flush.
-		att, err := p.runAttackOne(attackStore, key, acfg)
+		att, err := p.runAttackOne(ctx, attackStore, key, acfg)
 		if err != nil {
 			entry.err = fmt.Errorf("attack %s on %s: %w", acfg.Spec, acfg.Base.Design, err)
 		} else {
@@ -457,7 +457,7 @@ type attackRecord struct {
 // first, then a real evaluation (persisted back on success). Attack
 // runs always carry the oracle, but unlike figure runs their result
 // type serialises completely, so they are store-eligible.
-func (p *Planner) runAttackOne(store ResultStore, key string, a AttackConfig) (AttackResult, error) {
+func (p *Planner) runAttackOne(ctx context.Context, store ResultStore, key string, a AttackConfig) (AttackResult, error) {
 	if store != nil {
 		if data, ok := store.Load(key); ok {
 			var rec attackRecord
@@ -468,7 +468,7 @@ func (p *Planner) runAttackOne(store ResultStore, key string, a AttackConfig) (A
 			}
 		}
 	}
-	att, err := RunAttack(a)
+	att, err := RunAttack(ctx, a)
 	if err != nil {
 		return AttackResult{}, err
 	}

@@ -23,7 +23,7 @@ import (
 func twinOf(c Config) Config {
 	c.Design = DesignBaseline
 	c.TRH, c.Chips, c.PInvOverride, c.SRQSize = 0, 0, 0, 0
-	c.NUP, c.RowPress, c.QPRAC = false, false, false
+	c.NUP, c.RowPress = false, false
 	c.DrainOnREF = nil
 	return c
 }

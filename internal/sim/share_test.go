@@ -48,7 +48,6 @@ func TestRideRule(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Design: DesignPRAC},
-		{Design: DesignPRAC, QPRAC: true},
 		{Design: DesignQPRAC},
 		{Design: DesignMoPACC},
 		{Design: DesignMoPACC, RowPress: true},

@@ -49,9 +49,6 @@ type Config struct {
 	RowPress bool
 	// Chips replicates MoPAC-D state per chip (default 4, Appendix B).
 	Chips int
-	// QPRAC selects the priority-queue PRAC backend (§9.1, QPRAC)
-	// instead of MOAT for DesignPRAC.
-	QPRAC bool
 	// PInvOverride, when > 0, overrides the TRH-derived update
 	// probability for MoPAC designs with p = 1/PInvOverride (the §5.4
 	// p-selection sweep).
@@ -180,87 +177,6 @@ type System struct {
 	tparams timing.Params
 	freeTxn []*txn // recycled completion contexts
 	running int    // cores that have not yet retired their target
-
-	// Adaptive-horizon state (see horizonBound): per-subchannel queues
-	// of frontend-hop instants, and the controllers' minimum
-	// issue-to-completion gap. arrQ holds the landing instants of
-	// core->controller arrival hops (pushed in submit); doneQ holds the
-	// completion instants of reads whose controller->core hop, leaving
-	// then and landing FrontendLatencyNs later, has not yet landed
-	// (pushed in txnIssued).
-	arrQ  []timeQ
-	doneQ []timeQ
-	gap   int64
-}
-
-// resetTimeQs returns n empty queues, reusing qs's storage.
-func resetTimeQs(qs []timeQ, n int) []timeQ {
-	if len(qs) != n {
-		return make([]timeQ, n)
-	}
-	for i := range qs {
-		qs[i] = timeQ{q: qs[i].q[:0]}
-	}
-	return qs
-}
-
-// timeQ is a FIFO of event instants. Each queue's instants are pushed
-// in non-decreasing order (arrival hops by send time, completions
-// because the data bus serialises transfers), so a slice with a head
-// cursor suffices. Every push first drops the entries whose events
-// have fired, so the queue stays bounded by the hops in flight however
-// the engine is driven (RunContext or bare Step calls alike).
-type timeQ struct {
-	q    []int64
-	head int
-}
-
-// push appends at after dropping the entries at or before drop.
-func (t *timeQ) push(drop, at int64) {
-	t.skip(drop)
-	if t.head > len(t.q)/2 {
-		// Most of the storage holds dropped entries: slide the pending
-		// ones down, keeping storage within twice the pending count.
-		n := copy(t.q, t.q[t.head:])
-		t.q, t.head = t.q[:n], 0
-	}
-	t.q = append(t.q, at)
-}
-
-// skip drops the entries at or before t.
-func (t *timeQ) skip(at int64) {
-	for t.head < len(t.q) && t.q[t.head] <= at {
-		t.head++
-	}
-}
-
-// next drops entries at or before the committed time now (their events
-// have fired) and returns the earliest pending instant, or mc.Never.
-func (t *timeQ) next(now int64) int64 {
-	t.skip(now)
-	if t.head == len(t.q) {
-		return mc.Never
-	}
-	return t.q[t.head]
-}
-
-// completions reads a doneQ at the committed time now: it drops the
-// reads whose return hop has landed and returns the earliest pending
-// completion instant (> now) and the earliest landing instant
-// (> now) of a hop already departed, each mc.Never when there is none.
-func (t *timeQ) completions(now int64) (next, land int64) {
-	t.skip(now - FrontendLatencyNs)
-	next, land = mc.Never, mc.Never
-	for _, c := range t.q[t.head:] {
-		if c > now {
-			next = c
-			break
-		}
-		if land == mc.Never {
-			land = c + FrontendLatencyNs
-		}
-	}
-	return next, land
 }
 
 // released holds Systems handed back by Release for NewSystem to reuse.
@@ -283,12 +199,12 @@ func NewSystem(c Config) (*System, error) {
 }
 
 // Release hands s's memory to a later NewSystem, which re-initialises
-// it in place: the event engine, the controllers, devices and cores,
-// the workload-stats row table and the horizon queues keep their
-// storage. Neither s nor anything obtained from it (engine, controllers,
-// devices, cores) may be used after Release. Results collected from s
-// stay valid: nothing a Result points to is ever reused, and guards,
-// riders and the oracle are built anew for every run.
+// it in place: the event engine, the controllers, devices and cores
+// and the workload-stats row table keep their storage. Neither s nor
+// anything obtained from it (engine, controllers, devices, cores) may
+// be used after Release. Results collected from s stay valid: nothing a
+// Result points to is ever reused, and guards, riders and the oracle
+// are built anew for every run.
 func (s *System) Release() { released.Put(s) }
 
 // reuse returns the element that s's storage holds just past its
@@ -329,7 +245,6 @@ func (s *System) init(c Config) error {
 		cfg: c, eng: eng, mapper: mapper,
 		devs: s.devs[:0], ctrls: s.ctrls[:0], cores: s.cores[:0],
 		wstats: wstats, tparams: tparams, freeTxn: s.freeTxn,
-		arrQ: resetTimeQs(s.arrQ, geo.Subchannels), doneQ: resetTimeQs(s.doneQ, geo.Subchannels),
 	}
 	if c.TrackSecurity {
 		s.orc = oracle.New(c.TRH)
@@ -374,8 +289,6 @@ func (s *System) init(c Config) error {
 		}
 		s.ctrls = append(s.ctrls, ctl)
 	}
-	// All controllers share one timing set, so one gap serves them all.
-	s.gap = s.ctrls[0].MinSchedGap()
 
 	// An empty workload name builds a coreless system; trace replay
 	// attaches its own sources. An "attack:<spec>" name makes an attack
@@ -509,13 +422,12 @@ const FrontendLatencyNs = 15
 
 // txn carries one in-flight access's completion context across the
 // controller boundary: the controller calls txnIssued when it issues
-// the column command, which sends the return-trip hop that finally
+// the column command, which schedules the return-trip hop that finally
 // invokes the submitter's pre-bound callback.
 type txn struct {
 	sys  *System
 	done event.Func
 	ctx  any
-	sub  int32 // owning subchannel (the return hop's source tag)
 }
 
 func (s *System) newTxn() *txn {
@@ -529,16 +441,12 @@ func (s *System) newTxn() *txn {
 
 // txnIssued runs when the controller issues the access's column
 // command, with the instant doneAt its data transfer completes. It
-// sends the controller-to-core return hop at once: the hop leaves at
-// doneAt and lands FrontendLatencyNs later, ordered exactly as a hop
-// sent at doneAt would be. It is tagged with the controller's
-// subchannel index, which fixes the order of two completions reaching
-// the core at the same instant.
+// schedules the controller-to-core return hop at once, landing
+// FrontendLatencyNs after doneAt, so the completion instant itself
+// needs no event.
 func txnIssued(ctx any, doneAt int64) {
 	t := ctx.(*txn)
-	s := t.sys
-	s.doneQ[t.sub].push(s.eng.Now()-FrontendLatencyNs, doneAt)
-	s.eng.SendFrom(int(t.sub), doneAt, FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
+	t.sys.eng.AtFunc(doneAt+FrontendLatencyNs, txnDeliver, t, doneAt+FrontendLatencyNs)
 }
 
 // txnDeliver hands the completed access back to its submitter and
@@ -554,31 +462,27 @@ func txnDeliver(ctx any, at int64) {
 // submit routes a physical address to its subchannel controller after
 // the core-to-controller latency; the completion pays the return trip.
 // The whole path — arrival hop, controller request, completion hop — is
-// closure-free and runs on pooled objects. The arrival hop's source tag
-// is the subchannel count, the core complex's tag.
+// closure-free and runs on pooled objects.
 func (s *System) submit(addr int64, write bool, done event.Func, ctx any) {
 	loc := s.mapper.Decode(addr)
 	r := s.ctrls[loc.Sub].NewRequest()
 	r.Bank, r.Row, r.Col, r.Write = loc.Bank, loc.Row, loc.Col, write
 	if done != nil {
 		t := s.newTxn()
-		t.done, t.ctx, t.sub = done, ctx, int32(loc.Sub)
+		t.done, t.ctx = done, ctx
 		r.Done, r.DoneCtx = txnIssued, t
 	}
-	s.arrQ[loc.Sub].push(s.eng.Now(), s.eng.Now()+FrontendLatencyNs)
-	s.eng.Send(len(s.ctrls), FrontendLatencyNs, mc.EnqueueOwned, r, 0)
+	s.eng.AfterFunc(FrontendLatencyNs, mc.EnqueueOwned, r, 0)
 }
 
-// Engine exposes the event engine (trace replay advances it manually
-// on coreless systems).
+// Engine exposes the event engine.
 func (s *System) Engine() *event.Engine { return s.eng }
 
 // Oracle returns the attached security oracle (nil unless requested).
 func (s *System) Oracle() *oracle.Oracle { return s.orc }
 
 // OracleActivations returns the oracle's activation count, or 0 when
-// no oracle is attached — the per-event polling accessor RunAttack
-// uses.
+// no oracle is attached — the per-event stop test RunAttack uses.
 func (s *System) OracleActivations() int64 {
 	if s.orc == nil {
 		return 0
@@ -592,14 +496,14 @@ func (s *System) Controllers() []*mc.Controller { return s.ctrls }
 // Devices returns the per-subchannel devices.
 func (s *System) Devices() []*dram.Device { return s.devs }
 
-// ErrCanceled is returned (wrapped) by RunContext when the context ends
-// before the run completes naturally.
+// ErrCanceled is returned (wrapped) by RunContext and RunAttack when the
+// context ends before the run completes.
 var ErrCanceled = errors.New("sim: run canceled")
 
-// cancelCheckEvents is how many events RunContext executes between
-// context polls. Events are nanosecond-scale, so this bounds the
-// cancellation latency to microseconds of wall time while keeping the
-// hot loop free of per-event synchronisation.
+// cancelCheckEvents is how many events run executes between context
+// polls. Events are nanosecond-scale, so this bounds the cancellation
+// latency to microseconds of wall time while keeping the hot loop free
+// of per-event synchronisation.
 const cancelCheckEvents = 4096
 
 // Run executes until every core retires its target (or the safety cap of
@@ -608,135 +512,42 @@ func (s *System) Run(maxNs int64) (Result, error) {
 	return s.RunContext(context.Background(), maxNs)
 }
 
-// maxEpochNs caps adaptive epochs at about a millisecond of simulated
-// time. The horizon terms keep epochs far below this in practice (a
-// controller always has a scheduler pass armed no later than its next
-// tREFI deadline); the cap just bounds the idle jump and keeps the
-// bound arithmetic clear of overflow when no send source is pending.
-const maxEpochNs = 1 << 20
-
-// horizonBound returns the exclusive bound of the run-loop epoch that
-// starts at start (the earliest pending event): ES + FrontendLatencyNs,
-// where ES lower-bounds the earliest instant any component could send
-// a frontend hop from the current state. No hop sent at t >= ES lands
-// before the bound.
-//
-// ES is the minimum over every send source in the system:
-//
-//   - each core's pending self-wake (an advance can submit new misses
-//     at its own instant, and miss completions arriving mid-epoch only
-//     wake the core at strictly later times);
-//   - each subchannel's earliest pending completion instant, at which
-//     the controller->core return hop departs (txnIssued sends it
-//     when the column command issues, born at the completion instant,
-//     so it counts as sent then);
-//   - each completion hop that has departed but not yet landed (its
-//     delivery can trigger new submissions at its own instant);
-//   - each controller's next chance to *schedule* a new completion: no
-//     scheduler pass runs before min(tick, earliest pending arrival
-//     hop), and a pass at t cannot complete a column access before
-//     t + MinSchedGap. DRAM devices and mitigation guards are passive
-//     (they never schedule events), so controller passes and the
-//     completions they report are the only controller-side sources.
-//
-// Events already pending at times below the returned ES cannot send:
-// they are controller scheduler passes and arrival deliveries, whose
-// sends are bounded by the gap term above.
-//
-// RunContext checks for completion only at these bounds, so the epoch
-// sequence fixes the instant a run stops — and with it TimeNs and
-// every Result field. Changing any term moves every stored result.
-func (s *System) horizonBound(start int64) int64 {
-	now := s.eng.Now()
-	es := mc.Never
-	for _, c := range s.cores {
-		if w := c.WakeAt(); w >= 0 && w < es {
-			es = w
-		}
-	}
-	for i, ctl := range s.ctrls {
-		next, land := s.doneQ[i].completions(now)
-		es = min(es, next, land)
-		evt := ctl.TickAt()
-		if t := s.arrQ[i].next(now); t < evt {
-			evt = t
-		}
-		if evt != mc.Never {
-			if t := evt + s.gap; t < es {
-				es = t
-			}
-		}
-	}
-	// Sends happen inside event executions, so nothing can send before
-	// the earliest pending event either way; clamping also restores
-	// progress when a tracked instant has already passed.
-	if es < start {
-		es = start
-	}
-	if es > start+maxEpochNs {
-		es = start + maxEpochNs
-	}
-	return es + FrontendLatencyNs
-}
-
-// RunContext is Run with cooperative cancellation: the context is
-// polled every cancelCheckEvents executed events, so per-job deadlines,
+// RunContext is Run with cooperative cancellation: per-job deadlines,
 // client aborts, and server drains interrupt a run mid-flight. A
 // cancelled run returns an error wrapping both ErrCanceled and the
 // context's cause.
 //
-// The engine advances in adaptive epochs bounded by horizonBound, and
-// the finish condition (every core retired its target) is evaluated at
-// epoch boundaries: a run executes exactly the events before the first
-// boundary at which all cores are done.
+// The run stops at the event that retires the last core, so TimeNs is
+// the latest core's FinishedAt.
 func (s *System) RunContext(ctx context.Context, maxNs int64) (Result, error) {
 	if maxNs <= 0 {
 		maxNs = 1_000_000_000
 	}
-	canceled := func() (Result, error) {
-		return Result{}, fmt.Errorf("%w at t=%d ns: %w", ErrCanceled, s.eng.Now(), context.Cause(ctx))
-	}
-	if ctx.Err() != nil {
-		return canceled()
-	}
-	steps := 0
-	for s.running > 0 {
-		at, ok := s.epochStart()
-		if !ok || at >= maxNs {
-			break
-		}
-		steps += s.eng.RunUntil(s.horizonBound(at) - 1)
-		if steps >= cancelCheckEvents {
-			steps = 0
-			if ctx.Err() != nil {
-				return canceled()
-			}
-		}
-	}
-	if s.running > 0 {
-		return Result{}, fmt.Errorf("sim: run hit the %d ns cap before all cores finished", maxNs)
+	if err := s.run(ctx, maxNs, func() bool { return s.running == 0 }); err != nil {
+		return Result{}, err
 	}
 	return s.collect(), nil
 }
 
-// epochStart returns the instant the next epoch starts at: the
-// earliest pending event or pending completion instant. A completion
-// instant schedules no event of its own (its hop lands
-// FrontendLatencyNs later), but it starts an epoch just as the
-// completion event it replaces did, so the epoch sequence, and with it
-// every Result, does not depend on that choice. The second return is
-// false when nothing is pending.
-func (s *System) epochStart() (int64, bool) {
-	at, ok := s.eng.NextAt()
-	if !ok {
-		return 0, false // a pending completion always has its hop queued
+// run is every run loop: it steps the engine until done reports true,
+// polling ctx every cancelCheckEvents events. It fails when ctx ends,
+// when the clock reaches capNs, or when the engine drains first.
+func (s *System) run(ctx context.Context, capNs int64, done func() bool) error {
+	for n := cancelCheckEvents; !done(); n++ {
+		if n == cancelCheckEvents {
+			n = 0
+			if ctx.Err() != nil {
+				return fmt.Errorf("%w at t=%d ns: %w", ErrCanceled, s.eng.Now(), context.Cause(ctx))
+			}
+		}
+		if s.eng.Now() >= capNs {
+			return fmt.Errorf("sim: run hit the %d ns cap", capNs)
+		}
+		if !s.eng.Step() {
+			return fmt.Errorf("sim: run stalled at %d ns", s.eng.Now())
+		}
 	}
-	now := s.eng.Now()
-	for i := range s.doneQ {
-		next, _ := s.doneQ[i].completions(now)
-		at = min(at, next)
-	}
-	return at, true
+	return nil
 }
 
 func (s *System) collect() Result {

@@ -3,7 +3,6 @@ package sim
 import (
 	"encoding/json"
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"mopac/internal/cpu"
@@ -229,6 +228,32 @@ func TestDesignString(t *testing.T) {
 	}
 }
 
+// TestTimeNsIsLastRetirement: a run stops at the event that retires
+// its last core, for every registered design, so TimeNs is the latest
+// core's FinishedAt.
+func TestTimeNsIsLastRetirement(t *testing.T) {
+	for _, d := range Designs() {
+		for _, wl := range []string{"mcf", "add"} {
+			sys, err := NewSystem(Config{Design: d, Workload: wl, InstrPerCore: 20_000, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(0)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", d, wl, err)
+			}
+			var last int64
+			for _, c := range sys.cores {
+				last = max(last, c.Stats().FinishedAt)
+			}
+			if res.TimeNs != last {
+				t.Errorf("%v/%s: TimeNs %d, latest FinishedAt %d", d, wl, res.TimeNs, last)
+			}
+			sys.Release()
+		}
+	}
+}
+
 func TestRunCapReturnsError(t *testing.T) {
 	sys, err := NewSystem(Config{Design: DesignBaseline, Workload: "mcf", InstrPerCore: 50_000_000})
 	if err != nil {
@@ -284,13 +309,12 @@ func TestAttachCoreAndSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !core.Done() && sys.Engine().Now() < 1_000_000_000 {
-		if !sys.Engine().Step() {
-			break
-		}
+	res, err := sys.Run(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !core.Done() {
-		t.Fatal("attached core never finished")
+	if !core.Done() || res.TimeNs != core.Stats().FinishedAt {
+		t.Fatalf("run stopped at %d ns; core done %v at %d ns", res.TimeNs, core.Done(), core.Stats().FinishedAt)
 	}
 	if core.Stats().Misses == 0 {
 		t.Fatal("attached core issued no misses")
@@ -327,50 +351,5 @@ func TestZeroDivisionGuards(t *testing.T) {
 	}
 	if AttackSlowdown(AttackResult{}, AttackResult{}) != 0 {
 		t.Fatal("zero-baseline attack slowdown must be 0")
-	}
-}
-
-// TestHopQueuesBoundedUnderStep drives a coreless system through
-// Engine.Step alone, as RunAttack and trace replay do, with a closed
-// loop of reads in flight. The horizon queues must stay bounded by the
-// reads in flight, not grow with every read served: nothing but their
-// own pushes drains them outside RunContext.
-func TestHopQueuesBoundedUnderStep(t *testing.T) {
-	sys, err := NewSystem(Config{Design: DesignMoPACD, TRH: 500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const window, reads = 16, 20_000
-	rng := rand.New(rand.NewPCG(1, 2))
-	submitted, served, peak := 0, 0, 0
-	var submit func()
-	submit = func() {
-		submitted++
-		peak = max(peak, submitted-served)
-		sys.Submit(rng.Int64N(1<<30)&^63, false, func(int64) {
-			served++
-			if submitted < reads {
-				submit()
-			}
-		})
-	}
-	for i := 0; i < window; i++ {
-		submit()
-	}
-	for served < reads {
-		if !sys.Engine().Step() {
-			t.Fatalf("stalled after %d reads", served)
-		}
-		for i := range sys.ctrls {
-			if n := len(sys.doneQ[i].q); n > 2*peak {
-				t.Fatalf("subchannel %d completion queue holds %d entries after %d reads; %d in flight at most", i, n, served, peak)
-			}
-			if n := len(sys.arrQ[i].q); n > 2*peak {
-				t.Fatalf("subchannel %d arrival queue holds %d entries after %d reads; %d in flight at most", i, n, served, peak)
-			}
-		}
-	}
-	if peak != window {
-		t.Fatalf("peak in flight %d, want %d", peak, window)
 	}
 }

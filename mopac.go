@@ -20,6 +20,8 @@
 package mopac
 
 import (
+	"context"
+
 	"mopac/internal/security"
 	"mopac/internal/sim"
 	"mopac/internal/workload"
@@ -49,8 +51,8 @@ const (
 	// Chronos is the §9.1 concurrent-counter-subarray alternative
 	// (baseline row timings, doubled tFAW).
 	Chronos = sim.DesignChronos
-	// QPRAC is the PRAC design with the queue-based QPRAC backend
-	// (equivalent to PRAC plus Config.QPRAC).
+	// QPRAC is the PRAC design with the queue-based QPRAC backend in
+	// place of MOAT.
 	QPRAC = sim.DesignQPRAC
 )
 
@@ -176,7 +178,7 @@ const (
 // must not name a workload; zero activations selects the attack default
 // (30,000).
 func Hammer(cfg Config, pattern HammerPattern, activations int64) (AttackResult, error) {
-	return sim.RunAttack(sim.AttackConfig{
+	return sim.RunAttack(context.Background(), sim.AttackConfig{
 		Base:       cfg,
 		Spec:       workload.AttackSpec{Pattern: string(pattern), Victim: workload.DefaultVictim},
 		TargetActs: activations,

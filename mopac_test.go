@@ -116,7 +116,7 @@ func TestNewDesignsExposed(t *testing.T) {
 		}
 	}
 	// QPRAC backend reachable through the facade.
-	res, err := Simulate(Config{Design: PRAC, QPRAC: true, TRH: 500, Workload: "add", InstrPerCore: 50_000, Seed: 1})
+	res, err := Simulate(Config{Design: QPRAC, TRH: 500, Workload: "add", InstrPerCore: 50_000, Seed: 1})
 	if err != nil || res.SumIPC <= 0 {
 		t.Fatalf("QPRAC facade: %v %v", res.SumIPC, err)
 	}
