@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet bench-all race fuzz experiments analyze examples clean serve fleet-demo perfbench
+.PHONY: build test vet bench-all race fuzz experiments analyze examples clean serve fleet-demo perfbench loc
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ SECONDS ?= 20
 perfbench:
 	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS)
 
+# Go line counts outside perfbench/ (a module of its own), non-test and
+# test, over the files git tracks: stage new files before counting.
+loc:
+	@echo "non-test $$(git ls-files -- '*.go' ':!:perfbench/*' ':!:*_test.go' | xargs cat | wc -l)"
+	@echo "test     $$(git ls-files -- '*_test.go' ':!:perfbench/*' | xargs cat | wc -l)"
+
 # Every paper-reproduction benchmark (tables, figures, ablations).
 bench-all:
 	$(GO) test -bench=. -benchmem .
@@ -37,15 +43,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz=FuzzParseAttackSpec -fuzztime 30s ./internal/workload/
 
-# Regenerates EXPERIMENTS-results.md at full scale. Cold: tens of
-# minutes on one core (the planner dedupes shared configs and runs one
-# saturated pool across all figures). Warm: near-instant — results
+# Regenerates EXPERIMENTS-results.md at full scale: sim.DefaultScale,
+# which the CLI's flags default to. Cold: tens of minutes on one core
+# (the planner dedupes shared configs and runs one saturated pool
+# across all figures). Warm: near-instant — results
 # persist in the content-addressed store (~/.cache/mopac; -store DIR to
 # relocate, -no-store to disable), so re-runs and the second invocation
 # below only simulate what the first did not.
 experiments:
-	$(GO) run ./cmd/mopac-experiments -instr 1000000 -o EXPERIMENTS-results.md
-	$(GO) run ./cmd/mopac-experiments -instr 1000000 -only overheads -o EXPERIMENTS-overheads.md
+	$(GO) run ./cmd/mopac-experiments -o EXPERIMENTS-results.md
+	$(GO) run ./cmd/mopac-experiments -only overheads -o EXPERIMENTS-overheads.md
 
 analyze:
 	$(GO) run ./cmd/mopac-analyze

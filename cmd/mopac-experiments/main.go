@@ -39,10 +39,11 @@ func orAll(flagValue string) string {
 }
 
 func main() {
+	def := sim.DefaultScale()
 	var (
-		instr    = flag.Int64("instr", 1_000_000, "instructions per core")
-		acts     = flag.Int64("acts", 120_000, "activations per attack run")
-		seed     = flag.Uint64("seed", 1, "random seed")
+		instr    = flag.Int64("instr", def.InstrPerCore, "instructions per core")
+		acts     = flag.Int64("acts", def.AttackActs, "activations per attack run")
+		seed     = flag.Uint64("seed", def.Seed, "random seed")
 		only     = flag.String("only", "", "comma-separated experiment ids (default: all; see -list)")
 		list     = flag.Bool("list", false, "print the experiment step ids and exit")
 		out      = flag.String("o", "", "output file (default: stdout)")

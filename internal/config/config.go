@@ -113,12 +113,6 @@ func Policies() []string {
 	return out
 }
 
-// ExpandWorkloads resolves workload names and group aliases ("all",
-// "spec", "stream", "mixes") into concrete Table 4 workload names.
-func ExpandWorkloads(names []string) ([]string, error) {
-	return expandWorkloads(names)
-}
-
 // Load parses a configuration file from r.
 func Load(r io.Reader) (*File, error) {
 	dec := json.NewDecoder(r)
@@ -177,7 +171,8 @@ func (r *Run) validate() error {
 	return nil
 }
 
-// expandWorkloads resolves group aliases into concrete workload names.
+// expandWorkloads resolves workload names and group aliases ("all",
+// "spec", "stream", "mixes") into concrete Table 4 workload names.
 func expandWorkloads(names []string) ([]string, error) {
 	var out []string
 	for _, n := range names {

@@ -164,9 +164,9 @@ func TestParseDesignAndPolicy(t *testing.T) {
 	if _, err := ParsePolicy("nosuch"); err == nil {
 		t.Fatal("unknown policy must error")
 	}
-	wls, err := ExpandWorkloads([]string{"stream"})
+	wls, err := expandWorkloads([]string{"stream"})
 	if err != nil || len(wls) == 0 {
-		t.Fatalf("ExpandWorkloads = %v, %v", wls, err)
+		t.Fatalf("expandWorkloads = %v, %v", wls, err)
 	}
 }
 

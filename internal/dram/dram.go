@@ -404,9 +404,6 @@ func (d *Device) OpenRow(bank int) int { return d.banks[bank].openRow }
 // meaningful while a row is open.
 func (d *Device) RowOpenSince(bank int) int64 { return d.banks[bank].openedAt }
 
-// BlockedUntil returns the end of any in-progress REF or RFM.
-func (d *Device) BlockedUntil() int64 { return d.blockedUntil }
-
 func (d *Device) checkBank(bank int) *bankState {
 	if bank < 0 || bank >= len(d.banks) {
 		panic(fmt.Sprintf("dram: bank %d out of range", bank))

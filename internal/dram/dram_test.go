@@ -134,7 +134,7 @@ func TestIllegalCommandsPanic(t *testing.T) {
 func TestRefreshBlocksBanks(t *testing.T) {
 	d := newDev(t, timing.DDR5())
 	d.Refresh(1000)
-	if got := d.BlockedUntil(); got != 1410 {
+	if got := d.blockedUntil; got != 1410 {
 		t.Fatalf("blocked until %d, want 1410 (tRFC)", got)
 	}
 	if got := d.EarliestActivate(0); got != 1410 {
@@ -224,8 +224,8 @@ func TestAlertAndABO(t *testing.T) {
 	if d.AlertRequested() {
 		t.Fatal("alert must clear after ABO")
 	}
-	if d.BlockedUntil() != 450 {
-		t.Fatalf("RFM block until %d, want 450", d.BlockedUntil())
+	if d.blockedUntil != 450 {
+		t.Fatalf("RFM block until %d, want 450", d.blockedUntil)
 	}
 	// Both banks mitigated their tracked row; bank 1 never activated so
 	// its mitigation targets row 0 (lastRow zero value).
@@ -410,7 +410,7 @@ func TestRFMLevelMultipliesStallAndActions(t *testing.T) {
 	}
 	d2.ServeABO(100)
 	// Level 2: two RFMs, 700 ns unavailability, two ABO actions.
-	if got := d2.BlockedUntil(); got != 100+2*350 {
+	if got := d2.blockedUntil; got != 100+2*350 {
 		t.Fatalf("blocked until %d, want 800", got)
 	}
 	if d2.Stats().RFMs != 2 || d2.Stats().Alerts != 1 {

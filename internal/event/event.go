@@ -3,7 +3,8 @@
 // timestamps and deterministic FIFO ordering for events scheduled at the
 // same instant.
 //
-// Components schedule callbacks; the Engine runs them in time order and
+// Components schedule handlers with AtFunc (at an absolute instant) or
+// AfterFunc (a delay from now); the Engine runs them in time order and
 // exposes the current simulation time. All Engine state is
 // single-goroutine: the simulator is deterministic by construction and
 // parallelism is achieved by running independent simulations
@@ -11,7 +12,7 @@
 //
 // The engine is built for throughput: events live in a flat []item pool
 // reused through a free list (no per-event heap allocation, no interface
-// boxing), and the pre-bound Func form lets hot callers schedule a
+// boxing), and its one handler form, Func, lets callers schedule a
 // static function plus a receiver and an int64 payload without
 // allocating a closure. The priority queue is a calendar wheel of one
 // bucket per nanosecond over the next wheelSize ns — where nearly every
@@ -27,19 +28,12 @@ package event
 
 import "math/bits"
 
-// Handler is a callback invoked when its event fires. The engine's clock
-// already shows the event's timestamp when the handler runs.
-type Handler func()
-
-// Func is the pre-bound handler form used on hot paths: a static
-// function pointer plus a receiver (or other context) and an int64
-// payload. Scheduling a Func allocates nothing when ctx is an existing
-// pointer, unlike a closure which heap-allocates its capture block.
+// Func is the handler an event runs when it fires: a static function
+// pointer plus a receiver (or other context) and an int64 payload. The
+// engine's clock already shows the event's timestamp when it runs.
+// Scheduling a Func allocates nothing when ctx is an existing pointer,
+// unlike a closure which heap-allocates its capture block.
 type Func func(ctx any, arg int64)
-
-// callHandler adapts the closure Handler form onto Func. Func values and
-// Handler values are pointer-shaped, so the any conversion is free.
-func callHandler(ctx any, _ int64) { ctx.(Handler)() }
 
 // item is one pooled event slot. Slots are reused through the free list;
 // gen increments on every release so stale Tokens cannot touch a reused
@@ -241,15 +235,8 @@ func (e *Engine) release(idx int32) {
 	e.free = append(e.free, idx)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// (t < Now) panics: it would silently reorder causality.
-func (e *Engine) At(t int64, fn Handler) Token { return e.AtFunc(t, callHandler, fn, 0) }
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d int64, fn Handler) Token { return e.At(e.now+d, fn) }
-
-// AtFunc schedules the pre-bound handler fn(ctx, arg) at absolute time
-// t. It is the zero-allocation form of At.
+// AtFunc schedules fn(ctx, arg) to run at absolute time t. Scheduling
+// in the past (t < Now) panics: it would silently reorder causality.
 func (e *Engine) AtFunc(t int64, fn Func, ctx any, arg int64) Token {
 	if t < e.now {
 		panic("event: scheduling in the past")
@@ -258,6 +245,11 @@ func (e *Engine) AtFunc(t int64, fn Func, ctx any, arg int64) Token {
 		panic("event: nil handler")
 	}
 	return e.schedule(t, fn, ctx, arg)
+}
+
+// AfterFunc schedules fn(ctx, arg) d nanoseconds from now.
+func (e *Engine) AfterFunc(d int64, fn Func, ctx any, arg int64) Token {
+	return e.AtFunc(e.now+d, fn, ctx, arg)
 }
 
 func (e *Engine) schedule(t int64, fn Func, ctx any, arg int64) Token {
@@ -374,22 +366,6 @@ func (e *Engine) popFrom(src int) {
 		return
 	}
 	e.popBucket(src)
-}
-
-// NextAt returns the timestamp of the next live event without running
-// it, pruning cancelled entries from the queue fronts on the way. The
-// second return is false when no live events remain.
-func (e *Engine) NextAt() (int64, bool) {
-	ent, src := e.peekLive()
-	if src == fromNone {
-		return 0, false
-	}
-	return ent.at, true
-}
-
-// AfterFunc schedules fn(ctx, arg) d nanoseconds from now.
-func (e *Engine) AfterFunc(d int64, fn Func, ctx any, arg int64) Token {
-	return e.AtFunc(e.now+d, fn, ctx, arg)
 }
 
 func (e *Engine) siftUp(i int) {

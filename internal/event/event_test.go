@@ -12,7 +12,7 @@ func TestOrdering(t *testing.T) {
 	var got []int64
 	for _, at := range []int64{30, 10, 20} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.AtFunc(at, func(any, int64) { got = append(got, at) }, nil, 0)
 	}
 	for e.Step() {
 	}
@@ -32,7 +32,7 @@ func TestFIFOAtSameTime(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.AtFunc(5, func(any, int64) { got = append(got, i) }, nil, 0)
 	}
 	for e.Step() {
 	}
@@ -46,20 +46,20 @@ func TestFIFOAtSameTime(t *testing.T) {
 func TestAfterUsesCurrentTime(t *testing.T) {
 	e := NewEngine()
 	var fired int64 = -1
-	e.At(100, func() {
-		e.After(50, func() { fired = e.Now() })
-	})
+	e.AtFunc(100, func(any, int64) {
+		e.AfterFunc(50, func(any, int64) { fired = e.Now() }, nil, 0)
+	}, nil, 0)
 	for e.Step() {
 	}
 	if fired != 150 {
-		t.Fatalf("nested After fired at %d, want 150", fired)
+		t.Fatalf("nested AfterFunc fired at %d, want 150", fired)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	tok := e.At(10, func() { ran = true })
+	tok := e.AtFunc(10, func(any, int64) { ran = true }, nil, 0)
 	tok.Cancel()
 	tok.Cancel() // double-cancel must be harmless
 	for e.Step() {
@@ -74,14 +74,14 @@ func TestCancel(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
+	e.AtFunc(10, func(any, int64) {}, nil, 0)
 	e.Step()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.At(5, func() {})
+	e.AtFunc(5, func(any, int64) {}, nil, 0)
 }
 
 func TestRunUntil(t *testing.T) {
@@ -89,7 +89,7 @@ func TestRunUntil(t *testing.T) {
 	var got []int64
 	for _, at := range []int64{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.AtFunc(at, func(any, int64) { got = append(got, at) }, nil, 0)
 	}
 	if n := e.RunUntil(25); n != 2 {
 		t.Fatalf("RunUntil(25) executed %d events, want 2", n)
@@ -116,12 +116,12 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 func TestRunWhile(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var reschedule func()
-	reschedule = func() {
+	var reschedule Func
+	reschedule = func(any, int64) {
 		count++
-		e.After(1, reschedule)
+		e.AfterFunc(1, reschedule, nil, 0)
 	}
-	e.After(1, reschedule)
+	e.AfterFunc(1, reschedule, nil, 0)
 	e.RunWhile(func() bool { return count < 100 })
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
@@ -137,14 +137,14 @@ func TestQuickTimeMonotonic(t *testing.T) {
 		var fired []int64
 		for _, r := range raw {
 			at := int64(r)
-			e.At(at, func() {
+			e.AtFunc(at, func(any, int64) {
 				fired = append(fired, e.Now())
 				if rng.IntN(4) == 0 {
-					e.After(int64(rng.IntN(100)), func() {
+					e.AfterFunc(int64(rng.IntN(100)), func(any, int64) {
 						fired = append(fired, e.Now())
-					})
+					}, nil, 0)
 				}
-			})
+			}, nil, 0)
 		}
 		for e.Step() {
 		}
@@ -152,15 +152,6 @@ func TestQuickTimeMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkScheduleAndFire(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.After(int64(i%97), func() {})
-		e.Step()
 	}
 }
 
@@ -175,7 +166,7 @@ func TestCancelHeavyPendingAndCompaction(t *testing.T) {
 	var fired []int64
 	for i := 0; i < n; i++ {
 		at := int64(i + 1)
-		toks = append(toks, e.At(at, func() { fired = append(fired, at) }))
+		toks = append(toks, e.AtFunc(at, func(any, int64) { fired = append(fired, at) }, nil, 0))
 	}
 	if got := e.Pending(); got != n {
 		t.Fatalf("Pending = %d, want %d", got, n)
@@ -234,12 +225,12 @@ func queued(e *Engine) int {
 // must not cancel the new one.
 func TestStaleTokenCannotCancelReusedSlot(t *testing.T) {
 	e := NewEngine()
-	stale := e.At(1, func() {})
+	stale := e.AtFunc(1, func(any, int64) {}, nil, 0)
 	for e.Step() {
 	}
 	// The slot is now on the free list; the next schedule reuses it.
 	ran := false
-	fresh := e.At(2, func() { ran = true })
+	fresh := e.AtFunc(2, func(any, int64) { ran = true }, nil, 0)
 	if fresh.idx != stale.idx {
 		t.Fatalf("slot not reused: stale idx %d, fresh idx %d", stale.idx, fresh.idx)
 	}
@@ -255,7 +246,7 @@ func TestStaleTokenCannotCancelReusedSlot(t *testing.T) {
 
 	// Same story when the slot is recycled through Cancel rather than
 	// firing.
-	tok := e.At(10, func() { t.Fatal("cancelled event fired") })
+	tok := e.AtFunc(10, func(any, int64) { t.Fatal("cancelled event fired") }, nil, 0)
 	tok.Cancel()
 	tok.Cancel() // second cancel is a no-op, not a double-release
 	for e.Step() {
@@ -268,9 +259,8 @@ func TestZeroTokenCancel(t *testing.T) {
 	tok.Cancel()
 }
 
-// BenchmarkEngineScheduleAndFireFunc is the pre-bound hot-path form:
-// zero allocations per event versus one capture block for the closure
-// form benchmarked by BenchmarkScheduleAndFire.
+// BenchmarkEngineScheduleAndFireFunc schedules and fires one event at
+// a time: zero allocations per event.
 func BenchmarkEngineScheduleAndFireFunc(b *testing.B) {
 	e := NewEngine()
 	nop := func(any, int64) {}

@@ -115,11 +115,14 @@ type queueDriver interface {
 func (r *refEngine) clock() int64 { return r.now }
 func (r *refEngine) pending() int { return len(r.pend) }
 
-func (d *engineDriver) step() bool            { return d.e.Step() }
-func (d *engineDriver) runUntil(t int64) int  { return d.e.RunUntil(t) }
-func (d *engineDriver) nextAt() (int64, bool) { return d.e.NextAt() }
-func (d *engineDriver) clock() int64          { return d.e.Now() }
-func (d *engineDriver) pending() int          { return d.e.Pending() }
+func (d *engineDriver) step() bool           { return d.e.Step() }
+func (d *engineDriver) runUntil(t int64) int { return d.e.RunUntil(t) }
+func (d *engineDriver) nextAt() (int64, bool) {
+	ent, src := d.e.peekLive()
+	return ent.at, src != fromNone
+}
+func (d *engineDriver) clock() int64 { return d.e.Now() }
+func (d *engineDriver) pending() int { return d.e.Pending() }
 
 // refDelay draws from the delays that straddle the queue's structure
 // boundaries: same instant, next bucket, the wheel's last bucket, the

@@ -105,10 +105,6 @@ type Config struct {
 	// periodic refreshes while demand requests are queued (DDR5 allows
 	// 4); owed refreshes are made up back to back.
 	MaxPostponedREFs int
-	// MaxHitStreak caps FR-FCFS row-hit priority: after this many
-	// consecutive hits served over an older waiting request, the oldest
-	// request wins (0 = unlimited, classic FR-FCFS).
-	MaxHitStreak int
 	// Seed seeds the controller's PCG stream for MoPAC-C decisions.
 	Seed uint64
 	// Trace receives scheduling telemetry; nil disables tracing.
@@ -148,9 +144,8 @@ type Controller struct {
 	slots     []reqSlot // request-payload arena
 	freeSlots []int32   // recycled arena indices
 
-	cuBit     []bool  // MoPAC-C: close current row with PREcu
-	lastUse   []int64 // last column access per bank (timeout policy)
-	hitStreak []int   // consecutive hit-priority picks per bank
+	cuBit   []bool  // MoPAC-C: close current row with PREcu
+	lastUse []int64 // last column access per bank (timeout policy)
 
 	// active marks banks with queued requests or an open row; scheduler
 	// passes iterate its set bits instead of scanning every bank. A bit
@@ -188,16 +183,6 @@ type Controller struct {
 	// scanned; a stale-early entry merely costs one extra scan.
 	nextAt   []int64
 	bankCand int64 // scratch: candidate collected by the current issueBank call
-
-	// sleepMask aggregates the banks whose cached nextAt is in the
-	// future, and sleepMin is the earliest of their wake times. While now < sleepMin a scheduler pass skips the whole
-	// sleeping set with one compare instead of re-reading every
-	// bank's cache entry; the set is rebuilt on the first pass that
-	// reaches sleepMin. Enqueue pulls its bank out of the set (the
-	// cached time no longer holds); a then stale-low sleepMin only
-	// costs one rebuilding scan, mirroring the nextAt staleness rule.
-	sleepMask uint64
-	sleepMin  int64
 
 	freeReq []*Request // recycled pooled requests
 
@@ -343,9 +328,7 @@ func (c *Controller) Init(eng *event.Engine, dev *dram.Device, cfg Config) error
 		freeSlots: c.freeSlots[:0],
 		cuBit:     zeroed(c.cuBit, banks),
 		lastUse:   zeroed(c.lastUse, banks),
-		hitStreak: zeroed(c.hitStreak, banks),
 		nextAt:    zeroed(c.nextAt, banks),
-		sleepMin:  never,
 		refDue:    cfg.Timing.TREFI,
 		tickAt:    -1,
 		freeReq:   c.freeReq,
@@ -411,7 +394,6 @@ func (c *Controller) Enqueue(r *Request) {
 		c.trc.QueueDepth(now, c.pending)
 	}
 	c.nextAt[r.Bank] = 0 // new work: the cached wake time no longer holds
-	c.sleepMask &^= 1 << uint(r.Bank)
 	c.idle &^= 1 << uint(r.Bank)
 	c.wake(now)
 	if r.pooled {
@@ -444,9 +426,7 @@ func controllerTick(ctx any, _ int64) {
 
 // pick returns the queue position of the FR-FCFS choice for a bank:
 // the oldest row hit if the bank has that row open, otherwise the
-// oldest request (position 0); -1 on an empty queue. With MaxHitStreak
-// set, a long run of hits served over an older waiting request
-// eventually yields to the oldest (starvation protection).
+// oldest request (position 0); -1 on an empty queue.
 func (c *Controller) pick(bank int) int {
 	q := &c.queues[bank]
 	if len(q.row) == 0 {
@@ -457,15 +437,9 @@ func (c *Controller) pick(bank int) int {
 		return 0
 	}
 	for i, r := range q.row {
-		if int(r) != open {
-			continue
+		if int(r) == open {
+			return i
 		}
-		if i != 0 && c.cfg.MaxHitStreak > 0 && c.hitStreak[bank] >= c.cfg.MaxHitStreak {
-			// The oldest request has waited through a full streak of
-			// younger hits: let it win.
-			return 0
-		}
-		return i
 	}
 	return 0
 }
@@ -611,38 +585,17 @@ func (c *Controller) issueReady(now int64) bool {
 	// issues per bank per instant, and nothing a second global pass could
 	// find. The bank's final (refused) issueBank call records its wake
 	// candidate, so returning false here ends the tick with c.next set.
-	scan := c.active &^ c.idle
-	if c.sleepMin > now {
-		// No sleeping bank is due: drop the whole set from the scan with
-		// one mask op. Its earliest wake time stands in for the per-bank
-		// consider calls — the minimum is all scheduleNext keeps anyway.
-		scan &^= c.sleepMask
-		if c.sleepMin != never {
-			c.consider(now, c.sleepMin)
-		}
-	} else {
-		// A sleeping bank has come due; rebuild the set below.
-		c.sleepMask, c.sleepMin = 0, never
-	}
-	for m := scan; m != 0; m &= m - 1 {
+	for m := c.active &^ c.idle; m != 0; m &= m - 1 {
 		bank := bits.TrailingZeros64(m)
 		if at := c.nextAt[bank]; at > now {
 			// The bank cannot act before its cached time; skip the scan.
-			c.sleepMask |= 1 << uint(bank)
-			if at < c.sleepMin {
-				c.sleepMin = at
-			}
 			c.consider(now, at)
 			continue
 		}
 		for c.issueBank(now, bank) {
 		}
-		c.sleepMask |= 1 << uint(bank)
 		if c.bankCand >= 0 {
 			c.nextAt[bank] = c.bankCand
-			if c.bankCand < c.sleepMin {
-				c.sleepMin = c.bankCand
-			}
 			c.consider(now, c.bankCand)
 		} else {
 			c.nextAt[bank] = never
@@ -791,14 +744,6 @@ func (c *Controller) completeRead(bank, pos int, doneAt int64) {
 	si := q.idx[pos]
 	s := &c.slots[si]
 	row := int(q.row[pos])
-
-	// Hit-streak accounting: serving anything but the oldest waiting
-	// request extends the streak.
-	if pos != 0 {
-		c.hitStreak[bank]++
-	} else {
-		c.hitStreak[bank] = 0
-	}
 
 	last := len(q.row) - 1
 	copy(q.row[pos:], q.row[pos+1:])

@@ -505,68 +505,23 @@ func TestWritesDoNotPolluteReadLatency(t *testing.T) {
 	}
 }
 
-func TestHitStreakCapPreventsStarvation(t *testing.T) {
-	served := func(maxStreak int) (conflictDone int64) {
-		r := newRig(t, Config{Timing: timing.DDR5(), MaxHitStreak: maxStreak}, dram.Config{Banks: 1})
-		done := int64(-1)
-		// Open row 1 and submit the victim conflict request.
-		r.read(0, 1, 0)
-		r.run(50)
-		r.c.Enqueue(&Request{Bank: 0, Row: 2, Done: func(_ any, at int64) { done = at }})
-		// A stream of younger hits tries to starve it.
-		for i := 0; i < 200; i++ {
-			r.read(0, 1, i%128)
-		}
-		r.run(100_000)
-		return done
-	}
-	unbounded := served(0)
-	capped := served(8)
-	if unbounded < 0 || capped < 0 {
-		t.Fatal("conflict request never served")
-	}
-	if capped >= unbounded {
-		t.Fatalf("hit-streak cap did not help: capped %d vs unbounded %d", capped, unbounded)
-	}
-	// With a cap of 8, the conflict waits at most ~8 hit services plus a
-	// row cycle: well under a microsecond.
-	if capped > 1000 {
-		t.Fatalf("capped service at %d ns, want bounded", capped)
-	}
-}
-
 // TestPickOldestHitThenOldest pins FR-FCFS selection on an arrival-
 // ordered queue: the oldest request to the open row wins over older
-// conflicts and younger hits, and once the hit streak reaches
-// MaxHitStreak the oldest request (position 0) wins instead.
+// conflicts and younger hits.
 func TestPickOldestHitThenOldest(t *testing.T) {
-	for _, maxStreak := range []int{0, 3} {
-		r := newRig(t, Config{Timing: timing.DDR5(), MaxHitStreak: maxStreak}, dram.Config{Banks: 1})
-		r.read(0, 5, 0)
-		r.run(50) // row 5 open, queue empty
-		for _, row := range []int{9, 2, 5, 5} {
-			r.read(0, row, 0)
-		}
-		if got := r.c.pick(0); got != 2 {
-			t.Fatalf("MaxHitStreak %d: pick = %d, want 2 (oldest hit)", maxStreak, got)
-		}
-		r.c.hitStreak[0] = 3
-		want := 2
-		if maxStreak > 0 {
-			want = 0
-		}
-		if got := r.c.pick(0); got != want {
-			t.Fatalf("MaxHitStreak %d, streak 3: pick = %d, want %d", maxStreak, got, want)
-		}
-		r.c.hitStreak[0] = 0
-		// Serving the oldest hit keeps arrival order for the rest.
-		r.c.completeRead(0, 2, r.eng.Now())
-		if got := r.c.queues[0].row; len(got) != 3 || got[0] != 9 || got[1] != 2 || got[2] != 5 {
-			t.Fatalf("queue after serving position 2 = %v, want [9 2 5]", got)
-		}
-		if r.c.hitStreak[0] != 1 {
-			t.Fatalf("hit streak = %d after serving past the oldest, want 1", r.c.hitStreak[0])
-		}
+	r := newRig(t, Config{Timing: timing.DDR5()}, dram.Config{Banks: 1})
+	r.read(0, 5, 0)
+	r.run(50) // row 5 open, queue empty
+	for _, row := range []int{9, 2, 5, 5} {
+		r.read(0, row, 0)
+	}
+	if got := r.c.pick(0); got != 2 {
+		t.Fatalf("pick = %d, want 2 (oldest hit)", got)
+	}
+	// Serving the oldest hit keeps arrival order for the rest.
+	r.c.completeRead(0, 2, r.eng.Now())
+	if got := r.c.queues[0].row; len(got) != 3 || got[0] != 9 || got[1] != 2 || got[2] != 5 {
+		t.Fatalf("queue after serving position 2 = %v, want [9 2 5]", got)
 	}
 }
 

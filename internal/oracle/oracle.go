@@ -296,9 +296,6 @@ func (o *Oracle) Activations() int64 { return o.activations }
 // Mitigations returns the total observed victim-refresh count.
 func (o *Oracle) Mitigations() int64 { return o.mitigations }
 
-// Threshold returns the configured Rowhammer threshold.
-func (o *Oracle) Threshold() int { return o.trh }
-
 // Merge combines oracles that observed disjoint (bank, row) streams
 // into a single oracle whose accessors report exactly what one oracle
 // observing the union stream would. All shards must share a threshold. Counters sum, tables union

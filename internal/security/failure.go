@@ -44,25 +44,3 @@ func Table5(thresholds ...int) []BudgetRow {
 func (r BudgetRow) String() string {
 	return fmt.Sprintf("T=%d  F=%.2e  eps=%.2e", r.TRH, r.F, r.Epsilon)
 }
-
-// NanosPerYear converts the MTTF target into the Equation 3 time base.
-const NanosPerYear = 3.2e16 // the paper's rounding: 10,000 years = 3.2e20 ns
-
-// FailureBudgetMTTF generalises Equation 3 to an arbitrary Bank-MTTF
-// target in years (the paper fixes 10,000 years to sit within the
-// naturally occurring DRAM fault rate).
-func FailureBudgetMTTF(trh int, mttfYears float64) float64 {
-	if mttfYears <= 0 {
-		return 1
-	}
-	return float64(trh) * TRCNanos / (mttfYears * NanosPerYear)
-}
-
-// EpsilonMTTF is the per-side escape budget at an arbitrary MTTF target.
-func EpsilonMTTF(trh int, mttfYears float64) float64 {
-	f := FailureBudgetMTTF(trh, mttfYears)
-	if f >= 1 {
-		return 1
-	}
-	return math.Sqrt(f)
-}

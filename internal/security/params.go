@@ -206,34 +206,3 @@ func Table6(cMin, cMax int, thresholds ...int) []Table6Row {
 	}
 	return rows
 }
-
-// DeriveWithMTTF derives secure parameters against an arbitrary
-// Bank-MTTF target instead of the paper's 10,000 years. Longer targets
-// shrink epsilon and therefore the critical update count C; the
-// sensitivity is logarithmic, which is why the paper's conclusions are
-// robust to the exact MTTF choice.
-func DeriveWithMTTF(v Variant, trh int, p float64, mttfYears float64) Params {
-	ath := MOATAlertThreshold(trh)
-	eps := EpsilonMTTF(trh, mttfYears)
-	a := ath
-	params := Params{Variant: v, TRH: trh, ATH: ath, P: p, Epsilon: eps}
-	switch v {
-	case VariantPRAC:
-		params.P = 1
-		params.A = ath
-		params.C = ath
-		params.ATHStar = ath
-		return params
-	case VariantMoPACD:
-		a = ath - TardinessThreshold
-		params.TTH = TardinessThreshold
-		params.DrainOnREF = defaultDrainOnREF(p)
-		params.SRQSize = SRQEntries
-	}
-	c, prob := CriticalUpdates(a, p, eps)
-	params.A = a
-	params.C = c
-	params.ATHStar = c * params.UpdateWeight()
-	params.UndercountP = prob
-	return params
-}

@@ -81,16 +81,6 @@ func (m *Metrics) MeanRunNs() int64 {
 	return int64(sum / float64(count))
 }
 
-// RunTimeSummary returns the recorded distribution for a design.
-func (m *Metrics) RunTimeSummary(design string) stats.Summary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h := m.runTimes[design]; h != nil {
-		return h.Snapshot()
-	}
-	return stats.Summary{}
-}
-
 // WriteTo renders the Prometheus text exposition. Gauges and counters
 // owned by other components (queue depth, cache hits) are passed in by
 // the server.

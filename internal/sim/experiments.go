@@ -22,9 +22,10 @@ type Scale struct {
 	Parallel int
 }
 
-// DefaultScale returns the configuration used to generate
-// EXPERIMENTS.md: every Table 4 workload at one million instructions
-// per core.
+// DefaultScale returns the configuration the committed reports are
+// generated at: every Table 4 workload at one million instructions per
+// core. mopac-experiments takes its -instr, -acts and -seed defaults
+// from it.
 func DefaultScale() Scale {
 	return Scale{
 		InstrPerCore: 1_000_000,

@@ -22,6 +22,10 @@ type Generator struct {
 	rowLo, rowSpan int // this core's private row region per bank
 	hot            []int
 
+	// The mapper's geometry, copied once: banks across all subchannels,
+	// banks per subchannel, and cache lines per row.
+	banks, subBanks, linesPerRow int
+
 	cur       addrmap.Loc
 	remaining int
 	seq       int // streaming sweep position
@@ -49,8 +53,9 @@ func NewGenerator(spec Spec, mapper addrmap.Mapper, core, cores int, seed uint64
 	}
 	g.pcg.Seed(seed, uint64(core)*0x9e3779b97f4a7c15+0x6d6f70)
 	g.rng = *rand.New(&g.pcg)
-	rows := mapper.Geometry().Rows
-	g.rowSpan = rows / cores
+	geo := mapper.Geometry()
+	g.banks, g.subBanks, g.linesPerRow = geo.Subchannels*geo.Banks, geo.Banks, geo.LinesPerRow()
+	g.rowSpan = geo.Rows / cores
 	g.rowLo = core * g.rowSpan
 	for i := 0; i < spec.HotRows; i++ {
 		g.hot = append(g.hot, g.rowLo+g.rng.IntN(g.rowSpan))
@@ -78,29 +83,27 @@ func (g *Generator) geometricRun() int {
 }
 
 func (g *Generator) nextRow() {
-	geo := g.mapper.Geometry()
-	banks := geo.Subchannels * geo.Banks
 	switch g.spec.Style {
 	case StyleStreaming:
 		// Fixed-length runs marching across banks, then advancing the
 		// row index: the MOP picture of a sequential stream.
 		g.seq++
-		gb := g.seq % banks
-		g.cur.Sub = gb / geo.Banks
-		g.cur.Bank = gb % geo.Banks
-		g.cur.Row = g.rowLo + (g.seq/banks)%g.rowSpan
+		gb := g.seq % g.banks
+		g.cur.Sub = gb / g.subBanks
+		g.cur.Bank = gb % g.subBanks
+		g.cur.Row = g.rowLo + (g.seq/g.banks)%g.rowSpan
 		g.cur.Col = 0
 		g.remaining = int(g.spec.MeanRun)
 	default:
-		gb := g.rng.IntN(banks)
-		g.cur.Sub = gb / geo.Banks
-		g.cur.Bank = gb % geo.Banks
+		gb := g.rng.IntN(g.banks)
+		g.cur.Sub = gb / g.subBanks
+		g.cur.Bank = gb % g.subBanks
 		if len(g.hot) > 0 && g.rng.Float64() < g.spec.HotFrac {
 			g.cur.Row = g.hot[g.rng.IntN(len(g.hot))]
 		} else {
 			g.cur.Row = g.rowLo + g.rng.IntN(g.rowSpan)
 		}
-		g.cur.Col = g.rng.IntN(geo.LinesPerRow())
+		g.cur.Col = g.rng.IntN(g.linesPerRow)
 		g.remaining = g.geometricRun()
 	}
 }
@@ -112,7 +115,10 @@ func (g *Generator) Next() (cpu.Access, bool) {
 	}
 	loc := g.cur
 	g.remaining--
-	g.cur.Col = (g.cur.Col + 1) % g.mapper.Geometry().LinesPerRow()
+	// Col stays in [0, linesPerRow), so wrapping needs no division.
+	if g.cur.Col++; g.cur.Col == g.linesPerRow {
+		g.cur.Col = 0
+	}
 
 	gap := int64(0)
 	if g.gapMean > 0 {
