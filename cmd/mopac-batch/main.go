@@ -160,44 +160,60 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%d unique of %d runs finished in %v; %d served from the result store\n",
 		st.Unique, len(exps), time.Since(start).Round(time.Millisecond), st.StoreHits)
 
-	tbl := report.NewTable(
-		fmt.Sprintf("mopac-batch: %d runs from %s", len(exps), *path),
+	sums := make([]*sim.ResultSummary, len(exps))
+	errs := make([]error, len(exps))
+	for i, e := range exps {
+		res, err := plan.Get(e.Config)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		sum := res.Summary()
+		sums[i] = &sum
+	}
+	err = writeResults(w, fm, fmt.Sprintf("mopac-batch: %d runs from %s", len(exps), *path), exps, sums, errs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// writeResults renders the batch's result table, one row per run from
+// its summary. A run that failed gets no row: its error, errs[i], goes
+// to stderr, and writeResults returns an error once the table is out.
+func writeResults(w io.Writer, fm report.Format, title string, exps []config.Expansion, sums []*sim.ResultSummary, errs []error) error {
+	tbl := report.NewTable(title,
 		"run", "design", "T_RH", "workload", "sumIPC", "RBHR", "avg lat (ns)",
 		"P99 lat (ns)", "alerts", "mitigations", "secure",
 	)
 	failed := false
 	for i, e := range exps {
-		res, err := plan.Get(e.Config)
-		if err != nil {
+		if errs[i] != nil {
 			fmt.Fprintf(os.Stderr, "run %d (%s %s/%s): %v\n",
-				i, e.RunName, e.Config.Design, e.Config.Workload, err)
+				i, e.RunName, e.Config.Design, e.Config.Workload, errs[i])
 			failed = true
 			continue
 		}
+		sum := sums[i]
 		secure := "n/a"
-		if res.Oracle != nil {
-			secure = fmt.Sprintf("%v", res.Oracle.Secure())
-		}
-		avgLat := 0.0
-		if res.MC.Reads > 0 {
-			avgLat = float64(res.MC.SumLatency) / float64(res.MC.Reads)
+		if sum.Secure != nil {
+			secure = fmt.Sprintf("%v", *sum.Secure)
 		}
 		if err := tbl.AddRowf(
 			e.RunName, e.Config.Design, e.Config.TRH, e.Config.Workload,
-			res.SumIPC, res.RBHR(), avgLat, res.Latency.P99,
-			res.Dev.Alerts, res.Dev.Mitigations, secure,
+			sum.SumIPC, sum.RBHR, sum.AvgLatencyNs, sum.P99LatencyNs,
+			sum.Alerts, sum.Mitigations, secure,
 		); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if err := tbl.Render(w, fm); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	if failed {
-		os.Exit(1)
+		return fmt.Errorf("some runs failed")
 	}
+	return nil
 }
 
 // toJobRequest maps an expanded sim.Config back onto the service wire
@@ -295,78 +311,39 @@ func submitWait(client *http.Client, server, tenant string, req service.JobReque
 // renders the same table shape as the local path, sourced from result
 // summaries instead of full results.
 func runRemote(w io.Writer, fm report.Format, path, server, tenant string, jobs int, exps []config.Expansion) error {
-	type outcome struct {
-		sum      *sim.ResultSummary
-		cacheHit bool
-		err      error
-	}
 	if jobs <= 0 {
 		// The server owns the simulation budget; the client cap only
 		// bounds queue pressure (and so 429 churn) from this batch.
 		jobs = 8
 	}
 	client := &http.Client{Timeout: 10 * time.Minute}
-	results := make([]outcome, len(exps))
+	sums := make([]*sim.ResultSummary, len(exps))
+	errs := make([]error, len(exps))
 	var finished, cached atomic.Int64
 	service.ForEach(jobs, len(exps), func(i int) {
 		e := exps[i]
 		req, err := toJobRequest(e.Config)
-		if err == nil {
-			var sum *sim.ResultSummary
-			var hit bool
-			start := time.Now()
-			sum, hit, err = submitWait(client, server, tenant, req)
-			if err == nil {
-				results[i] = outcome{sum: sum, cacheHit: hit}
-				if hit {
-					cached.Add(1)
-				}
-				from := "done in " + time.Since(start).Round(time.Millisecond).String()
-				if hit {
-					from = "from server cache"
-				}
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s %s\n",
-					finished.Add(1), len(exps), e.RunName, e.Config.Design, e.Config.Workload, from)
-				return
-			}
+		if err != nil {
+			errs[i] = err
+			return
 		}
-		results[i] = outcome{err: err}
+		start := time.Now()
+		sum, hit, err := submitWait(client, server, tenant, req)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		sums[i] = sum
+		from := "done in " + time.Since(start).Round(time.Millisecond).String()
+		if hit {
+			cached.Add(1)
+			from = "from server cache"
+		}
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s %s/%s %s\n",
+			finished.Add(1), len(exps), e.RunName, e.Config.Design, e.Config.Workload, from)
 	})
 	if n := cached.Load(); n > 0 {
 		fmt.Fprintf(os.Stderr, "%d of %d runs served from the server result cache\n", n, len(exps))
 	}
-
-	tbl := report.NewTable(
-		fmt.Sprintf("mopac-batch: %d runs from %s via %s", len(exps), path, server),
-		"run", "design", "T_RH", "workload", "sumIPC", "RBHR", "avg lat (ns)",
-		"P99 lat (ns)", "alerts", "mitigations", "secure",
-	)
-	failed := false
-	for i, e := range exps {
-		if results[i].err != nil {
-			fmt.Fprintf(os.Stderr, "run %d (%s %s/%s): %v\n",
-				i, e.RunName, e.Config.Design, e.Config.Workload, results[i].err)
-			failed = true
-			continue
-		}
-		sum := results[i].sum
-		secure := "n/a"
-		if sum.Secure != nil {
-			secure = fmt.Sprintf("%v", *sum.Secure)
-		}
-		if err := tbl.AddRowf(
-			e.RunName, e.Config.Design, e.Config.TRH, e.Config.Workload,
-			sum.SumIPC, sum.RBHR, sum.AvgLatencyNs, sum.P99LatencyNs,
-			sum.Alerts, sum.Mitigations, secure,
-		); err != nil {
-			return err
-		}
-	}
-	if err := tbl.Render(w, fm); err != nil {
-		return err
-	}
-	if failed {
-		return fmt.Errorf("some runs failed")
-	}
-	return nil
+	return writeResults(w, fm, fmt.Sprintf("mopac-batch: %d runs from %s via %s", len(exps), path, server), exps, sums, errs)
 }

@@ -16,14 +16,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"mopac/internal/buildinfo"
 	"mopac/internal/config"
-	"mopac/internal/plot"
 	"mopac/internal/prof"
 	"mopac/internal/sim"
 	"mopac/internal/store"
@@ -94,110 +93,40 @@ func main() {
 		w = f
 	}
 
-	type step struct {
-		id    string
-		brief string
-		run   func() error
+	// The report is sim's step table plus the trace step, which drives
+	// its own instrumented run and only runs when given an output path.
+	const traceBrief = "cycle-level trace of one run (requires -trace PATH)"
+	var ids []string
+	for _, s := range sim.Steps() {
+		ids = append(ids, s.ID)
 	}
-	steps := []step{
-		{"tab4", "Table 4 workload characteristics", func() error { return emitTable4(w, runner) }},
-		{"fig2", "Figure 2 PRAC slowdown", func() error {
-			return emitSlowdowns(w, "Figure 2 — PRAC slowdown (T_RH 4000/500/100)", runner.Fig2)
-		}},
-		{"fig9", "Figure 9 PRAC vs MoPAC-C", func() error {
-			return emitSlowdowns(w, "Figure 9 — PRAC vs MoPAC-C", runner.Fig9)
-		}},
-		{"fig11", "Figure 11 PRAC vs MoPAC-D", func() error {
-			return emitSlowdowns(w, "Figure 11 — PRAC vs MoPAC-D", runner.Fig11)
-		}},
-		{"fig12", "Figure 12 drain-on-REF sweep", func() error {
-			for _, trh := range sim.SweepTRHs {
-				trh := trh
-				if err := emitSlowdowns(w, fmt.Sprintf("Figure 12 — drain-on-REF sweep at T_RH=%d", trh),
-					func() (sim.SlowdownTable, error) { return runner.Fig12(trh) }); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"fig13", "Figure 13 SRQ size sweep", func() error {
-			for _, trh := range sim.SweepTRHs {
-				trh := trh
-				if err := emitSlowdowns(w, fmt.Sprintf("Figure 13 — SRQ size sweep at T_RH=%d", trh),
-					func() (sim.SlowdownTable, error) { return runner.Fig13(trh) }); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"fig17", "Figure 17 NUP ablation", func() error {
-			return emitSlowdowns(w, "Figure 17 — MoPAC-D with/without NUP", runner.Fig17)
-		}},
-		{"tab12", "Table 12 SRQ insertion rates", func() error { return emitTable12(w, runner) }},
-		{"fig18", "Appendix A RowPress protection", func() error {
-			return emitSlowdowns(w, "Appendix A (Fig 18) — RowPress protection", runner.Fig18)
-		}},
-		{"fig19", "Appendix B chip-count sweep", func() error {
-			return emitSlowdowns(w, fmt.Sprintf("Appendix B (Fig 19) — chip-count sweep at T_RH=%d", sim.Fig19TRH),
-				func() (sim.SlowdownTable, error) { return runner.Fig19(sim.Fig19TRH) })
-		}},
-		{"tab15", "Appendix C row-closure policies", func() error {
-			return emitSlowdowns(w, "Appendix C (Table 15) — row-closure policies", runner.Table15)
-		}},
-		{"fig1d", "Figure 1(d) threshold summary", func() error {
-			return emitSlowdowns(w, "Figure 1(d) — summary across thresholds", runner.Fig1d)
-		}},
-		{"tab9", "Table 9 attacks on MoPAC-C", func() error {
-			return emitAttacks(w, "Table 9 — performance attacks on MoPAC-C (simulated vs model)", runner.AttacksMoPACC)
-		}},
-		{"tab10", "Table 10 attacks on MoPAC-D", func() error {
-			return emitAttacks(w, "Table 10 — performance attacks on MoPAC-D (simulated vs model)", runner.AttacksMoPACD)
-		}},
-		{"sec", "security validation suite", func() error { return emitSecurity(w, runner) }},
-		{"overheads", "counter-update economics", func() error { return emitOverheads(w, runner) }},
-		{"psweep", "MoPAC-C p-selection sweep", func() error { return emitPSweep(w, runner) }},
-		{"trace", "cycle-level trace of one run (requires -trace PATH)", func() error {
-			return emitTrace(w, sc, *traceDes, *traceWl, *tracePth, *traceWin, *traceLim)
-		}},
-	}
+	ids = append(ids, "trace")
 	if *list {
-		for _, s := range steps {
-			fmt.Printf("%-10s %s\n", s.id, s.brief)
+		for _, s := range sim.Steps() {
+			fmt.Printf("%-10s %s\n", s.ID, s.Brief)
 		}
+		fmt.Printf("%-10s %s\n", "trace", traceBrief)
 		return
 	}
 
-	known := map[string]bool{}
-	for _, s := range steps {
-		known[s.id] = true
-	}
 	selected := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
 			id = strings.TrimSpace(id)
-			if !known[id] {
-				var ids []string
-				for _, s := range steps {
-					ids = append(ids, s.id)
-				}
+			if !slices.Contains(ids, id) {
 				fmt.Fprintf(os.Stderr, "unknown experiment id %q; valid ids: %s\n", id, strings.Join(ids, ", "))
 				os.Exit(2)
 			}
 			selected[id] = true
 		}
 	}
+	if selected["trace"] && *tracePth == "" {
+		fmt.Fprintln(os.Stderr, "-only trace requires -trace PATH")
+		os.Exit(2)
+	}
 	want := func(id string) bool {
-		if id == "trace" {
-			// The trace step needs an output path; it only runs when
-			// asked for one (and -only trace without -trace is an error).
-			if *tracePth == "" {
-				if selected["trace"] {
-					fmt.Fprintln(os.Stderr, "-only trace requires -trace PATH")
-					os.Exit(2)
-				}
-				return false
-			}
-			return len(selected) == 0 || selected[id]
+		if id == "trace" && *tracePth == "" {
+			return false
 		}
 		return len(selected) == 0 || selected[id]
 	}
@@ -235,12 +164,11 @@ func main() {
 		sim.HashVersion(), sc.InstrPerCore, sc.AttackActs, sc.Seed, orAll(*wls), orAll(*only),
 		len(runner.Scale().Workloads))
 
-	// Phase 1: declare every selected planner-backed step, so the whole
-	// report becomes one deduped batch instead of a pool-drain per
-	// figure. The trace step drives its own run and is skipped here.
-	for _, s := range steps {
-		if want(s.id) {
-			runner.PlanStep(s.id)
+	// Phase 1: declare every selected step, so the whole report becomes
+	// one deduped batch instead of a pool-drain per figure.
+	for _, id := range ids {
+		if want(id) {
+			runner.PlanStep(id)
 		}
 	}
 
@@ -277,18 +205,23 @@ func main() {
 	}
 	runner.Planner().SetProgress(nil)
 
-	// Phase 3: assemble the report; planner-backed steps find every
-	// result memoized.
-	for _, s := range steps {
-		if !want(s.id) {
+	// Phase 3: write the report; every step finds its runs memoized.
+	for _, id := range ids {
+		if !want(id) {
 			continue
 		}
 		start := time.Now()
-		if err := s.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", s.id, err)
+		var err error
+		if id == "trace" {
+			err = emitTrace(w, sc, *traceDes, *traceWl, *tracePth, *traceWin, *traceLim)
+		} else {
+			err = runner.WriteStep(id, w)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "[%s] done in %v\n", s.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s] done in %v\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
 	st := runner.Planner().Stats()
@@ -334,144 +267,5 @@ func emitTrace(w io.Writer, sc sim.Scale, design, workload, path, window string,
 		ts.Records, ts.Tracks, ts.Dropped, design, workload, path)
 	fmt.Fprintf(w, "Read latency p50/p95: %d/%d ns over %d reads.\n\n",
 		ts.ReadLatency.P50, ts.ReadLatency.P95, ts.ReadLatency.Count)
-	return nil
-}
-
-func emitSlowdowns(w io.Writer, title string, run func() (sim.SlowdownTable, error)) error {
-	tbl, err := run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## %s\n\n", title)
-	fmt.Fprintf(w, "| workload | %s |\n", strings.Join(tbl.Labels, " | "))
-	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(tbl.Labels)))
-	for _, row := range tbl.Rows {
-		cells := make([]string, len(row.Slowdowns))
-		for i, s := range row.Slowdowns {
-			cells[i] = fmt.Sprintf("%.2f%%", 100*s)
-		}
-		fmt.Fprintf(w, "| %s | %s |\n", row.Workload, strings.Join(cells, " | "))
-	}
-	avg := tbl.Averages()
-	cells := make([]string, len(avg))
-	for i, s := range avg {
-		cells[i] = fmt.Sprintf("**%.2f%%**", 100*s)
-	}
-	fmt.Fprintf(w, "| **average** | %s |\n\n", strings.Join(cells, " | "))
-
-	ch := plot.New("averages", "%")
-	for i, l := range tbl.Labels {
-		ch.Add(l, 100*avg[i])
-	}
-	if err := ch.Fenced(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func emitTable4(w io.Writer, r *sim.Runner) error {
-	rows, err := r.Table4()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## Table 4 — workload characteristics (measured vs published)\n\n")
-	fmt.Fprintln(w, "| workload | MPKI | pub | RBHR | pub | APRI | pub | ACT-64+ | pub | ACT-200+ | pub |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|")
-	for _, row := range rows {
-		m, p := row.Measured, row.Paper
-		fmt.Fprintf(w, "| %s | %.1f | %.1f | %.2f | %.2f | %.1f | %.1f | %.1f | %.1f | %.1f | %.1f |\n",
-			row.Workload, m.MPKI, p.MPKI, m.RBHR, p.RBHR, m.APRI, p.APRI,
-			m.ACT64, p.ACT64, m.ACT200, p.ACT200)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func emitTable12(w io.Writer, r *sim.Runner) error {
-	rows, err := r.Table12()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## Table 12 — SRQ insertions per 100 ACTs\n\n")
-	fmt.Fprintln(w, "| T_RH | uniform | paper | NUP | paper |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	paper := map[int][2]float64{1000: {6.2, 3.1}, 500: {12.5, 6.3}, 250: {25.0, 13.4}}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].TRH > rows[j].TRH })
-	for _, row := range rows {
-		p := paper[row.TRH]
-		fmt.Fprintf(w, "| %d | %.1f | %.1f | %.1f | %.1f |\n", row.TRH, row.Uniform, p[0], row.NUP, p[1])
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func emitAttacks(w io.Writer, title string, run func(...int) ([]sim.AttackRow, error)) error {
-	rows, err := run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## %s\n\n", title)
-	fmt.Fprintln(w, "| T_RH | attack | simulated | model | secure | max count |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|")
-	for _, row := range rows {
-		fmt.Fprintf(w, "| %d | %s | %.1f%% | %.1f%% | %v | %d |\n",
-			row.TRH, row.Kind, 100*row.Slowdown, 100*row.Model, row.Secure, row.MaxCount)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func emitOverheads(w io.Writer, r *sim.Runner) error {
-	fmt.Fprintf(w, "## Counter-update economics (the §4 insight, measured)\n\n")
-	fmt.Fprintln(w, "| T_RH | design | counter updates /100 ACTs | ABO stall fraction | slowdown |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	for _, trh := range sim.SweepTRHs {
-		rows, err := r.Overheads(trh)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			fmt.Fprintf(w, "| %d | %s | %.1f | %.4f | %.2f%% |\n",
-				trh, row.Design, row.CUPer100ACT, row.ABOStall, 100*row.Slowdown)
-		}
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func emitPSweep(w io.Writer, r *sim.Runner) error {
-	fmt.Fprintf(w, "## p-selection trade-off for MoPAC-C at T_RH=500 (§5.4)\n\n")
-	fmt.Fprintln(w, "| p | ATH* | valid | avg slowdown | total ALERTs |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	rows, err := r.PSweepMoPACC(500)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		slow, athStar := "-", "-"
-		if row.Valid {
-			slow = fmt.Sprintf("%.2f%%", 100*row.Slowdown)
-			athStar = fmt.Sprintf("%d", row.ATHStar)
-		}
-		fmt.Fprintf(w, "| 1/%d | %s | %v | %s | %d |\n", row.InvP, athStar, row.Valid, slow, row.Alerts)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func emitSecurity(w io.Writer, r *sim.Runner) error {
-	fmt.Fprintf(w, "## Security validation — attack-success criterion (threat model §2.1)\n\n")
-	fmt.Fprintln(w, "| design | pattern | secure | max unmitigated | T_RH |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	rows, err := r.SecurityValidation(sim.SecurityTRH)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		fmt.Fprintf(w, "| %s | %s | %v | %d | %d |\n",
-			row.Design, row.Pattern, row.Secure, row.MaxCount, row.TRH)
-	}
-	fmt.Fprintln(w)
 	return nil
 }

@@ -209,7 +209,7 @@ func TestAttackStepsPlanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sec, err := r.SecurityValidation(SecurityTRH)
+		sec, err := r.SecurityValidation(securityTRH)
 		if err != nil {
 			t.Fatal(err)
 		}

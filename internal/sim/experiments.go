@@ -45,11 +45,9 @@ func QuickScale() Scale {
 	}
 }
 
-// SweepTRHs are the thresholds the threshold-parameterised steps
-// (Fig 12, Fig 13, Overheads) are reported at. The CLI iterates this
-// same slice, so the planner's declarations (PlanStep) and the
-// rendered report can not drift apart.
-var SweepTRHs = []int{1000, 500, 250}
+// sweepTRHs are the thresholds the threshold-parameterised steps
+// (Fig 12, Fig 13, Table 12, Overheads) are reported at.
+var sweepTRHs = []int{1000, 500, 250}
 
 // Runner executes experiments at one scale. All performance runs flow
 // through a cross-figure Planner (see plan.go): figures declare the
@@ -64,16 +62,19 @@ type Runner struct {
 	plan  *Planner
 }
 
-// NewRunner returns a Runner for the scale.
+// NewRunner returns a Runner for the scale. Workloads, instructions
+// per core and attack activations left zero take DefaultScale's
+// values; a zero Seed stays zero.
 func NewRunner(sc Scale) *Runner {
+	def := DefaultScale()
 	if len(sc.Workloads) == 0 {
-		sc.Workloads = workload.All()
+		sc.Workloads = def.Workloads
 	}
 	if sc.InstrPerCore == 0 {
-		sc.InstrPerCore = 1_000_000
+		sc.InstrPerCore = def.InstrPerCore
 	}
 	if sc.AttackActs == 0 {
-		sc.AttackActs = 120_000
+		sc.AttackActs = def.AttackActs
 	}
 	return &Runner{scale: sc, plan: NewPlanner(sc.Parallel)}
 }
@@ -100,15 +101,65 @@ func baselineFor(cfg Config) Config {
 	return Config{Design: DesignBaseline, Workload: cfg.Workload, Policy: cfg.Policy, TimeoutNs: cfg.TimeoutNs}
 }
 
+// fetch is how a table builder gets its runs, so one builder both
+// declares the runs it needs and reads them. A declaring fetch
+// registers each run with the planner and answers a zero result; a
+// reading fetch answers the planner's result.
+type fetch struct {
+	r    *Runner
+	read bool
+}
+
+// run fetches one figure run, resolved against the runner's scale.
+func (f fetch) run(cfg Config) (Result, error) {
+	cfg = f.r.scaled(cfg)
+	if !f.read {
+		f.r.plan.Need(cfg)
+		return Result{}, nil
+	}
+	return f.r.plan.Get(cfg)
+}
+
+// attack fetches one attack run.
+func (f fetch) attack(a AttackConfig) (AttackResult, error) {
+	if !f.read {
+		f.r.plan.NeedAttack(a)
+		return AttackResult{}, nil
+	}
+	return f.r.plan.GetAttack(a)
+}
+
+// slowdown fetches cfg and its baseline and returns cfg's slowdown.
+func (f fetch) slowdown(cfg Config) (float64, error) {
+	base, err := f.run(baselineFor(cfg))
+	if err != nil {
+		return 0, err
+	}
+	res, err := f.run(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return Slowdown(base, res), nil
+}
+
+// build runs a table builder declaring, executes what it declared with
+// one Flush, and runs it again reading. Runs already known to the
+// planner are memo hits. A Flush failure may belong to an unrelated
+// pending config; each run's own entry carries its terminal state, and
+// the reading pass reports it.
+func build[T any](r *Runner, b func(fetch) (T, error)) (T, error) {
+	if _, err := b(fetch{r: r}); err != nil {
+		var zero T
+		return zero, err
+	}
+	_ = r.plan.Flush()
+	return b(fetch{r: r, read: true})
+}
+
 // run executes one configuration through the planner: declared,
 // deduped, served from memo or store when already known.
 func (r *Runner) run(cfg Config) (Result, error) {
-	cfg = r.scaled(cfg)
-	r.plan.Need(cfg)
-	// A flush failure may belong to an unrelated pending config; this
-	// config's own entry carries its terminal state either way.
-	_ = r.plan.Flush()
-	return r.plan.Get(cfg)
+	return build(r, func(f fetch) (Result, error) { return f.run(cfg) })
 }
 
 // Baseline returns the unprotected run for a workload under a
@@ -122,20 +173,7 @@ func (r *Runner) Baseline(wl string, policy mc.PagePolicy, timeoutNs int64) (Res
 // SlowdownOf runs cfg and returns its slowdown versus the matching
 // baseline (same workload and closure policy).
 func (r *Runner) SlowdownOf(cfg Config) (float64, error) {
-	cfg = r.scaled(cfg)
-	base := r.scaled(baselineFor(cfg))
-	r.plan.Need(base)
-	r.plan.Need(cfg)
-	_ = r.plan.Flush()
-	baseRes, err := r.plan.Get(base)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.plan.Get(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return Slowdown(baseRes, res), nil
+	return build(r, func(f fetch) (float64, error) { return f.slowdown(cfg) })
 }
 
 // SlowdownRow is one workload's slowdown under a set of labelled
@@ -168,324 +206,183 @@ func (t SlowdownTable) Averages() []float64 {
 	return out
 }
 
-// sweepSpec declares a figure: one labelled configuration per column,
-// instantiated for every workload. Specs only describe configs — the
-// planner owns execution — which is what lets the CLI declare every
-// selected figure up front and keep the pool saturated across figure
-// boundaries.
-type sweepSpec struct {
-	labels []string
-	mk     func(wl string, i int) Config
+// column is one labelled configuration of a sweep. Its Workload is
+// empty: the sweep runs it on every workload of the scale.
+type column struct {
+	label string
+	cfg   Config
 }
 
-// declareSweep registers a spec's configs (and their baselines) with
-// the planner without executing anything.
-func (r *Runner) declareSweep(spec sweepSpec) {
-	for _, wl := range r.scale.Workloads {
-		for i := range spec.labels {
-			cfg := r.scaled(spec.mk(wl, i))
-			r.plan.Need(r.scaled(baselineFor(cfg)))
-			r.plan.Need(cfg)
-		}
+// columnsOver returns one column per value, labelled prefix-value.
+func columnsOver(prefix string, vals []int, mk func(v int) Config) []column {
+	cols := make([]column, len(vals))
+	for i, v := range vals {
+		cols[i] = column{fmt.Sprintf("%s-%d", prefix, v), mk(v)}
 	}
+	return cols
 }
 
-// assembleSweep builds the figure's table from planner results.
-func (r *Runner) assembleSweep(spec sweepSpec) (SlowdownTable, error) {
-	t := SlowdownTable{Labels: spec.labels}
-	for _, wl := range r.scale.Workloads {
-		row := SlowdownRow{Workload: wl, Slowdowns: make([]float64, len(spec.labels))}
-		for i := range spec.labels {
-			cfg := r.scaled(spec.mk(wl, i))
-			base, err := r.plan.Get(r.scaled(baselineFor(cfg)))
+// sweep builds a figure's table: every column's slowdown on every
+// workload.
+func (f fetch) sweep(cols []column) (SlowdownTable, error) {
+	t := SlowdownTable{Labels: make([]string, len(cols))}
+	for i, c := range cols {
+		t.Labels[i] = c.label
+	}
+	for _, wl := range f.r.scale.Workloads {
+		row := SlowdownRow{Workload: wl, Slowdowns: make([]float64, len(cols))}
+		for i, c := range cols {
+			cfg := c.cfg
+			cfg.Workload = wl
+			s, err := f.slowdown(cfg)
 			if err != nil {
-				return SlowdownTable{}, fmt.Errorf("%s/%s: %w", wl, spec.labels[i], err)
+				return SlowdownTable{}, fmt.Errorf("%s/%s: %w", wl, c.label, err)
 			}
-			res, err := r.plan.Get(cfg)
-			if err != nil {
-				return SlowdownTable{}, fmt.Errorf("%s/%s: %w", wl, spec.labels[i], err)
-			}
-			row.Slowdowns[i] = Slowdown(base, res)
+			row.Slowdowns[i] = s
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
 
-// sweep declares, executes, and assembles one figure. Figures already
-// declared through PlanStep find every config memoized and skip
-// straight to assembly.
-func (r *Runner) sweep(spec sweepSpec) (SlowdownTable, error) {
-	r.declareSweep(spec)
-	if err := r.plan.Flush(); err != nil {
-		return SlowdownTable{}, err
-	}
-	return r.assembleSweep(spec)
+func (r *Runner) sweep(cols []column) (SlowdownTable, error) {
+	return build(r, func(f fetch) (SlowdownTable, error) { return f.sweep(cols) })
 }
 
-func specFig2() sweepSpec {
-	trhs := []int{4000, 500, 100}
-	return sweepSpec{
-		labels: []string{"PRAC-4000", "PRAC-500", "PRAC-100"},
-		mk: func(wl string, i int) Config {
-			return Config{Design: DesignPRAC, TRH: trhs[i], Workload: wl}
-		},
-	}
+var fig2Cols = []column{
+	{"PRAC-4000", Config{Design: DesignPRAC, TRH: 4000}},
+	{"PRAC-500", Config{Design: DesignPRAC, TRH: 500}},
+	{"PRAC-100", Config{Design: DesignPRAC, TRH: 100}},
 }
 
 // Fig2 reproduces Figure 2: PRAC slowdown per workload at thresholds
 // 4000, 500, and 100 (identical across thresholds; ~10% average).
-func (r *Runner) Fig2() (SlowdownTable, error) { return r.sweep(specFig2()) }
+func (r *Runner) Fig2() (SlowdownTable, error) { return r.sweep(fig2Cols) }
 
-func specFig9() sweepSpec {
-	trhs := []int{500, 1000, 500, 250}
-	return sweepSpec{
-		labels: []string{"PRAC", "MoPAC-C-1000", "MoPAC-C-500", "MoPAC-C-250"},
-		mk: func(wl string, i int) Config {
-			d := DesignMoPACC
-			if i == 0 {
-				d = DesignPRAC
-			}
-			return Config{Design: d, TRH: trhs[i], Workload: wl}
-		},
-	}
+var fig9Cols = []column{
+	{"PRAC", Config{Design: DesignPRAC, TRH: 500}},
+	{"MoPAC-C-1000", Config{Design: DesignMoPACC, TRH: 1000}},
+	{"MoPAC-C-500", Config{Design: DesignMoPACC, TRH: 500}},
+	{"MoPAC-C-250", Config{Design: DesignMoPACC, TRH: 250}},
 }
 
 // Fig9 reproduces Figure 9: PRAC versus MoPAC-C at thresholds 1000, 500,
 // and 250 (paper averages: 10% versus 0.7-0.8/1.8/3.0%).
-func (r *Runner) Fig9() (SlowdownTable, error) { return r.sweep(specFig9()) }
+func (r *Runner) Fig9() (SlowdownTable, error) { return r.sweep(fig9Cols) }
 
-func specFig11() sweepSpec {
-	trhs := []int{500, 1000, 500, 250}
-	return sweepSpec{
-		labels: []string{"PRAC", "MoPAC-D-1000", "MoPAC-D-500", "MoPAC-D-250"},
-		mk: func(wl string, i int) Config {
-			d := DesignMoPACD
-			if i == 0 {
-				d = DesignPRAC
-			}
-			return Config{Design: d, TRH: trhs[i], Workload: wl}
-		},
-	}
+var fig11Cols = []column{
+	{"PRAC", Config{Design: DesignPRAC, TRH: 500}},
+	{"MoPAC-D-1000", Config{Design: DesignMoPACD, TRH: 1000}},
+	{"MoPAC-D-500", Config{Design: DesignMoPACD, TRH: 500}},
+	{"MoPAC-D-250", Config{Design: DesignMoPACD, TRH: 250}},
 }
 
 // Fig11 reproduces Figure 11: PRAC versus MoPAC-D (paper averages:
 // 10% versus 0.1/0.8/3.5%).
-func (r *Runner) Fig11() (SlowdownTable, error) { return r.sweep(specFig11()) }
+func (r *Runner) Fig11() (SlowdownTable, error) { return r.sweep(fig11Cols) }
 
-func specFig12(trh int) sweepSpec {
-	drains := []int{0, 1, 2, 4}
-	labels := make([]string, len(drains))
-	for i, d := range drains {
-		labels[i] = fmt.Sprintf("drain-%d", d)
-	}
-	return sweepSpec{
-		labels: labels,
-		mk: func(wl string, i int) Config {
-			d := drains[i]
-			return Config{Design: DesignMoPACD, TRH: trh, Workload: wl, DrainOnREF: &d}
-		},
-	}
+func fig12Cols(trh int) []column {
+	return columnsOver("drain", []int{0, 1, 2, 4}, func(n int) Config {
+		return Config{Design: DesignMoPACD, TRH: trh, DrainOnREF: &n}
+	})
 }
 
 // Fig12 reproduces Figure 12: MoPAC-D slowdown as the drain-on-REF rate
 // varies over 0/1/2/4 at one threshold.
-func (r *Runner) Fig12(trh int) (SlowdownTable, error) { return r.sweep(specFig12(trh)) }
+func (r *Runner) Fig12(trh int) (SlowdownTable, error) { return r.sweep(fig12Cols(trh)) }
 
-func specFig13(trh int) sweepSpec {
-	sizes := []int{8, 16, 32}
-	labels := make([]string, len(sizes))
-	for i, s := range sizes {
-		labels[i] = fmt.Sprintf("srq-%d", s)
-	}
-	return sweepSpec{
-		labels: labels,
-		mk: func(wl string, i int) Config {
-			return Config{Design: DesignMoPACD, TRH: trh, Workload: wl, SRQSize: sizes[i]}
-		},
-	}
+func fig13Cols(trh int) []column {
+	return columnsOver("srq", []int{8, 16, 32}, func(n int) Config {
+		return Config{Design: DesignMoPACD, TRH: trh, SRQSize: n}
+	})
 }
 
 // Fig13 reproduces Figure 13: MoPAC-D slowdown as the SRQ size varies
 // over 8/16/32 entries at one threshold.
-func (r *Runner) Fig13(trh int) (SlowdownTable, error) { return r.sweep(specFig13(trh)) }
+func (r *Runner) Fig13(trh int) (SlowdownTable, error) { return r.sweep(fig13Cols(trh)) }
 
-func specFig17() sweepSpec {
-	trhs := []int{1000, 1000, 500, 500, 250, 250}
-	return sweepSpec{
-		labels: []string{
-			"uniform-1000", "nup-1000", "uniform-500", "nup-500", "uniform-250", "nup-250",
-		},
-		mk: func(wl string, i int) Config {
-			return Config{Design: DesignMoPACD, TRH: trhs[i], Workload: wl, NUP: i%2 == 1}
-		},
-	}
+var fig17Cols = []column{
+	{"uniform-1000", Config{Design: DesignMoPACD, TRH: 1000}},
+	{"nup-1000", Config{Design: DesignMoPACD, TRH: 1000, NUP: true}},
+	{"uniform-500", Config{Design: DesignMoPACD, TRH: 500}},
+	{"nup-500", Config{Design: DesignMoPACD, TRH: 500, NUP: true}},
+	{"uniform-250", Config{Design: DesignMoPACD, TRH: 250}},
+	{"nup-250", Config{Design: DesignMoPACD, TRH: 250, NUP: true}},
 }
 
 // Fig17 reproduces Figure 17: MoPAC-D with and without Non-Uniform
 // Probability at thresholds 1000/500/250.
-func (r *Runner) Fig17() (SlowdownTable, error) { return r.sweep(specFig17()) }
+func (r *Runner) Fig17() (SlowdownTable, error) { return r.sweep(fig17Cols) }
 
-func specFig18() sweepSpec {
-	return sweepSpec{
-		labels: []string{
-			"C-1000", "C-RP-1000", "C-500", "C-RP-500",
-			"D-1000", "D-RP-1000", "D-500", "D-RP-500",
-		},
-		mk: func(wl string, i int) Config {
-			design := DesignMoPACC
-			if i >= 4 {
-				design = DesignMoPACD
-			}
-			trh := 1000
-			if i%4 >= 2 {
-				trh = 500
-			}
-			return Config{Design: design, TRH: trh, Workload: wl, RowPress: i%2 == 1}
-		},
-	}
+var fig18Cols = []column{
+	{"C-1000", Config{Design: DesignMoPACC, TRH: 1000}},
+	{"C-RP-1000", Config{Design: DesignMoPACC, TRH: 1000, RowPress: true}},
+	{"C-500", Config{Design: DesignMoPACC, TRH: 500}},
+	{"C-RP-500", Config{Design: DesignMoPACC, TRH: 500, RowPress: true}},
+	{"D-1000", Config{Design: DesignMoPACD, TRH: 1000}},
+	{"D-RP-1000", Config{Design: DesignMoPACD, TRH: 1000, RowPress: true}},
+	{"D-500", Config{Design: DesignMoPACD, TRH: 500}},
+	{"D-RP-500", Config{Design: DesignMoPACD, TRH: 500, RowPress: true}},
 }
 
 // Fig18 reproduces the Appendix A figure: MoPAC-C and MoPAC-D with and
 // without integrated RowPress protection at thresholds 1000 and 500.
-func (r *Runner) Fig18() (SlowdownTable, error) { return r.sweep(specFig18()) }
+func (r *Runner) Fig18() (SlowdownTable, error) { return r.sweep(fig18Cols) }
 
-// Fig19TRH is the threshold the CLI's chip-count sweep reports at.
-const Fig19TRH = 250
+// fig19TRH is the threshold the report's chip-count sweep is at.
+const fig19TRH = 250
 
-func specFig19(trh int) sweepSpec {
-	chips := []int{1, 2, 4, 8, 16}
-	labels := make([]string, len(chips))
-	for i, c := range chips {
-		labels[i] = fmt.Sprintf("chips-%d", c)
-	}
-	return sweepSpec{
-		labels: labels,
-		mk: func(wl string, i int) Config {
-			return Config{Design: DesignMoPACD, TRH: trh, Workload: wl, Chips: chips[i]}
-		},
-	}
+func fig19Cols(trh int) []column {
+	return columnsOver("chips", []int{1, 2, 4, 8, 16}, func(n int) Config {
+		return Config{Design: DesignMoPACD, TRH: trh, Chips: n}
+	})
 }
 
 // Fig19 reproduces the Appendix B figure: MoPAC-D slowdown as the chip
 // count varies over 1/2/4/8/16 at one threshold.
-func (r *Runner) Fig19(trh int) (SlowdownTable, error) { return r.sweep(specFig19(trh)) }
+func (r *Runner) Fig19(trh int) (SlowdownTable, error) { return r.sweep(fig19Cols(trh)) }
 
-func specFig1d() sweepSpec {
-	cfgs := []struct {
-		d   Design
-		trh int
-	}{
-		{DesignPRAC, 500},
-		{DesignMoPACC, 4000}, {DesignMoPACC, 1000}, {DesignMoPACC, 500}, {DesignMoPACC, 250},
-		{DesignMoPACD, 4000}, {DesignMoPACD, 1000}, {DesignMoPACD, 500}, {DesignMoPACD, 250},
-	}
-	return sweepSpec{
-		labels: []string{
-			"PRAC", "MoPAC-C-4000", "MoPAC-C-1000", "MoPAC-C-500", "MoPAC-C-250",
-			"MoPAC-D-4000", "MoPAC-D-1000", "MoPAC-D-500", "MoPAC-D-250",
-		},
-		mk: func(wl string, i int) Config {
-			return Config{Design: cfgs[i].d, TRH: cfgs[i].trh, Workload: wl}
-		},
-	}
+var fig1dCols = []column{
+	{"PRAC", Config{Design: DesignPRAC, TRH: 500}},
+	{"MoPAC-C-4000", Config{Design: DesignMoPACC, TRH: 4000}},
+	{"MoPAC-C-1000", Config{Design: DesignMoPACC, TRH: 1000}},
+	{"MoPAC-C-500", Config{Design: DesignMoPACC, TRH: 500}},
+	{"MoPAC-C-250", Config{Design: DesignMoPACC, TRH: 250}},
+	{"MoPAC-D-4000", Config{Design: DesignMoPACD, TRH: 4000}},
+	{"MoPAC-D-1000", Config{Design: DesignMoPACD, TRH: 1000}},
+	{"MoPAC-D-500", Config{Design: DesignMoPACD, TRH: 500}},
+	{"MoPAC-D-250", Config{Design: DesignMoPACD, TRH: 250}},
 }
 
 // Fig1d reproduces the Figure 1(d) summary: average slowdown of PRAC,
 // MoPAC-C, and MoPAC-D as the threshold drops from 4000 to 250.
-func (r *Runner) Fig1d() (SlowdownTable, error) { return r.sweep(specFig1d()) }
+func (r *Runner) Fig1d() (SlowdownTable, error) { return r.sweep(fig1dCols) }
 
-func specTable15() sweepSpec {
-	type pol struct {
+var table15Cols = func() []column {
+	var cols []column
+	for _, p := range []struct {
+		name    string
 		policy  mc.PagePolicy
 		timeout int64
-		name    string
-	}
-	pols := []pol{
-		{mc.OpenPage, 0, "open"},
-		{mc.ClosePage, 0, "close"},
-		{mc.TimeoutPage, 100, "tON-100"},
-		{mc.TimeoutPage, 200, "tON-200"},
-	}
-	var labels []string
-	var cfgs []Config
-	for _, p := range pols {
-		labels = append(labels, "PRAC-"+p.name)
-		cfgs = append(cfgs, Config{Design: DesignPRAC, TRH: 500, Policy: p.policy, TimeoutNs: p.timeout})
+	}{
+		{"open", mc.OpenPage, 0},
+		{"close", mc.ClosePage, 0},
+		{"tON-100", mc.TimeoutPage, 100},
+		{"tON-200", mc.TimeoutPage, 200},
+	} {
+		cols = append(cols, column{"PRAC-" + p.name,
+			Config{Design: DesignPRAC, TRH: 500, Policy: p.policy, TimeoutNs: p.timeout}})
 		for _, trh := range []int{1000, 500, 250} {
-			labels = append(labels, fmt.Sprintf("MoPAC-D-%d-%s", trh, p.name))
-			cfgs = append(cfgs, Config{Design: DesignMoPACD, TRH: trh, Policy: p.policy, TimeoutNs: p.timeout})
+			cols = append(cols, column{fmt.Sprintf("MoPAC-D-%d-%s", trh, p.name),
+				Config{Design: DesignMoPACD, TRH: trh, Policy: p.policy, TimeoutNs: p.timeout}})
 		}
 	}
-	return sweepSpec{
-		labels: labels,
-		mk: func(wl string, i int) Config {
-			c := cfgs[i]
-			c.Workload = wl
-			return c
-		},
-	}
-}
+	return cols
+}()
 
 // Table15 reproduces Appendix C: PRAC and MoPAC-D slowdowns under
 // alternative row-closure policies.
-func (r *Runner) Table15() (SlowdownTable, error) { return r.sweep(specTable15()) }
-
-// PlanStep declares every config the named CLI experiment step will
-// need, without executing anything, and reports whether the step is
-// planner-backed. Declaring all selected steps before running the
-// first one is what turns per-figure sweeps into one deduped,
-// pool-saturating execution. The attack steps (tab9, tab10, sec)
-// declare attack runs, which dedupe across the three tables; steps
-// that are not planner-backed (trace) return false and simply run as
-// before.
-func (r *Runner) PlanStep(id string) bool {
-	switch id {
-	case "tab4":
-		r.declareTable4()
-	case "fig2":
-		r.declareSweep(specFig2())
-	case "fig9":
-		r.declareSweep(specFig9())
-	case "fig11":
-		r.declareSweep(specFig11())
-	case "fig12":
-		for _, trh := range SweepTRHs {
-			r.declareSweep(specFig12(trh))
-		}
-	case "fig13":
-		for _, trh := range SweepTRHs {
-			r.declareSweep(specFig13(trh))
-		}
-	case "fig17":
-		r.declareSweep(specFig17())
-	case "tab12":
-		r.declareTable12()
-	case "fig18":
-		r.declareSweep(specFig18())
-	case "fig19":
-		r.declareSweep(specFig19(Fig19TRH))
-	case "tab15":
-		r.declareSweep(specTable15())
-	case "fig1d":
-		r.declareSweep(specFig1d())
-	case "overheads":
-		for _, trh := range SweepTRHs {
-			r.declareOverheads(trh)
-		}
-	case "psweep":
-		r.declarePSweep(500)
-	case "tab9":
-		r.declareAttackTable(table9, attackTRHs)
-	case "tab10":
-		r.declareAttackTable(table10, attackTRHs)
-	case "sec":
-		r.declareSecurity(SecurityTRH)
-	default:
-		return false
-	}
-	return true
-}
+func (r *Runner) Table15() (SlowdownTable, error) { return r.sweep(table15Cols) }
 
 // Table4Row is a measured workload characterisation next to the paper's
 // published values.
@@ -495,23 +392,12 @@ type Table4Row struct {
 	Paper    workload.Table4
 }
 
-// declareTable4 registers the baselines Table 4 measures.
-func (r *Runner) declareTable4() {
-	for _, wl := range r.scale.Workloads {
-		r.plan.Need(r.scaled(Config{Design: DesignBaseline, Workload: wl, Policy: mc.OpenPage}))
-	}
-}
-
-// Table4 measures every workload's characteristics on the baseline
+// table4 measures every workload's characteristics on the baseline
 // system and pairs them with the published Table 4.
-func (r *Runner) Table4() ([]Table4Row, error) {
-	r.declareTable4()
-	if err := r.plan.Flush(); err != nil {
-		return nil, err
-	}
+func (f fetch) table4() ([]Table4Row, error) {
 	var rows []Table4Row
-	for _, wl := range r.scale.Workloads {
-		res, err := r.Baseline(wl, mc.OpenPage, 0)
+	for _, wl := range f.r.scale.Workloads {
+		res, err := f.run(Config{Design: DesignBaseline, Workload: wl, Policy: mc.OpenPage})
 		if err != nil {
 			return nil, err
 		}
@@ -538,36 +424,26 @@ func (r *Runner) Table4() ([]Table4Row, error) {
 	return rows, nil
 }
 
+// Table4 measures every workload's characteristics on the baseline
+// system and pairs them with the published Table 4.
+func (r *Runner) Table4() ([]Table4Row, error) { return build(r, fetch.table4) }
+
 // Table12Row pairs the measured SRQ insertion rates with the paper's.
 type Table12Row struct {
 	TRH          int
 	Uniform, NUP float64
 }
 
-// declareTable12 registers the MoPAC-D runs Table 12 aggregates.
-func (r *Runner) declareTable12() {
-	for _, trh := range SweepTRHs {
-		for _, nup := range []bool{false, true} {
-			for _, wl := range r.scale.Workloads {
-				r.plan.Need(r.scaled(Config{Design: DesignMoPACD, TRH: trh, Workload: wl, NUP: nup}))
-			}
-		}
-	}
-}
-
-// Table12 measures SRQ insertions per 100 ACTs with and without NUP.
-func (r *Runner) Table12() ([]Table12Row, error) {
-	r.declareTable12()
-	if err := r.plan.Flush(); err != nil {
-		return nil, err
-	}
+// table12 measures SRQ insertions per 100 ACTs with and without NUP,
+// aggregated over the workloads.
+func (f fetch) table12() ([]Table12Row, error) {
 	var rows []Table12Row
-	for _, trh := range SweepTRHs {
+	for _, trh := range sweepTRHs {
 		row := Table12Row{TRH: trh}
 		for _, nup := range []bool{false, true} {
 			var acts, ins int64
-			for _, wl := range r.scale.Workloads {
-				res, err := r.run(Config{Design: DesignMoPACD, TRH: trh, Workload: wl, NUP: nup})
+			for _, wl := range f.r.scale.Workloads {
+				res, err := f.run(Config{Design: DesignMoPACD, TRH: trh, Workload: wl, NUP: nup})
 				if err != nil {
 					return nil, err
 				}
@@ -588,6 +464,9 @@ func (r *Runner) Table12() ([]Table12Row, error) {
 	}
 	return rows, nil
 }
+
+// Table12 measures SRQ insertions per 100 ACTs with and without NUP.
+func (r *Runner) Table12() ([]Table12Row, error) { return build(r, fetch.table12) }
 
 // AttackRow is one simulated performance-attack measurement.
 type AttackRow struct {
@@ -643,43 +522,19 @@ func (r *Runner) attackRun(base Config, pattern string) AttackConfig {
 	}
 }
 
-// attackPair returns a table cell's unprotected and protected runs.
-func (r *Runner) attackPair(t attackTable, trh int, kind security.AttackKind) (base, prot AttackConfig) {
-	d := t.design
-	d.TRH = trh
-	return r.attackRun(Config{Design: DesignBaseline, TRH: trh}, vectorPatterns[kind]),
-		r.attackRun(d, vectorPatterns[kind])
-}
-
-// declareAttackTable registers a table's runs with the planner.
-func (r *Runner) declareAttackTable(t attackTable, trhs []int) {
-	for _, trh := range trhs {
-		for _, kind := range t.kinds {
-			base, prot := r.attackPair(t, trh, kind)
-			r.plan.NeedAttack(base)
-			r.plan.NeedAttack(prot)
-		}
-	}
-}
-
-// attackTableRows declares, executes, and assembles an attack table.
-func (r *Runner) attackTableRows(t attackTable, trhs []int) ([]AttackRow, error) {
-	if len(trhs) == 0 {
-		trhs = attackTRHs
-	}
-	r.declareAttackTable(t, trhs)
-	if err := r.plan.Flush(); err != nil {
-		return nil, err
-	}
+// attacks builds an attack table: every vector at every threshold,
+// against the unprotected baseline and the design under attack.
+func (f fetch) attacks(t attackTable, trhs []int) ([]AttackRow, error) {
 	var rows []AttackRow
 	for _, trh := range trhs {
 		for _, kind := range t.kinds {
-			bcfg, pcfg := r.attackPair(t, trh, kind)
-			base, err := r.plan.GetAttack(bcfg)
+			d := t.design
+			d.TRH = trh
+			base, err := f.attack(f.r.attackRun(Config{Design: DesignBaseline, TRH: trh}, vectorPatterns[kind]))
 			if err != nil {
 				return nil, err
 			}
-			prot, err := r.plan.GetAttack(pcfg)
+			prot, err := f.attack(f.r.attackRun(d, vectorPatterns[kind]))
 			if err != nil {
 				return nil, err
 			}
@@ -694,6 +549,15 @@ func (r *Runner) attackTableRows(t attackTable, trhs []int) ([]AttackRow, error)
 		}
 	}
 	return rows, nil
+}
+
+// attackTableRows declares, executes, and builds an attack table at
+// trhs (attackTRHs when empty).
+func (r *Runner) attackTableRows(t attackTable, trhs []int) ([]AttackRow, error) {
+	if len(trhs) == 0 {
+		trhs = attackTRHs
+	}
+	return build(r, func(f fetch) ([]AttackRow, error) { return f.attacks(t, trhs) })
 }
 
 // AttacksMoPACC simulates the Table 9 performance attack against
@@ -717,8 +581,8 @@ type SecurityRow struct {
 	TRH      int
 }
 
-// SecurityTRH is the threshold the CLI's security suite runs at.
-const SecurityTRH = 500
+// securityTRH is the threshold the report's security suite runs at.
+const securityTRH = 500
 
 // The security suite: every pattern against the unprotected baseline
 // (a control that must fail) and the paper's three designs.
@@ -729,27 +593,12 @@ var (
 	securityDesigns = []Design{DesignBaseline, DesignPRAC, DesignMoPACC, DesignMoPACD}
 )
 
-// declareSecurity registers the suite's runs with the planner.
-func (r *Runner) declareSecurity(trh int) {
-	for _, d := range securityDesigns {
-		for _, p := range securityPatterns {
-			r.plan.NeedAttack(r.attackRun(Config{Design: d, TRH: trh}, p))
-		}
-	}
-}
-
-// SecurityValidation mounts the attack suite against every protected
-// design (plus the unprotected baseline as a control that must fail)
-// and reports the oracle verdicts.
-func (r *Runner) SecurityValidation(trh int) ([]SecurityRow, error) {
-	r.declareSecurity(trh)
-	if err := r.plan.Flush(); err != nil {
-		return nil, err
-	}
+// securitySuite mounts the attack suite and collects the oracle verdicts.
+func (f fetch) securitySuite(trh int) ([]SecurityRow, error) {
 	var rows []SecurityRow
 	for _, d := range securityDesigns {
 		for _, p := range securityPatterns {
-			res, err := r.plan.GetAttack(r.attackRun(Config{Design: d, TRH: trh}, p))
+			res, err := f.attack(f.r.attackRun(Config{Design: d, TRH: trh}, p))
 			if err != nil {
 				return nil, err
 			}
@@ -760,6 +609,13 @@ func (r *Runner) SecurityValidation(trh int) ([]SecurityRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// SecurityValidation mounts the attack suite against every protected
+// design (plus the unprotected baseline as a control that must fail)
+// and reports the oracle verdicts.
+func (r *Runner) SecurityValidation(trh int) ([]SecurityRow, error) {
+	return build(r, func(f fetch) ([]SecurityRow, error) { return f.securitySuite(trh) })
 }
 
 // OverheadRow quantifies the paper's key insight for one design: the
@@ -776,49 +632,36 @@ type OverheadRow struct {
 // Overheads step compares.
 var overheadDesigns = []Design{DesignPRAC, DesignMoPACC, DesignMoPACD}
 
-// declareOverheads registers one threshold's runs.
-func (r *Runner) declareOverheads(trh int) {
-	for _, d := range overheadDesigns {
-		for _, wl := range r.scale.Workloads {
-			r.plan.Need(r.scaled(Config{Design: DesignBaseline, Workload: wl, Policy: mc.OpenPage}))
-			r.plan.Need(r.scaled(Config{Design: d, TRH: trh, Workload: wl}))
-		}
-	}
-}
-
-// Overheads measures the counter-update economics across designs at one
-// threshold, aggregated over the runner's workloads.
-func (r *Runner) Overheads(trh int) ([]OverheadRow, error) {
-	r.declareOverheads(trh)
-	if err := r.plan.Flush(); err != nil {
-		return nil, err
-	}
+// overheads averages each design's counter-update economics at one
+// threshold over the workloads.
+func (f fetch) overheads(trh int) ([]OverheadRow, error) {
 	rows := make([]OverheadRow, 0, len(overheadDesigns))
 	for _, d := range overheadDesigns {
 		var cu, stall, slow float64
-		n := 0
-		for _, wl := range r.scale.Workloads {
-			base, err := r.Baseline(wl, mc.OpenPage, 0)
+		for _, wl := range f.r.scale.Workloads {
+			cfg := Config{Design: d, TRH: trh, Workload: wl}
+			base, err := f.run(baselineFor(cfg))
 			if err != nil {
 				return nil, err
 			}
-			res, err := r.run(Config{Design: d, TRH: trh, Workload: wl})
+			res, err := f.run(cfg)
 			if err != nil {
 				return nil, err
 			}
 			cu += res.CounterUpdatesPer100ACTs()
 			stall += res.ABOStallFraction()
 			slow += Slowdown(base, res)
-			n++
 		}
-		rows = append(rows, OverheadRow{
-			Design:      d,
-			CUPer100ACT: cu / float64(n),
-			ABOStall:    stall / float64(n),
-			Slowdown:    slow / float64(n),
-		})
+		n := float64(len(f.r.scale.Workloads))
+		rows = append(rows, OverheadRow{Design: d, CUPer100ACT: cu / n, ABOStall: stall / n, Slowdown: slow / n})
 	}
 	return rows, nil
+}
+
+// Overheads measures the counter-update economics across designs at one
+// threshold, aggregated over the runner's workloads.
+func (r *Runner) Overheads(trh int) ([]OverheadRow, error) {
+	return build(r, func(f fetch) ([]OverheadRow, error) { return f.overheads(trh) })
 }
 
 // aloneIPC returns the single-core baseline IPC of a benchmark: the
@@ -892,38 +735,15 @@ type PSweepRow struct {
 	Valid    bool // ATH* >= 10 (the paper's floor)
 }
 
-// defaultPSweepInvPs is the CLI's p-selection sweep.
+// defaultPSweepInvPs is the report's p-selection sweep.
 var defaultPSweepInvPs = []int{2, 4, 8, 16, 32}
 
-// declarePSweep registers the p-sweep's runs, mirroring PSweepMoPACC's
-// validity filter so invalid probabilities are never simulated.
-func (r *Runner) declarePSweep(trh int, invPs ...int) {
+// pSweep builds the p-selection sweep at one threshold. A probability
+// whose ATH* falls below the floor is a row with Valid=false, and its
+// runs are never fetched.
+func (f fetch) pSweep(trh int, invPs []int) ([]PSweepRow, error) {
 	if len(invPs) == 0 {
 		invPs = defaultPSweepInvPs
-	}
-	for _, invP := range invPs {
-		params := security.DeriveWithP(security.VariantMoPACC, trh, 1/float64(invP))
-		if params.Validate() != nil {
-			continue
-		}
-		for _, wl := range r.scale.Workloads {
-			r.plan.Need(r.scaled(Config{Design: DesignBaseline, Workload: wl, Policy: mc.OpenPage}))
-			r.plan.Need(r.scaled(Config{Design: DesignMoPACC, TRH: trh, Workload: wl, PInvOverride: invP}))
-		}
-	}
-}
-
-// PSweepMoPACC sweeps the update probability at one threshold across the
-// runner's workloads, reporting the average slowdown and total ALERT
-// count per p. Probabilities whose derived ATH* falls below the paper's
-// floor of 10 are reported with Valid=false and not simulated.
-func (r *Runner) PSweepMoPACC(trh int, invPs ...int) ([]PSweepRow, error) {
-	if len(invPs) == 0 {
-		invPs = defaultPSweepInvPs
-	}
-	r.declarePSweep(trh, invPs...)
-	if err := r.plan.Flush(); err != nil {
-		return nil, err
 	}
 	var rows []PSweepRow
 	for _, invP := range invPs {
@@ -934,33 +754,29 @@ func (r *Runner) PSweepMoPACC(trh int, invPs ...int) ([]PSweepRow, error) {
 			continue
 		}
 		var slow float64
-		var alerts int64
-		n := 0
-		for _, wl := range r.scale.Workloads {
-			base, err := r.Baseline(wl, mc.OpenPage, 0)
+		for _, wl := range f.r.scale.Workloads {
+			cfg := Config{Design: DesignMoPACC, TRH: trh, Workload: wl, PInvOverride: invP}
+			base, err := f.run(baselineFor(cfg))
 			if err != nil {
 				return nil, err
 			}
-			// The runner's standard MoPAC-C config derives p from TRH;
-			// here the sweep overrides it through a custom config path.
-			res, err := r.runMoPACCWithP(wl, trh, invP)
+			res, err := f.run(cfg)
 			if err != nil {
 				return nil, err
 			}
 			slow += Slowdown(base, res)
-			alerts += res.Dev.Alerts
-			n++
+			row.Alerts += res.Dev.Alerts
 		}
-		row.Slowdown = slow / float64(n)
-		row.Alerts = alerts
+		row.Slowdown = slow / float64(len(f.r.scale.Workloads))
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// runMoPACCWithP runs one MoPAC-C simulation with an explicit update
-// probability instead of the TRH-derived default.
-func (r *Runner) runMoPACCWithP(wl string, trh, invP int) (Result, error) {
-	cfg := Config{Design: DesignMoPACC, TRH: trh, Workload: wl, PInvOverride: invP}
-	return r.run(cfg)
+// PSweepMoPACC sweeps the update probability at one threshold across the
+// runner's workloads, reporting the average slowdown and total ALERT
+// count per p. Probabilities whose derived ATH* falls below the paper's
+// floor of 10 are reported with Valid=false and not simulated.
+func (r *Runner) PSweepMoPACC(trh int, invPs ...int) ([]PSweepRow, error) {
+	return build(r, func(f fetch) ([]PSweepRow, error) { return f.pSweep(trh, invPs) })
 }

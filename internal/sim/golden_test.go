@@ -39,6 +39,9 @@ var goldenResults = []struct {
 	{"MoPACD/attack-oracle", Config{Design: DesignMoPACD, Workload: "attack:refresh-sync:sub=1,bank=27,victim=64053,aggr=4,burst=7,phase=3895,gap=189,spread=5", Cores: 2, InstrPerCore: 40_000, Seed: 2, TrackSecurity: true}, "721f039702483c2744bac0dfaeb3812dd5b69ac99b2a0406d38a1502f4d6c55f"},
 	{"MoPACC/mcf/close-page", Config{Design: DesignMoPACC, Workload: "mcf", InstrPerCore: 20_000, Seed: 1, Policy: mc.ClosePage}, "62aec6d3438f3d8049ca0a60477b143b99eae3b7276869b4852e26979d827a59"},
 	{"PRAC/add/timeout-page", Config{Design: DesignPRAC, Workload: "add", InstrPerCore: 20_000, Seed: 1, Policy: mc.TimeoutPage, TimeoutNs: 100}, "ec4ff853091f061e59a3f3a814ce5bc2ea91023ade3d96fe7d792160ba5864e8"},
+	// Long enough to reach a row closed by timeout and re-activated
+	// for a read right after, an ordering the short add run never hits.
+	{"PRAC/xalancbmk/timeout-page", Config{Design: DesignPRAC, Workload: "xalancbmk", InstrPerCore: 400_000, Seed: 1, Policy: mc.TimeoutPage, TimeoutNs: 100}, "fe0bd6e123a0a4f794ad8535f0440a66dce4bc7d0018d8e58797b342e1889564"},
 }
 
 func TestGoldenResults(t *testing.T) {

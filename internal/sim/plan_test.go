@@ -21,11 +21,11 @@ func planScale() Scale {
 }
 
 // serialSweep is the pre-planner reference implementation: run every
-// (label, workload) pair and its baseline directly and serially, with a
+// (column, workload) pair and its baseline directly and serially, with a
 // simple per-(workload,policy) baseline memo — exactly what the Runner
 // did before the planner existed. The golden test holds the planner to
 // byte-identical output against this path.
-func serialSweep(t *testing.T, sc Scale, spec sweepSpec) SlowdownTable {
+func serialSweep(t *testing.T, sc Scale, cols []column) SlowdownTable {
 	t.Helper()
 	runCfg := func(cfg Config) Result {
 		cfg.InstrPerCore = sc.InstrPerCore
@@ -51,11 +51,15 @@ func serialSweep(t *testing.T, sc Scale, spec sweepSpec) SlowdownTable {
 		baselines[k] = res
 		return res
 	}
-	table := SlowdownTable{Labels: spec.labels}
+	var table SlowdownTable
+	for _, c := range cols {
+		table.Labels = append(table.Labels, c.label)
+	}
 	for _, wl := range sc.Workloads {
-		row := SlowdownRow{Workload: wl, Slowdowns: make([]float64, len(spec.labels))}
-		for i := range spec.labels {
-			cfg := spec.mk(wl, i)
+		row := SlowdownRow{Workload: wl, Slowdowns: make([]float64, len(cols))}
+		for i, c := range cols {
+			cfg := c.cfg
+			cfg.Workload = wl
 			row.Slowdowns[i] = Slowdown(baseline(cfg), runCfg(cfg))
 		}
 		table.Rows = append(table.Rows, row)
@@ -94,17 +98,17 @@ func TestPlannerMatchesSerialPath(t *testing.T) {
 		t.Fatalf("stats %+v: want shared runs and every unique config executed once", st)
 	}
 
-	figs := map[string]sweepSpec{
-		"fig9": specFig9(), "fig11": specFig11(), "fig17": specFig17(),
-		"fig19": specFig19(Fig19TRH), "fig1d": specFig1d(),
+	figs := map[string][]column{
+		"fig9": fig9Cols, "fig11": fig11Cols, "fig17": fig17Cols,
+		"fig19": fig19Cols(fig19TRH), "fig1d": fig1dCols,
 	}
-	for _, trh := range SweepTRHs {
-		figs[fmt.Sprintf("fig12-%d", trh)] = specFig12(trh)
-		figs[fmt.Sprintf("fig13-%d", trh)] = specFig13(trh)
+	for _, trh := range sweepTRHs {
+		figs[fmt.Sprintf("fig12-%d", trh)] = fig12Cols(trh)
+		figs[fmt.Sprintf("fig13-%d", trh)] = fig13Cols(trh)
 	}
-	for name, spec := range figs {
-		want := renderTable(serialSweep(t, sc, spec))
-		got, err := r.sweep(spec)
+	for name, cols := range figs {
+		want := renderTable(serialSweep(t, sc, cols))
+		got, err := r.sweep(cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +118,7 @@ func TestPlannerMatchesSerialPath(t *testing.T) {
 	}
 
 	var want []Table12Row
-	for _, trh := range SweepTRHs {
+	for _, trh := range sweepTRHs {
 		row := Table12Row{TRH: trh}
 		for _, nup := range []bool{false, true} {
 			var acts, ins int64
