@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz=FuzzLoad -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz=FuzzParseAttackSpec -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz=FuzzTable -fuzztime 30s ./internal/rowtab/
 
 # Regenerates EXPERIMENTS-results.md at full scale: sim.DefaultScale,
 # which the CLI's flags default to. Cold: tens of minutes on one core

@@ -386,6 +386,21 @@ func (d *Device) Stats() Stats { return d.stats }
 // mode registers this way, e.g. for the RFM count under ABO).
 const MRMoPACPMenu = 45
 
+// PMenuCode maps an update-probability denominator 1/p to the §5.2 menu
+// code written into MRMoPACPMenu: code k selects p = 1/2^(k+1), so
+// 2<<code decodes it. The paper sketches a 2-bit menu for 1/2..1/16,
+// extended here to cover the 1/64 used at T_RH = 4000.
+func PMenuCode(invP int) (uint8, error) {
+	code := uint8(0)
+	for v := 2; v <= 64; v *= 2 {
+		if v == invP {
+			return code, nil
+		}
+		code++
+	}
+	return 0, fmt.Errorf("dram: 1/%d is not on the MoPAC-C p menu", invP)
+}
+
 // WriteModeRegister stores a mode-register value (an MRW command).
 func (d *Device) WriteModeRegister(idx int, v uint8) {
 	if d.modeRegs == nil {
@@ -419,13 +434,13 @@ func (d *Device) checkBank(bank int) *bankState {
 // plus tFAW.
 func (d *Device) EarliestActivate(bank int) int64 {
 	b := d.checkBank(bank)
-	t := max64(b.earliestACT, d.blockedUntil)
+	t := max(b.earliestACT, d.blockedUntil)
 	if b.openRow >= 0 {
-		pre := max64(b.earliestPRE, d.blockedUntil)
-		t = max64(t, pre+d.cfg.Timing.TRP)
+		pre := max(b.earliestPRE, d.blockedUntil)
+		t = max(t, pre+d.cfg.Timing.TRP)
 	}
 	if faw := d.faw[d.fawIdx]; faw > 0 || d.stats.Activates >= 4 {
-		t = max64(t, faw+d.cfg.Timing.TFAW)
+		t = max(t, faw+d.cfg.Timing.TFAW)
 	}
 	return t
 }
@@ -492,7 +507,7 @@ func (d *Device) EarliestRead(bank int) int64 {
 	if b.openRow < 0 {
 		panic(fmt.Sprintf("dram: EarliestRead on precharged bank %d", bank))
 	}
-	return max64(b.earliestRD, d.blockedUntil)
+	return max(b.earliestRD, d.blockedUntil)
 }
 
 // Read issues a column read at time now and returns the time the 64 B
@@ -552,7 +567,7 @@ func (d *Device) EarliestPrecharge(bank int, counterUpdate bool) int64 {
 	if counterUpdate {
 		t = b.earliestPRECU
 	}
-	return max64(t, d.blockedUntil)
+	return max(t, d.blockedUntil)
 }
 
 // Precharge closes the open row of bank at time now. counterUpdate
@@ -739,11 +754,4 @@ func recordMitigations(st *Stats, obs Observer, now int64, bank, chip int, mits 
 			obs.ObserveMitigation(now, bank, m.Row)
 		}
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

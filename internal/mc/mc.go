@@ -312,9 +312,9 @@ func (c *Controller) Init(eng *event.Engine, dev *dram.Device, cfg Config) error
 	if cfg.CUProbInv > 0 {
 		// MoPAC-C handshake (§5.2): publish the selected p on the DRAM
 		// mode register so the chip configures the matching ATH*.
-		code, err := pMenuCode(cfg.CUProbInv)
+		code, err := dram.PMenuCode(cfg.CUProbInv)
 		if err != nil {
-			return err
+			return fmt.Errorf("mc: CUProbInv: %w", err)
 		}
 		dev.WriteModeRegister(dram.MRMoPACPMenu, code)
 	}
@@ -637,7 +637,7 @@ func (c *Controller) issueBank(now int64, bank int) bool {
 
 	// Forced closures that apply even with pending hits.
 	if open >= 0 && c.cfg.RowPressCapNs > 0 {
-		capAt := max64(c.dev.RowOpenSince(bank)+c.cfg.RowPressCapNs, c.earliestClose(bank))
+		capAt := max(c.dev.RowOpenSince(bank)+c.cfg.RowPressCapNs, c.earliestClose(bank))
 		if now >= capAt {
 			c.closeRow(now, bank)
 			return true
@@ -657,7 +657,7 @@ func (c *Controller) issueBank(now int64, bank int) bool {
 			case ClosePage:
 				c.propose(now, c.earliestClose(bank))
 			case TimeoutPage:
-				c.propose(now, max64(c.lastUse[bank]+c.cfg.TimeoutNs, c.earliestClose(bank)))
+				c.propose(now, max(c.lastUse[bank]+c.cfg.TimeoutNs, c.earliestClose(bank)))
 			}
 		}
 		return false
@@ -816,23 +816,4 @@ func (c *Controller) scheduleNext(now int64) {
 	if c.next >= 0 {
 		c.wake(c.next)
 	}
-}
-
-// pMenuCode maps 1/p to the mode-register menu code (§5.2).
-func pMenuCode(invP int) (uint8, error) {
-	code := uint8(0)
-	for v := 2; v <= 64; v *= 2 {
-		if v == invP {
-			return code, nil
-		}
-		code++
-	}
-	return 0, fmt.Errorf("mc: CUProbInv 1/%d is not on the JEDEC p menu", invP)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

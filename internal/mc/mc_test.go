@@ -578,5 +578,10 @@ func BenchmarkControllerPickIssue(b *testing.B) {
 		}
 		eng.RunWhile(pending)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/req")
+	reqs := float64(b.N * batch)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/req")
+	// Deterministic at a fixed -benchtime Nx, unlike ns/req: a change
+	// in the work per request shows here free of host noise.
+	b.ReportMetric(float64(eng.Fired())/reqs, "events/req")
+	b.ReportMetric(float64(dev.Stats().Activates)/reqs, "acts/req")
 }

@@ -75,26 +75,3 @@ func NewFactory(o Options) (func(chip, bank int) dram.BankGuard, error) {
 		return nil, fmt.Errorf("mitigation: no guard for variant %v", o.Params.Variant)
 	}
 }
-
-// EncodePMenu maps an update-probability denominator to the §5.2 menu
-// code written into the DRAM mode register (code k selects p = 1/2^(k+1);
-// the paper sketches a 2-bit menu for 1/2..1/16, extended here to cover
-// the 1/64 used at T_RH = 4000).
-func EncodePMenu(invP int) (uint8, error) {
-	code := uint8(0)
-	for v := 2; v <= 64; v *= 2 {
-		if v == invP {
-			return code, nil
-		}
-		code++
-	}
-	return 0, fmt.Errorf("mitigation: 1/%d is not on the p menu", invP)
-}
-
-// DecodePMenu inverts EncodePMenu; unknown codes return 0.
-func DecodePMenu(code uint8) int {
-	if code > 5 {
-		return 0
-	}
-	return 2 << code
-}

@@ -77,7 +77,7 @@ type MOATStats struct {
 // threshold.
 type MOAT struct {
 	cfg        MOATConfig
-	counters   rowTable
+	counters   pracCounters
 	trackedRow int
 	trackedCnt int
 	alert      bool
@@ -140,7 +140,7 @@ func (m *MOAT) bump(row, by int) {
 func (m *MOAT) Refresh(int64) []dram.Mitigation { return nil }
 
 // ABOAction implements dram.BankGuard: mitigate the tracked row if it is
-// eligible, then invalidate the tracked entry.
+// eligible; the tracked entry then moves to the hottest victim.
 func (m *MOAT) ABOAction(now int64) []dram.Mitigation {
 	m.alert = false
 	if m.trackedRow < 0 {
@@ -151,32 +151,12 @@ func (m *MOAT) ABOAction(now int64) []dram.Mitigation {
 		return nil
 	}
 	row := m.trackedRow
-	m.trackedRow, m.trackedCnt = -1, 0
-	m.mitigate(row)
+	m.stats.Mitigations++
+	m.trackedRow, m.trackedCnt = m.counters.refreshVictims(row, m.cfg.BlastRadius, m.cfg.Rows)
 	if m.cfg.Trace != nil {
 		m.cfg.Trace.Mitigated(now, m.cfg.TraceBank, row)
 	}
 	return []dram.Mitigation{{Row: row}}
-}
-
-// mitigate victim-refreshes row's neighbours: the aggressor's counter
-// resets and each victim's counter increments by one because the victim
-// refresh activates it (footnote 5 of the paper).
-func (m *MOAT) mitigate(row int) {
-	m.stats.Mitigations++
-	m.counters.reset(row)
-	for d := 1; d <= m.cfg.BlastRadius; d++ {
-		for _, v := range [2]int{row - d, row + d} {
-			if v < 0 || (m.cfg.Rows > 0 && v >= m.cfg.Rows) {
-				continue
-			}
-			if c := m.counters.add(v, 1); c > m.trackedCnt && v != row {
-				// Victim increments participate in tracking like any
-				// other counter write.
-				m.trackedRow, m.trackedCnt = v, c
-			}
-		}
-	}
 }
 
 // AlertRequested implements dram.BankGuard.

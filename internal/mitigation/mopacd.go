@@ -116,7 +116,7 @@ type MoPACD struct {
 	pcg rand.PCG
 	rng rand.Rand
 
-	counters rowTable
+	counters pracCounters
 	srq      []srqEntry
 
 	winPos  int // position within the current MINT window
@@ -363,22 +363,11 @@ func (m *MoPACD) mitigateTracked(now int64) []dram.Mitigation {
 		return nil
 	}
 	row := m.trackedRow
-	m.trackedRow, m.trackedCnt = -1, 0
 	m.stats.Mitigations++
 	if m.cfg.Trace != nil {
 		m.cfg.Trace.Mitigated(now, m.cfg.TraceBank, row)
 	}
-	m.counters.reset(row)
-	for d := 1; d <= m.cfg.BlastRadius; d++ {
-		for _, v := range [2]int{row - d, row + d} {
-			if v < 0 || (m.cfg.Rows > 0 && v >= m.cfg.Rows) {
-				continue
-			}
-			if c := m.counters.add(v, 1); c > m.trackedCnt {
-				m.trackedRow, m.trackedCnt = v, c
-			}
-		}
-	}
+	m.trackedRow, m.trackedCnt = m.counters.refreshVictims(row, m.cfg.BlastRadius, m.cfg.Rows)
 	return []dram.Mitigation{{Row: row}}
 }
 

@@ -64,7 +64,7 @@ type QPRACStats struct {
 // QPRAC is the priority-queue PRAC backend for one bank.
 type QPRAC struct {
 	cfg      QPRACConfig
-	counters rowTable
+	counters pracCounters
 	queue    []qpracEntry // kept sorted descending by count; small
 	refs     int
 	alert    bool
@@ -163,15 +163,7 @@ func (q *QPRAC) popHot(min int) int {
 
 // mitigate performs the victim refresh bookkeeping.
 func (q *QPRAC) mitigate(row int) []dram.Mitigation {
-	q.counters.reset(row)
-	for d := 1; d <= q.cfg.BlastRadius; d++ {
-		for _, v := range [2]int{row - d, row + d} {
-			if v < 0 || (q.cfg.Rows > 0 && v >= q.cfg.Rows) {
-				continue
-			}
-			q.counters.add(v, 1)
-		}
-	}
+	q.counters.refreshVictims(row, q.cfg.BlastRadius, q.cfg.Rows)
 	// Recompute the alert level from the remaining queue.
 	q.alert = len(q.queue) > 0 && q.queue[0].count >= q.cfg.AlertAt
 	return []dram.Mitigation{{Row: row}}

@@ -3,6 +3,7 @@ package mitigation
 import (
 	"testing"
 
+	"mopac/internal/dram"
 	"mopac/internal/security"
 )
 
@@ -135,18 +136,15 @@ func TestFactoryRejectsInvalidParams(t *testing.T) {
 
 func TestPMenuRoundTrip(t *testing.T) {
 	for invP := 2; invP <= 64; invP *= 2 {
-		code, err := EncodePMenu(invP)
+		code, err := dram.PMenuCode(invP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := DecodePMenu(code); got != invP {
+		if got := 2 << code; got != invP {
 			t.Fatalf("menu round trip: 1/%d -> %d -> 1/%d", invP, code, got)
 		}
 	}
-	if _, err := EncodePMenu(3); err == nil {
+	if _, err := dram.PMenuCode(3); err == nil {
 		t.Fatal("off-menu p accepted")
-	}
-	if DecodePMenu(99) != 0 {
-		t.Fatal("unknown code must decode to 0")
 	}
 }

@@ -17,14 +17,14 @@
 // window. The approximation is conservative for interior rows and off by
 // at most one tREFI at group boundaries.
 //
-// Layout: per-row state lives in a flat open-addressed table (the same
-// Fibonacci-hashed scheme sim uses for per-row workload stats) instead
-// of Go maps — one probe and no allocation on the per-activation hot
-// path. A slot holds the packed (bank, row) key, the current unmitigated
-// count, and the lifetime peak; the peak doubles as the occupancy flag
-// (it is strictly positive once the row has ever been activated and is
-// never reset), so mitigations and refreshes clear counts in place
-// without tombstones.
+// Layout: per-row state lives in a rowtab.Table, the open-addressing
+// table the guards' PRAC counters and the workload statistics use too,
+// instead of Go maps — one probe and no allocation on the
+// per-activation hot path. An entry holds the packed (bank, row) key,
+// the current unmitigated count, and the lifetime peak. The peak is
+// positive once the row has been activated and never resets, so the
+// entry stays in the table while mitigations and refreshes clear its
+// count in place.
 //
 // Canonical order: every accessor that can observe cross-row state —
 // the violation list, the peak ranking, the max-excursion row — reports
@@ -39,6 +39,8 @@ package oracle
 import (
 	"fmt"
 	"slices"
+
+	"mopac/internal/rowtab"
 )
 
 // Violation records one security failure: a row that accumulated the
@@ -78,14 +80,7 @@ func unpackKey(k uint64) (bank, row int) {
 type Oracle struct {
 	trh int
 
-	// Open-addressed row table: parallel slices, power-of-two capacity,
-	// linear probing. peaks[i] > 0 marks an occupied slot (peaks are
-	// never reset), so counts[i] can drop back to zero in place when the
-	// row is mitigated or refreshed.
-	keys   []uint64
-	counts []int32
-	peaks  []int32
-	used   int
+	rows rowtab.Table[uint64, rowState]
 
 	violations []Violation
 
@@ -102,66 +97,29 @@ func New(trh int) *Oracle {
 	if trh <= 0 {
 		panic("oracle: threshold must be positive")
 	}
-	o := &Oracle{trh: trh}
-	o.initTable(1 << 10)
-	return o
+	return &Oracle{trh: trh}
 }
 
-func (o *Oracle) initTable(capacity int) {
-	o.keys = make([]uint64, capacity)
-	o.counts = make([]int32, capacity)
-	o.peaks = make([]int32, capacity)
-	o.used = 0
-}
-
-// slot returns the table index holding key, or the empty slot where it
-// belongs. Fibonacci hashing spreads the low-entropy packed keys.
-func (o *Oracle) slot(key uint64) int {
-	mask := uint64(len(o.keys) - 1)
-	i := (key * 0x9e3779b97f4a7c15) >> 32 & mask
-	for o.peaks[i] != 0 && o.keys[i] != key {
-		i = (i + 1) & mask
-	}
-	return int(i)
-}
-
-func (o *Oracle) grow() {
-	keys, counts, peaks := o.keys, o.counts, o.peaks
-	o.initTable(len(keys) * 2)
-	for i, p := range peaks {
-		if p == 0 {
-			continue
-		}
-		j := o.slot(keys[i])
-		o.keys[j], o.counts[j], o.peaks[j] = keys[i], counts[i], p
-		o.used++
-	}
+// rowState is one row's entry: its unmitigated count and the highest
+// value that count reached.
+type rowState struct {
+	count, peak int32
 }
 
 // ObserveActivate implements dram.Observer.
 func (o *Oracle) ObserveActivate(now int64, bank, row int) {
 	o.activations++
-	if o.used*4 >= len(o.keys)*3 {
-		o.grow()
-	}
-	i := o.slot(packKey(bank, row))
-	if o.peaks[i] == 0 {
-		o.keys[i] = packKey(bank, row)
-		o.used++
-	}
 	if w := bank >> 6; w >= len(o.active) {
 		o.active = append(o.active, make([]uint64, w+1-len(o.active))...)
 	}
 	o.active[bank>>6] |= 1 << (bank & 63)
-	c := o.counts[i] + 1
-	o.counts[i] = c
-	if c > o.peaks[i] {
-		o.peaks[i] = c
-	}
-	if int(c) == o.trh {
+	s := o.rows.Put(packKey(bank, row))
+	s.count++
+	s.peak = max(s.peak, s.count)
+	if int(s.count) == o.trh {
 		// Record once per excursion: the count keeps growing but one
 		// violation entry per crossing is enough to fail the run.
-		o.violations = append(o.violations, Violation{Time: now, Bank: bank, Row: row, Count: int(c)})
+		o.violations = append(o.violations, Violation{Time: now, Bank: bank, Row: row, Count: o.trh})
 	}
 }
 
@@ -169,8 +127,13 @@ func (o *Oracle) ObserveActivate(now int64, bank, row int) {
 // of row resets its unmitigated count.
 func (o *Oracle) ObserveMitigation(_ int64, bank, row int) {
 	o.mitigations++
-	if i := o.slot(packKey(bank, row)); o.peaks[i] != 0 {
-		o.counts[i] = 0
+	o.resetRow(packKey(bank, row))
+}
+
+// resetRow resets the unmitigated count of the row under key.
+func (o *Oracle) resetRow(key uint64) {
+	if s := o.rows.Get(key); s != nil {
+		s.count = 0
 	}
 }
 
@@ -183,32 +146,27 @@ func (o *Oracle) ObserveRefresh(_ int64, bank, rowLo, rowHi int) {
 	}
 	if rowHi-rowLo < 64 {
 		for r := rowLo; r < rowHi; r++ {
-			if i := o.slot(packKey(bank, r)); o.peaks[i] != 0 {
-				o.counts[i] = 0
-			}
+			o.resetRow(packKey(bank, r))
 		}
 		return
 	}
 	// Wide sweeps (tests with tiny row counts): scan the table.
-	for i, p := range o.peaks {
-		if p == 0 || o.counts[i] == 0 {
-			continue
+	o.rows.All(func(k uint64, s *rowState) {
+		if b, r := unpackKey(k); b == bank && r >= rowLo && r < rowHi {
+			s.count = 0
 		}
-		if b, r := unpackKey(o.keys[i]); b == bank && r >= rowLo && r < rowHi {
-			o.counts[i] = 0
-		}
-	}
+	})
 }
 
 // liveRows returns the number of rows with a nonzero unmitigated count
 // (test/debug accessor).
 func (o *Oracle) liveRows() int {
 	n := 0
-	for i, p := range o.peaks {
-		if p != 0 && o.counts[i] != 0 {
+	o.rows.All(func(_ uint64, s *rowState) {
+		if s.count != 0 {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -247,14 +205,11 @@ func (o *Oracle) Secure() bool { return len(o.violations) == 0 }
 func (o *Oracle) MaxUnmitigated() (count, bank, row int) {
 	var best uint64
 	var bestPeak int32
-	for i, p := range o.peaks {
-		if p == 0 {
-			continue
+	o.rows.All(func(k uint64, s *rowState) {
+		if s.peak > bestPeak || (s.peak == bestPeak && k < best) {
+			bestPeak, best = s.peak, k
 		}
-		if p > bestPeak || (p == bestPeak && o.keys[i] < best) {
-			bestPeak, best = p, o.keys[i]
-		}
-	}
+	})
 	if bestPeak == 0 {
 		return 0, 0, 0
 	}
@@ -266,14 +221,11 @@ func (o *Oracle) MaxUnmitigated() (count, bank, row int) {
 // in descending peak order (ties broken by bank, then row, so the
 // ranking is deterministic regardless of table layout).
 func (o *Oracle) TopPeaks(n int) []RowPeak {
-	out := make([]RowPeak, 0, o.used)
-	for i, p := range o.peaks {
-		if p == 0 {
-			continue
-		}
-		bank, row := unpackKey(o.keys[i])
-		out = append(out, RowPeak{Bank: bank, Row: row, Peak: int(p)})
-	}
+	out := []RowPeak{} // non-nil: an empty ranking encodes as []
+	o.rows.All(func(k uint64, s *rowState) {
+		bank, row := unpackKey(k)
+		out = append(out, RowPeak{Bank: bank, Row: row, Peak: int(s.peak)})
+	})
 	slices.SortFunc(out, func(a, b RowPeak) int {
 		switch {
 		case a.Peak != b.Peak:
@@ -328,23 +280,11 @@ func Merge(shards ...*Oracle) *Oracle {
 		for w, bits := range s.active {
 			m.active[w] |= bits
 		}
-		for i, p := range s.peaks {
-			if p == 0 {
-				continue
-			}
-			if m.used*4 >= len(m.keys)*3 {
-				m.grow()
-			}
-			j := m.slot(s.keys[i])
-			if m.peaks[j] == 0 {
-				m.keys[j] = s.keys[i]
-				m.used++
-			}
-			m.counts[j] += s.counts[i]
-			if p > m.peaks[j] {
-				m.peaks[j] = p
-			}
-		}
+		s.rows.All(func(k uint64, v *rowState) {
+			e := m.rows.Put(k)
+			e.count += v.count
+			e.peak = max(e.peak, v.peak)
+		})
 	}
 	return m
 }

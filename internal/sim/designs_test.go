@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mopac/internal/dram"
-	"mopac/internal/mitigation"
 	"mopac/internal/security"
 	"mopac/internal/workload"
 )
@@ -209,7 +208,7 @@ func TestMoPACCModeRegisterHandshake(t *testing.T) {
 	want := security.DeriveMoPACC(500).UpdateWeight()
 	for i, dev := range sys.Devices() {
 		code := dev.ModeRegister(dram.MRMoPACPMenu)
-		if got := mitigation.DecodePMenu(code); got != want {
+		if got := 2 << code; got != want {
 			t.Fatalf("subchannel %d: MR decodes to 1/%d, params use 1/%d", i, got, want)
 		}
 	}

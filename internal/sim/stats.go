@@ -2,6 +2,7 @@ package sim
 
 import (
 	"mopac/internal/addrmap"
+	"mopac/internal/rowtab"
 	"mopac/internal/timing"
 )
 
@@ -17,13 +18,18 @@ type WorkloadStats struct {
 	tREFW  int64
 	tREFI  int64
 	acts   int64
-	perRow rowCounter // (global bank, row) -> activations
+	perRow rowtab.Table[uint64, int64] // bank<<32 | row -> activations
 	banks  int
 }
 
+// maxKeptTable is the largest row table a reset keeps: a long run's
+// table is dropped rather than cleared for every short run after it.
+const maxKeptTable = 1 << 16
+
 // reset empties w, zero or used before, for a run on geo with timing
-// tp. It keeps the row table's storage: Snapshot only counts the
-// table's entries, so its capacity never reaches a result.
+// tp. It keeps the row table's storage up to maxKeptTable slots:
+// Snapshot only counts the table's entries, so its capacity never
+// reaches a result.
 func (w *WorkloadStats) reset(geo addrmap.Geometry, tp timing.Params) {
 	*w = WorkloadStats{
 		geo:    geo,
@@ -32,91 +38,13 @@ func (w *WorkloadStats) reset(geo addrmap.Geometry, tp timing.Params) {
 		perRow: w.perRow,
 		banks:  geo.Subchannels * geo.Banks,
 	}
-	w.perRow.reset()
+	w.perRow.Reset(maxKeptTable)
 }
 
 // ObserveActivate counts one ACT to row of global bank.
 func (w *WorkloadStats) ObserveActivate(_ int64, bank, row int) {
 	w.acts++
-	w.perRow.incr(uint64(bank)<<32 | uint64(uint32(row)))
-}
-
-// rowCounter is an open-addressing hash table from a packed
-// (bank<<32 | row) key to an activation count. It replaces a Go map on
-// the per-activation hot path: one flat []entry, no per-insert
-// allocation, linear probing with power-of-two capacity. Key 0 is a
-// valid (bank 0, row 0) key, so occupancy is tracked with an explicit
-// used flag packed into the count sign — counts are strictly positive,
-// so count == 0 marks an empty slot.
-type rowCounter struct {
-	keys   []uint64
-	counts []int64
-	used   int
-}
-
-// Row-table capacities: a new table's, and the largest a reset keeps.
-// A long run's table is dropped rather than cleared for every short run
-// after it.
-const (
-	minRowTable  = 1 << 10
-	maxKeptTable = 1 << 16
-)
-
-// reset empties t, keeping its storage unless it has none or more than
-// maxKeptTable slots.
-func (t *rowCounter) reset() {
-	if len(t.keys) == 0 || len(t.keys) > maxKeptTable {
-		t.init(minRowTable)
-		return
-	}
-	clear(t.counts) // a zero count marks a free slot
-	t.used = 0
-}
-
-func (t *rowCounter) init(capacity int) {
-	t.keys = make([]uint64, capacity)
-	t.counts = make([]int64, capacity)
-	t.used = 0
-}
-
-func (t *rowCounter) incr(key uint64) {
-	if t.used*4 >= len(t.keys)*3 {
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	// Fibonacci hashing spreads the low-entropy packed keys.
-	i := (key * 0x9e3779b97f4a7c15) >> 32 & mask
-	for {
-		if t.counts[i] == 0 {
-			t.keys[i] = key
-			t.counts[i] = 1
-			t.used++
-			return
-		}
-		if t.keys[i] == key {
-			t.counts[i]++
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (t *rowCounter) grow() {
-	old := *t
-	t.init(len(old.keys) * 2)
-	for i, c := range old.counts {
-		if c == 0 {
-			continue
-		}
-		mask := uint64(len(t.keys) - 1)
-		j := (old.keys[i] * 0x9e3779b97f4a7c15) >> 32 & mask
-		for t.counts[j] != 0 {
-			j = (j + 1) & mask
-		}
-		t.keys[j] = old.keys[i]
-		t.counts[j] = c
-		t.used++
-	}
+	*w.perRow.Put(uint64(bank)<<32 | uint64(uint32(row)))++
 }
 
 // Snapshot computes the characterisation over [0, elapsed).
@@ -146,17 +74,14 @@ func (w *WorkloadStats) Snapshot(elapsed int64) WorkloadStatsResult {
 	if th200 < 4 {
 		th200 = 4
 	}
-	for _, c := range w.perRow.counts {
-		if c == 0 {
-			continue
-		}
-		if float64(c) >= th64 {
+	w.perRow.All(func(_ uint64, c *int64) {
+		if float64(*c) >= th64 {
 			r.ACT64Rows++
 		}
-		if float64(c) >= th200 {
+		if float64(*c) >= th200 {
 			r.ACT200Rows++
 		}
-	}
+	})
 	r.ACT64PerBank = float64(r.ACT64Rows) / float64(w.banks)
 	r.ACT200PerBank = float64(r.ACT200Rows) / float64(w.banks)
 	return r
