@@ -22,11 +22,9 @@ import (
 	"time"
 
 	"mopac/internal/buildinfo"
-	"mopac/internal/config"
 	"mopac/internal/prof"
 	"mopac/internal/sim"
 	"mopac/internal/store"
-	"mopac/internal/telemetry"
 )
 
 // orAll spells an empty subset flag as "all".
@@ -55,13 +53,7 @@ func main() {
 
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
-
-		tracePth = flag.String("trace", "", "also capture a cycle-level trace of one run (.json = Chrome/Perfetto, else text timeline)")
-		traceWin = flag.String("trace-window", "", "only trace simulated time lo:hi in ns")
-		traceLim = flag.Int("trace-limit", 0, "per-track ring capacity in records (0 = default)")
-		traceDes = flag.String("trace-design", "prac", "design for the -trace run: "+strings.Join(config.Designs(), " | "))
-		traceWl  = flag.String("trace-workload", "mcf", "Table 4 workload for the -trace run")
-		version  = flag.Bool("version", false, "print build information and exit")
+		version = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -93,19 +85,15 @@ func main() {
 		w = f
 	}
 
-	// The report is sim's step table plus the trace step, which drives
-	// its own instrumented run and only runs when given an output path.
-	const traceBrief = "cycle-level trace of one run (requires -trace PATH)"
+	// The report is sim's step table.
 	var ids []string
 	for _, s := range sim.Steps() {
 		ids = append(ids, s.ID)
 	}
-	ids = append(ids, "trace")
 	if *list {
 		for _, s := range sim.Steps() {
 			fmt.Printf("%-10s %s\n", s.ID, s.Brief)
 		}
-		fmt.Printf("%-10s %s\n", "trace", traceBrief)
 		return
 	}
 
@@ -120,16 +108,7 @@ func main() {
 			selected[id] = true
 		}
 	}
-	if selected["trace"] && *tracePth == "" {
-		fmt.Fprintln(os.Stderr, "-only trace requires -trace PATH")
-		os.Exit(2)
-	}
-	want := func(id string) bool {
-		if id == "trace" && *tracePth == "" {
-			return false
-		}
-		return len(selected) == 0 || selected[id]
-	}
+	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
 	if !*noStore {
 		dir := *storeDir
@@ -211,13 +190,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		var err error
-		if id == "trace" {
-			err = emitTrace(w, sc, *traceDes, *traceWl, *tracePth, *traceWin, *traceLim)
-		} else {
-			err = runner.WriteStep(id, w)
-		}
-		if err != nil {
+		if err := runner.WriteStep(id, w); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", id, err)
 			os.Exit(1)
 		}
@@ -227,45 +200,4 @@ func main() {
 	st := runner.Planner().Stats()
 	fmt.Fprintf(os.Stderr, "executed %d simulations (%d store hits, %d unique of %d requested; %d shared a run, %d re-run after diverging)\n",
 		st.Executed, st.StoreHits, st.Unique, planned.Requested, st.Shared, st.Rerun)
-}
-
-// emitTrace runs one instrumented simulation at the report's scale and
-// writes its cycle-level trace to path, appending a digest section to
-// the report.
-func emitTrace(w io.Writer, sc sim.Scale, design, workload, path, window string, limit int) error {
-	d, err := config.ParseDesign(design)
-	if err != nil {
-		return fmt.Errorf("-trace-design: %w", err)
-	}
-	lo, hi, err := telemetry.ParseWindow(window)
-	if err != nil {
-		return err
-	}
-	tracer := telemetry.New(telemetry.Options{WindowStartNs: lo, WindowEndNs: hi, TrackLimit: limit})
-	cfg := sim.Config{
-		Design:       d,
-		TRH:          500,
-		Workload:     workload,
-		Cores:        8,
-		InstrPerCore: sc.InstrPerCore,
-		Seed:         sc.Seed,
-		Trace:        tracer,
-	}
-	sys, err := sim.NewSystem(cfg)
-	if err != nil {
-		return err
-	}
-	if _, err := sys.Run(0); err != nil {
-		return err
-	}
-	if err := tracer.WriteFile(path); err != nil {
-		return err
-	}
-	ts := tracer.Summary()
-	fmt.Fprintf(w, "## Cycle-level trace\n\n")
-	fmt.Fprintf(w, "Captured %d records on %d tracks (%d dropped) for %s/%s at T_RH=500 into `%s`.\n",
-		ts.Records, ts.Tracks, ts.Dropped, design, workload, path)
-	fmt.Fprintf(w, "Read latency p50/p95: %d/%d ns over %d reads.\n\n",
-		ts.ReadLatency.P50, ts.ReadLatency.P95, ts.ReadLatency.Count)
-	return nil
 }

@@ -34,7 +34,7 @@ const DefaultBatch = 8
 // Options configures one search.
 type Options struct {
 	// Base is the design under test: Design, TRH, Seed, and any design
-	// knobs (Chips, SRQSize, QPRAC, …). Workload must be empty — the
+	// knobs (Chips, SRQSize, RFMLevel, …). Workload must be empty — the
 	// attacker is the only traffic source.
 	Base sim.Config
 	// Seed drives candidate generation. Two searches with equal Base,

@@ -40,6 +40,12 @@ type Source interface {
 	Next() (Access, bool)
 }
 
+// DefaultWidth is the retirement width, in instructions per
+// nanosecond, of every core the simulator attaches. Attack patterns
+// convert idle nanoseconds into instruction gaps with it, so their
+// timing follows any change to the core model.
+const DefaultWidth = 8
+
 // Config parameterises one core.
 type Config struct {
 	// Width is the peak retirement rate in instructions per nanosecond

@@ -13,8 +13,10 @@ import (
 // the same content-addressed byte store the experiment planner uses
 // (internal/store), kept as an interface so the service carries no I/O
 // dependency. Both tiers share one key space — the canonical
-// sim.Config hash from package runkey — so a summary computed by the
-// server, the batch runner, or a previous process serves any of them.
+// sim.Config hash from package runkey — and hold run summaries under
+// StoreSchema, so a summary saved by this server or by an earlier
+// server process serves any of them. The planner's full results live
+// in their own schema and are never read here.
 type DiskStore interface {
 	Load(key string) ([]byte, bool)
 	Save(key string, data []byte) error

@@ -32,8 +32,7 @@ type Options struct {
 	// CacheSize bounds the result cache (<= 0 selects 256).
 	CacheSize int
 	// Store, when non-nil, is a persistent second tier behind the
-	// result cache: summaries survive restarts and LRU evictions, and a
-	// store shared with the experiment CLIs serves their results too.
+	// result cache: summaries survive restarts and LRU evictions.
 	Store DiskStore
 	// Logger receives structured request and job logs (nil discards).
 	Logger *slog.Logger

@@ -384,7 +384,7 @@ func callOnDone(ctx any, at int64) { ctx.(func(int64))(at) }
 func (s *System) AttachCore(src cpu.Source, targetInstr int64) (*cpu.Core, error) {
 	core := reuse(s.cores)
 	if err := core.Init(s.eng, cpu.Config{
-		Width: 8, ROB: 256, TargetInstr: targetInstr, Submit: s.submit,
+		Width: cpu.DefaultWidth, ROB: 256, TargetInstr: targetInstr, Submit: s.submit,
 		OnFinish: s.coreFinished,
 		Trace:    s.coreTrack(),
 	}, src); err != nil {

@@ -152,8 +152,7 @@ type track struct {
 type Tracer struct {
 	opts   Options
 	tracks []track
-	slabs  [][]Record // recycled ring storage (see Reset)
-	arena  []Record   // chunk the next fresh rings are carved from
+	arena  []Record // chunk the next fresh rings are carved from
 
 	counts  [kindCount]int64
 	latency stats.Histogram // KindReqServed durations
@@ -216,18 +215,12 @@ func (t *Tracer) Emit(track int32, k Kind, at, dur int64, a, b int32) {
 // arenaTracks is how many full-capacity rings one arena chunk holds.
 const arenaTracks = 8
 
-// newSlab pops a pooled ring slab or carves a fresh full-capacity ring
-// out of the shared arena chunk. A carved ring never regrows — append
-// stays inside its capacity until the ring wraps — so a busy track
-// pays zero per-record allocator work, and the chunk amortises the
-// allocation itself over several tracks. Slabs are recycled through
-// Reset, so repeated runs on one tracer do not churn the allocator.
+// newSlab carves a fresh full-capacity ring out of the shared arena
+// chunk. A carved ring never regrows — append stays inside its
+// capacity until the ring wraps — so a busy track pays zero per-record
+// allocator work, and the chunk amortises the allocation itself over
+// several tracks.
 func (t *Tracer) newSlab() []Record {
-	if n := len(t.slabs); n > 0 {
-		s := t.slabs[n-1]
-		t.slabs = t.slabs[:n-1]
-		return s[:0]
-	}
 	limit := t.opts.TrackLimit
 	if limit >= 1<<15 {
 		// Oversized custom limits get their own allocation: a shared
@@ -240,21 +233,6 @@ func (t *Tracer) newSlab() []Record {
 	s := t.arena[:0:limit]
 	t.arena = t.arena[limit:]
 	return s
-}
-
-// Reset drops every track and record but keeps the ring storage pooled
-// for the next run.
-func (t *Tracer) Reset() {
-	for i := range t.tracks {
-		if t.tracks[i].recs != nil {
-			t.slabs = append(t.slabs, t.tracks[i].recs[:0])
-		}
-	}
-	t.tracks = t.tracks[:0]
-	t.counts = [kindCount]int64{}
-	t.latency = stats.Histogram{}
-	t.queue = stats.Histogram{}
-	t.srq = stats.Histogram{}
 }
 
 // Records returns the number of records currently held across tracks.

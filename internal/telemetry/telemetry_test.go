@@ -115,30 +115,6 @@ func TestWindowFiltering(t *testing.T) {
 	}
 }
 
-func TestResetRecyclesSlabs(t *testing.T) {
-	tr := New(Options{TrackLimit: 16})
-	id := tr.NewTrack("a")
-	for i := 0; i < 16; i++ {
-		tr.Emit(id, KindACT, int64(i), 0, 0, 0)
-	}
-	tr.Reset()
-	if tr.Tracks() != 0 || tr.Records() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("Reset left state: tracks=%d records=%d", tr.Tracks(), tr.Records())
-	}
-	if len(tr.slabs) != 1 {
-		t.Fatalf("slab pool len = %d, want 1", len(tr.slabs))
-	}
-	// The next track's first record reuses the pooled slab.
-	id = tr.NewTrack("b")
-	tr.Emit(id, KindACT, 1, 0, 0, 0)
-	if len(tr.slabs) != 0 {
-		t.Fatalf("slab pool not drained on reuse")
-	}
-	if got := tr.KindCount(KindACT); got != 1 {
-		t.Fatalf("counts not reset: %d", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindACT.String() != "ACT" || KindSRQDepth.String() != "srq-depth" {
 		t.Fatalf("kind names wrong: %q %q", KindACT, KindSRQDepth)

@@ -10,97 +10,182 @@ import (
 	"mopac/internal/cpu"
 )
 
-// AttackPattern cycles a fixed list of DRAM locations as fast as the
-// memory system allows: every access depends on the previous one, which
-// is how a real hammering loop (load + flush + fence) behaves. It
-// implements cpu.Source.
-type AttackPattern struct {
-	mapper addrmap.Mapper
-	locs   []addrmap.Loc
-	i      int
+// Attack-pattern kinds accepted by AttackSpec. The first four are the
+// knob-driven kinds the attack search explores; the rest are the fixed
+// patterns of the paper's §7 attacks and the security suite.
+const (
+	KindDoubleSided = "double-sided"
+	KindManySided   = "many-sided"
+	KindWave        = "wave"
+	KindRefreshSync = "refresh-sync"
+	KindSingleSided = "single-sided"
+	KindMultiBank   = "multi-bank"
+	KindSRQFill     = "srq-fill"
+	KindTRRespass   = "trrespass"
+)
+
+// DefaultVictim is the row the fixed patterns are anchored at: the
+// victim of the stock double-sided loop and the hammered row of the
+// single-sided and multi-bank patterns.
+const DefaultVictim = 4096
+
+// The fixed shapes of the SRQ-fill and TRRespass patterns.
+const (
+	srqFillRows    = 256
+	trrespassPairs = 12
+)
+
+// knobs is the set of AttackSpec fields a kind reads. Normalize keeps
+// (and defaults) exactly these and zeroes the rest, so knobs a kind
+// ignores cannot split the attack store's keyspace, and String prints
+// exactly these.
+type knobs uint8
+
+const (
+	knobAnchor knobs = 1 << iota // Sub, Bank
+	knobVictim                   // Victim
+	knobAggr                     // Aggressors (default 2)
+	knobDecoys                   // Decoys (default 8), DecoyRatio (default 1)
+	knobBurst                    // Burst (default 8)
+	knobTiming                   // PhaseNs, GapNs
+	knobSpread                   // BankSpread (default 1)
+
+	clusterKnobs = knobAnchor | knobVictim | knobAggr | knobSpread
+)
+
+// step is one access of a pattern's cycle: a location plus the idle
+// instruction gap preceding it.
+type step struct {
+	loc addrmap.Loc
+	gap int64
 }
 
-// newAttackPattern wraps an explicit location sequence.
-func newAttackPattern(mapper addrmap.Mapper, locs []addrmap.Loc) (*AttackPattern, error) {
-	if len(locs) == 0 {
-		return nil, fmt.Errorf("workload: attack pattern needs locations")
-	}
-	g := mapper.Geometry()
-	for _, l := range locs {
-		if l.Sub < 0 || l.Sub >= g.Subchannels || l.Bank < 0 || l.Bank >= g.Banks ||
-			l.Row < 0 || l.Row >= g.Rows {
-			return nil, fmt.Errorf("workload: location %+v out of range", l)
+// kind is one attack-pattern kind: its name, the knobs it reads, and
+// the builder of one cycle of its accesses on the anchor bank. A
+// builder returns the cycle and a one-time lead gap before the first
+// access. It receives a normalized, validated spec.
+type kind struct {
+	name  string
+	knobs knobs
+	// aggr pins Aggressors to a fixed count; 0 leaves the knob free.
+	aggr  int
+	cycle func(s AttackSpec, geo addrmap.Geometry) ([]step, int64)
+}
+
+// kinds is the pattern registry, in Kinds() order.
+var kinds = []kind{
+	// The classic double-sided pair (§2.3, Figure 8).
+	{name: KindDoubleSided, knobs: clusterKnobs, aggr: 2, cycle: cluster},
+	// Aggressors rows packed around one victim, hammered round-robin.
+	{name: KindManySided, knobs: clusterKnobs, cycle: cluster},
+	// A feinting (wave) pattern: each cycle first sweeps Decoys distinct
+	// decoy rows DecoyRatio times — draining the sampler / SRQ / tracker
+	// budget on rows that never threaten the victim — then lands Burst
+	// passes over the real aggressors. The decoy phase buys the real
+	// burst a window in which the mitigation machinery is busy or
+	// saturated.
+	{name: KindWave, knobs: clusterKnobs | knobDecoys | knobBurst, cycle: func(s AttackSpec, geo addrmap.Geometry) ([]step, int64) {
+		aggr, _ := cluster(s, geo)
+		var steps []step
+		dr := decoyRows(geo, s.Victim, s.Decoys)
+		for pass := 0; pass < s.DecoyRatio; pass++ {
+			for _, r := range dr {
+				steps = append(steps, step{loc: addrmap.Loc{Sub: s.Sub, Bank: s.Bank, Row: r}})
+			}
+		}
+		for pass := 0; pass < s.Burst; pass++ {
+			steps = append(steps, aggr...)
+		}
+		return steps, 0
+	}},
+	// A refresh-synchronized burst pattern: after an initial offset of
+	// PhaseNs, each cycle hammers the aggressors for Burst accesses back
+	// to back, then idles GapNs before the next burst. With the cycle
+	// period tuned near tREFI, every burst lands in the same position of
+	// the refresh window — starving REF-shadow mitigation (drains,
+	// proactive service) of the aggressor activity it needs to observe,
+	// and stacking activations into the interval where the design's
+	// budget is already spent.
+	{name: KindRefreshSync, knobs: clusterKnobs | knobBurst | knobTiming, cycle: func(s AttackSpec, geo addrmap.Geometry) ([]step, int64) {
+		aggr, _ := cluster(s, geo)
+		steps := make([]step, s.Burst)
+		for i := range steps {
+			steps[i].loc = aggr[i%len(aggr)].loc
+		}
+		steps[0].gap = s.GapNs * cpu.DefaultWidth
+		return steps, s.PhaseNs * cpu.DefaultWidth
+	}},
+	// One aggressor row interleaved with a far-away dummy row, so every
+	// access reopens the aggressor.
+	{name: KindSingleSided, knobs: knobAnchor | knobVictim, cycle: func(s AttackSpec, geo addrmap.Geometry) ([]step, int64) {
+		dummy := (s.Victim + geo.Rows/2) % geo.Rows
+		return []step{
+			{loc: addrmap.Loc{Sub: s.Sub, Bank: s.Bank, Row: s.Victim}},
+			{loc: addrmap.Loc{Sub: s.Sub, Bank: s.Bank, Row: dummy}},
+		}, 0
+	}},
+	// The §7.2 performance-attack pattern (Figure 14b): row Victim in
+	// every bank of the system, visited round-robin.
+	{name: KindMultiBank, knobs: knobVictim, cycle: func(s AttackSpec, geo addrmap.Geometry) ([]step, int64) {
+		steps := make([]step, geo.Subchannels*geo.Banks)
+		for i := range steps {
+			steps[i].loc = addrmap.Loc{Sub: i / geo.Banks, Bank: i % geo.Banks, Row: s.Victim}
+		}
+		return steps, 0
+	}},
+	// The §7.4 SRQ-full attack: far more unique rows in one bank than
+	// the Selected Row Queue can hold, spread so victim refreshes never
+	// overlap aggressors.
+	{name: KindSRQFill, knobs: knobAnchor, cycle: func(s AttackSpec, geo addrmap.Geometry) ([]step, int64) {
+		steps := make([]step, srqFillRows)
+		for i := range steps {
+			steps[i].loc = addrmap.Loc{Sub: s.Sub, Bank: s.Bank, Row: (i * 8) % geo.Rows}
+		}
+		return steps, 0
+	}},
+	// A TRRespass-style pattern: aggressor pairs around distinct victims
+	// in one bank, defeating small deterministic trackers.
+	{name: KindTRRespass, knobs: knobAnchor, cycle: func(s AttackSpec, geo addrmap.Geometry) ([]step, int64) {
+		steps := make([]step, 0, 2*trrespassPairs)
+		for i := 0; i < trrespassPairs; i++ {
+			base := 100 + i*10
+			steps = append(steps,
+				step{loc: addrmap.Loc{Sub: s.Sub, Bank: s.Bank, Row: base}},
+				step{loc: addrmap.Loc{Sub: s.Sub, Bank: s.Bank, Row: base + 2}},
+			)
+		}
+		return steps, 0
+	}},
+}
+
+// lookup returns the named kind's registry entry, or nil.
+func lookup(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
 		}
 	}
-	return &AttackPattern{mapper: mapper, locs: locs}, nil
+	return nil
 }
 
-// Next implements cpu.Source.
-func (a *AttackPattern) Next() (cpu.Access, bool) {
-	loc := a.locs[a.i]
-	a.i = (a.i + 1) % len(a.locs)
-	// Alternate columns so consecutive visits to the same row still
-	// force a fresh activation after the interleaved rows close it.
-	return cpu.Access{Gap: 0, Addr: a.mapper.Encode(loc), Dep: true}, true
+// Kinds lists the AttackSpec pattern kinds in canonical order.
+func Kinds() []string {
+	out := make([]string, len(kinds))
+	for i, k := range kinds {
+		out[i] = k.name
+	}
+	return out
 }
 
-// Rows returns the number of distinct locations in the pattern.
-func (a *AttackPattern) Rows() int { return len(a.locs) }
-
-// singleSided hammers one aggressor row, interleaved with a far-away
-// dummy row so every access reopens the aggressor.
-func singleSided(mapper addrmap.Mapper, sub, bank, row int) (*AttackPattern, error) {
-	dummy := (row + mapper.Geometry().Rows/2) % mapper.Geometry().Rows
-	return newAttackPattern(mapper, []addrmap.Loc{
-		{Sub: sub, Bank: bank, Row: row},
-		{Sub: sub, Bank: bank, Row: dummy},
-	})
-}
-
-// multiBank builds the §7.2 performance-attack pattern (Figure 14b): one
-// row in each of n banks, visited round-robin.
-func multiBank(mapper addrmap.Mapper, n, row int) (*AttackPattern, error) {
-	g := mapper.Geometry()
-	total := g.Subchannels * g.Banks
-	if n <= 0 || n > total {
-		return nil, fmt.Errorf("workload: %d banks requested of %d", n, total)
+// cluster is the many-sided cycle: Aggressors rows packed around the
+// victim, one access each.
+func cluster(s AttackSpec, _ addrmap.Geometry) ([]step, int64) {
+	rows := aggressorRows(s.Victim, s.Aggressors)
+	steps := make([]step, len(rows))
+	for i, r := range rows {
+		steps[i].loc = addrmap.Loc{Sub: s.Sub, Bank: s.Bank, Row: r}
 	}
-	locs := make([]addrmap.Loc, 0, n)
-	for i := 0; i < n; i++ {
-		locs = append(locs, addrmap.Loc{Sub: i / g.Banks, Bank: i % g.Banks, Row: row})
-	}
-	return newAttackPattern(mapper, locs)
-}
-
-// srqFill builds the §7.4 SRQ-full attack: many unique rows in a single
-// bank, far more than the Selected Row Queue can hold.
-func srqFill(mapper addrmap.Mapper, sub, bank, rows int) (*AttackPattern, error) {
-	if rows <= 0 || rows > mapper.Geometry().Rows {
-		return nil, fmt.Errorf("workload: bad row count %d", rows)
-	}
-	locs := make([]addrmap.Loc, 0, rows)
-	for i := 0; i < rows; i++ {
-		// Spread the rows so victim refreshes never overlap aggressors.
-		locs = append(locs, addrmap.Loc{Sub: sub, Bank: bank, Row: (i * 8) % mapper.Geometry().Rows})
-	}
-	return newAttackPattern(mapper, locs)
-}
-
-// trrespass builds a TRRespass-style pattern: k aggressor pairs around
-// distinct victims in one bank, defeating small deterministic trackers.
-func trrespass(mapper addrmap.Mapper, sub, bank, k int) (*AttackPattern, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("workload: need at least one aggressor pair")
-	}
-	locs := make([]addrmap.Loc, 0, 2*k)
-	for i := 0; i < k; i++ {
-		base := 100 + i*10
-		locs = append(locs,
-			addrmap.Loc{Sub: sub, Bank: bank, Row: base},
-			addrmap.Loc{Sub: sub, Bank: bank, Row: base + 2},
-		)
-	}
-	return newAttackPattern(mapper, locs)
+	return steps, 0
 }
 
 // aggressorRows returns n aggressor rows packed around victim,
@@ -119,24 +204,6 @@ func aggressorRows(victim, n int) []int {
 	return rows
 }
 
-// manySidedAround builds the parameterized many-sided pattern: n
-// aggressor rows packed around one victim, hammered round-robin. n = 2
-// is the classic double-sided pair (§2.3, Figure 8).
-func manySidedAround(mapper addrmap.Mapper, sub, bank, victim, n int) (*AttackPattern, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("workload: need at least one aggressor, got %d", n)
-	}
-	reach := (n + 1) / 2
-	if victim-reach < 0 || victim+reach >= mapper.Geometry().Rows {
-		return nil, fmt.Errorf("workload: victim row %d cannot host %d aggressors", victim, n)
-	}
-	locs := make([]addrmap.Loc, 0, n)
-	for _, r := range aggressorRows(victim, n) {
-		locs = append(locs, addrmap.Loc{Sub: sub, Bank: bank, Row: r})
-	}
-	return newAttackPattern(mapper, locs)
-}
-
 // decoyRows returns k decoy rows for a wave pattern: unique rows spread
 // across the bank, all at least 64 rows away from the victim cluster so
 // decoy activations never disturb the real victim, but each one costs
@@ -153,150 +220,26 @@ func decoyRows(geo addrmap.Geometry, victim, k int) []int {
 	return rows
 }
 
-// wave builds a feinting (wave) pattern: each cycle first sweeps decoys
-// distinct decoy rows ratio times — draining the sampler / SRQ /
-// tracker budget on rows that never threaten the victim — then lands a
-// burst of burst passes over n real aggressors around the victim. The
-// decoy phase buys the real burst a window in which the mitigation
-// machinery is busy or saturated.
-func wave(mapper addrmap.Mapper, sub, bank, victim, n, decoys, ratio, burst int) (*AttackPattern, error) {
-	if decoys < 1 || ratio < 1 || burst < 1 {
-		return nil, fmt.Errorf("workload: wave needs decoys, ratio, burst >= 1 (got %d, %d, %d)", decoys, ratio, burst)
-	}
-	geo := mapper.Geometry()
-	if decoys > geo.Rows/16 {
-		return nil, fmt.Errorf("workload: %d decoys exceed the bank's spread budget", decoys)
-	}
-	aggr, err := manySidedAround(mapper, sub, bank, victim, n)
-	if err != nil {
-		return nil, err
-	}
-	var locs []addrmap.Loc
-	dr := decoyRows(geo, victim, decoys)
-	for pass := 0; pass < ratio; pass++ {
-		for _, r := range dr {
-			locs = append(locs, addrmap.Loc{Sub: sub, Bank: bank, Row: r})
-		}
-	}
-	for pass := 0; pass < burst; pass++ {
-		locs = append(locs, aggr.locs...)
-	}
-	return newAttackPattern(mapper, locs)
-}
-
-// hammerWidthInstrPerNs is the retirement width of the simulator's
-// core model (sim.System.AttachCore wires cpu.Config{Width: 8}): converting a
-// requested idle time in nanoseconds into the instruction gap that
-// produces it.
-const hammerWidthInstrPerNs = 8
-
-// phasedItem is one access of a PhasedPattern cycle: a location plus
-// the idle instruction gap preceding it.
-type phasedItem struct {
-	loc addrmap.Loc
-	gap int64
-}
-
-// PhasedPattern cycles timed accesses: like AttackPattern, but each
-// access carries an instruction gap, letting a pattern idle between
-// bursts — the building block of refresh-synchronized attacks. It
-// implements cpu.Source.
-type PhasedPattern struct {
-	mapper addrmap.Mapper
-	lead   int64 // one-time phase offset before the first access
-	items  []phasedItem
-	i      int
-	led    bool
+// pattern cycles a fixed list of accesses as fast as the memory system
+// allows: every access depends on the previous one, which is how a
+// real hammering loop (load + flush + fence) behaves. An access's gap
+// lets a pattern idle between bursts. It implements cpu.Source.
+type pattern struct {
+	cycle []cpu.Access
+	lead  int64 // added to the first access's gap only
+	i     int
 }
 
 // Next implements cpu.Source.
-func (p *PhasedPattern) Next() (cpu.Access, bool) {
-	it := p.items[p.i]
-	p.i = (p.i + 1) % len(p.items)
-	gap := it.gap
-	if !p.led {
-		p.led = true
-		gap += p.lead
+func (p *pattern) Next() (cpu.Access, bool) {
+	a := p.cycle[p.i]
+	if p.i++; p.i == len(p.cycle) {
+		p.i = 0
 	}
-	return cpu.Access{Gap: gap, Addr: p.mapper.Encode(it.loc), Dep: true}, true
+	a.Gap += p.lead
+	p.lead = 0
+	return a, true
 }
-
-// Rows returns the cycle length in accesses.
-func (p *PhasedPattern) Rows() int { return len(p.items) }
-
-// refreshSync builds a refresh-synchronized burst pattern: after an
-// initial phase offset of phaseNs, each cycle hammers n aggressors
-// around the victim for burst accesses back to back, then idles gapNs
-// before the next burst. With the cycle period tuned near tREFI, every
-// burst lands in the same position of the refresh window — starving
-// REF-shadow mitigation (drains, proactive service) of the aggressor
-// activity it needs to observe, and stacking activations into the
-// interval where the design's budget is already spent.
-func refreshSync(mapper addrmap.Mapper, sub, bank, victim, n, burst int, phaseNs, gapNs int64) (*PhasedPattern, error) {
-	if burst < 1 {
-		return nil, fmt.Errorf("workload: refresh-sync burst must be >= 1, got %d", burst)
-	}
-	if phaseNs < 0 || gapNs < 0 {
-		return nil, fmt.Errorf("workload: refresh-sync phase/gap must be >= 0 (got %d, %d)", phaseNs, gapNs)
-	}
-	aggr, err := manySidedAround(mapper, sub, bank, victim, n)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]phasedItem, 0, burst)
-	for i := 0; i < burst; i++ {
-		items = append(items, phasedItem{loc: aggr.locs[i%len(aggr.locs)]})
-	}
-	items[0].gap = gapNs * hammerWidthInstrPerNs
-	return &PhasedPattern{
-		mapper: mapper,
-		lead:   phaseNs * hammerWidthInstrPerNs,
-		items:  items,
-	}, nil
-}
-
-// Attack-pattern kinds accepted by AttackSpec. The first four are the
-// knob-driven kinds the attack search explores; the rest are the fixed
-// patterns of the paper's §7 attacks and the security suite.
-const (
-	KindDoubleSided = "double-sided"
-	KindManySided   = "many-sided"
-	KindWave        = "wave"
-	KindRefreshSync = "refresh-sync"
-	KindSingleSided = "single-sided"
-	KindMultiBank   = "multi-bank"
-	KindSRQFill     = "srq-fill"
-	KindTRRespass   = "trrespass"
-)
-
-// Kinds lists the AttackSpec pattern kinds in canonical order.
-func Kinds() []string {
-	return []string{
-		KindDoubleSided, KindManySided, KindWave, KindRefreshSync,
-		KindSingleSided, KindMultiBank, KindSRQFill, KindTRRespass,
-	}
-}
-
-// DefaultVictim is the row the fixed patterns are anchored at: the
-// victim of the stock double-sided loop and the hammered row of the
-// single-sided and multi-bank patterns.
-const DefaultVictim = 4096
-
-// fixedKinds lists the knobs each fixed-pattern kind reads: anchor is
-// Sub and Bank, row is Victim (the hammered row). Normalize zeroes
-// every other knob, so equal fixed patterns hash equal.
-var fixedKinds = map[string]struct{ anchor, row bool }{
-	KindSingleSided: {anchor: true, row: true},
-	KindMultiBank:   {row: true}, // every bank of the system
-	KindSRQFill:     {anchor: true},
-	KindTRRespass:   {anchor: true},
-}
-
-// The fixed shapes of the SRQ-fill and TRRespass patterns.
-const (
-	srqFillRows    = 256
-	trrespassPairs = 12
-)
 
 // AttackSpec is a fully parameterized adversarial pattern: the one
 // description of every attack run, from the paper's fixed patterns to
@@ -331,61 +274,64 @@ type AttackSpec struct {
 	BankSpread int `json:"bank_spread,omitempty"`
 }
 
-// Normalize resolves knob defaults in place and returns the spec.
+// readKnobs returns the knobs and pinned aggressor count of a pattern
+// name. An unknown name reads the many-sided knobs, so an invalid spec
+// still normalizes and prints in full for Validate to reject.
+func readKnobs(name string) (knobs, int) {
+	if k := lookup(name); k != nil {
+		return k.knobs, k.aggr
+	}
+	return clusterKnobs, 0
+}
+
+// Normalize resolves knob defaults and returns the spec: the knobs the
+// kind reads take their defaults, and every other knob is zeroed.
 func (s AttackSpec) Normalize() AttackSpec {
 	if s.Pattern == "" {
 		s.Pattern = KindDoubleSided
 	}
-	if k, fixed := fixedKinds[s.Pattern]; fixed {
-		out := AttackSpec{Pattern: s.Pattern}
-		if k.anchor {
-			out.Sub, out.Bank = s.Sub, s.Bank
+	set, aggr := readKnobs(s.Pattern)
+	out := AttackSpec{Pattern: s.Pattern}
+	if set&knobAnchor != 0 {
+		out.Sub, out.Bank = s.Sub, s.Bank
+	}
+	if set&knobVictim != 0 {
+		out.Victim = s.Victim
+	}
+	if set&knobAggr != 0 {
+		out.Aggressors = max(s.Aggressors, 2)
+		if aggr > 0 {
+			out.Aggressors = aggr
 		}
-		if k.row {
-			out.Victim = s.Victim
-		}
-		return out
 	}
-	if s.Aggressors < 2 || s.Pattern == KindDoubleSided {
-		s.Aggressors = 2
+	if set&knobDecoys != 0 {
+		out.Decoys, out.DecoyRatio = orDefault(s.Decoys, 8), orDefault(s.DecoyRatio, 1)
 	}
-	if s.BankSpread < 1 {
-		s.BankSpread = 1
+	if set&knobBurst != 0 {
+		out.Burst = orDefault(s.Burst, 8)
 	}
-	if s.Pattern == KindWave {
-		if s.Decoys < 1 {
-			s.Decoys = 8
-		}
-		if s.DecoyRatio < 1 {
-			s.DecoyRatio = 1
-		}
-	} else {
-		s.Decoys, s.DecoyRatio = 0, 0
+	if set&knobTiming != 0 {
+		out.PhaseNs, out.GapNs = s.PhaseNs, s.GapNs
 	}
-	switch s.Pattern {
-	case KindWave, KindRefreshSync:
-		if s.Burst < 1 {
-			s.Burst = 8
-		}
-	default:
-		s.Burst = 0
+	if set&knobSpread != 0 {
+		out.BankSpread = orDefault(s.BankSpread, 1)
 	}
-	if s.Pattern != KindRefreshSync {
-		s.PhaseNs, s.GapNs = 0, 0
-	}
-	return s
+	return out
 }
 
-// Validate rejects specs that cannot build against the geometry.
+// orDefault returns v, or def when v is below 1.
+func orDefault(v, def int) int {
+	if v < 1 {
+		return def
+	}
+	return v
+}
+
+// Validate rejects specs that cannot build against the geometry. It is
+// the only check: Build's cycle builders assume a spec that passed it.
 func (s AttackSpec) Validate(geo addrmap.Geometry) error {
 	s = s.Normalize()
-	valid := false
-	for _, k := range Kinds() {
-		if s.Pattern == k {
-			valid = true
-		}
-	}
-	if !valid {
+	if lookup(s.Pattern) == nil {
 		return fmt.Errorf("workload: unknown attack pattern %q", s.Pattern)
 	}
 	if s.Sub < 0 || s.Sub >= geo.Subchannels {
@@ -419,82 +365,31 @@ func (s AttackSpec) Validate(geo addrmap.Geometry) error {
 	return nil
 }
 
-// spreadLocs interleaves per-bank replicas of a location cycle: each
-// base access expands into BankSpread accesses on consecutive banks
-// (wrapping mod the bank count). Round-robining banks access by access
-// keeps every replica's per-bank cadence equal to the base pattern's.
-func spreadLocs(geo addrmap.Geometry, base []addrmap.Loc, spread int) []addrmap.Loc {
-	if spread <= 1 {
-		return base
-	}
-	out := make([]addrmap.Loc, 0, len(base)*spread)
-	for _, l := range base {
-		for b := 0; b < spread; b++ {
-			r := l
-			r.Bank = (l.Bank + b) % geo.Banks
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Build constructs the spec's access source against the mapper.
+// Build constructs the spec's access source against the mapper. With
+// BankSpread above 1, each step of the kind's cycle expands into
+// replicas on consecutive banks (wrapping mod the bank count), and
+// only the first replica carries the step's idle gap: round-robining
+// banks access by access keeps every replica's per-bank cadence equal
+// to the base pattern's.
 func (s AttackSpec) Build(mapper addrmap.Mapper) (cpu.Source, error) {
 	geo := mapper.Geometry()
 	if err := s.Validate(geo); err != nil {
 		return nil, err
 	}
 	s = s.Normalize()
-	var (
-		p   *AttackPattern
-		err error
-	)
-	switch s.Pattern {
-	case KindDoubleSided, KindManySided:
-		p, err = manySidedAround(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors)
-	case KindWave:
-		p, err = wave(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors, s.Decoys, s.DecoyRatio, s.Burst)
-	case KindRefreshSync:
-		return s.buildRefreshSync(mapper)
-	case KindSingleSided:
-		p, err = singleSided(mapper, s.Sub, s.Bank, s.Victim)
-	case KindMultiBank:
-		p, err = multiBank(mapper, geo.Subchannels*geo.Banks, s.Victim)
-	case KindSRQFill:
-		p, err = srqFill(mapper, s.Sub, s.Bank, srqFillRows)
-	case KindTRRespass:
-		p, err = trrespass(mapper, s.Sub, s.Bank, trrespassPairs)
-	default:
-		return nil, fmt.Errorf("workload: unknown attack pattern %q", s.Pattern)
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.locs = spreadLocs(geo, p.locs, s.BankSpread)
-	return p, nil
-}
-
-// buildRefreshSync builds a normalized refresh-sync spec, replicating
-// its timed cycle across BankSpread banks.
-func (s AttackSpec) buildRefreshSync(mapper addrmap.Mapper) (cpu.Source, error) {
-	p, err := refreshSync(mapper, s.Sub, s.Bank, s.Victim, s.Aggressors, s.Burst, s.PhaseNs, s.GapNs)
-	if err != nil {
-		return nil, err
-	}
-	if s.BankSpread > 1 {
-		banks := mapper.Geometry().Banks
-		items := make([]phasedItem, 0, len(p.items)*s.BankSpread)
-		for _, it := range p.items {
-			for b := 0; b < s.BankSpread; b++ {
-				r := it
-				r.loc.Bank = (it.loc.Bank + b) % banks
-				if b > 0 {
-					r.gap = 0 // only the first replica carries the idle gap
-				}
-				items = append(items, r)
+	steps, lead := lookup(s.Pattern).cycle(s, geo)
+	spread := max(s.BankSpread, 1)
+	p := &pattern{cycle: make([]cpu.Access, 0, len(steps)*spread), lead: lead}
+	for _, st := range steps {
+		for b := 0; b < spread; b++ {
+			loc := st.loc
+			loc.Bank = (st.loc.Bank + b) % geo.Banks
+			a := cpu.Access{Addr: mapper.Encode(loc), Dep: true}
+			if b == 0 {
+				a.Gap = st.gap
 			}
+			p.cycle = append(p.cycle, a)
 		}
-		p.items = items
 	}
 	return p, nil
 }
@@ -504,7 +399,7 @@ func (s AttackSpec) buildRefreshSync(mapper addrmap.Mapper) (cpu.Source, error) 
 // so equal patterns render equal strings. ParseAttackSpec inverts it.
 func (s AttackSpec) String() string {
 	s = s.Normalize()
-	k, fixed := fixedKinds[s.Pattern]
+	set, _ := readKnobs(s.Pattern)
 	var b strings.Builder
 	b.WriteString(s.Pattern)
 	sep := byte(':')
@@ -515,29 +410,30 @@ func (s AttackSpec) String() string {
 		b.WriteByte('=')
 		b.WriteString(strconv.FormatInt(v, 10))
 	}
-	if !fixed || k.anchor {
+	if set&knobAnchor != 0 {
 		put("sub", int64(s.Sub))
 		put("bank", int64(s.Bank))
 	}
-	if !fixed || k.row {
+	if set&knobVictim != 0 {
 		put("victim", int64(s.Victim))
 	}
-	if fixed {
-		return b.String()
+	if set&knobAggr != 0 {
+		put("aggr", int64(s.Aggressors))
 	}
-	put("aggr", int64(s.Aggressors))
-	if s.Pattern == KindWave {
+	if set&knobDecoys != 0 {
 		put("decoys", int64(s.Decoys))
 		put("ratio", int64(s.DecoyRatio))
 	}
-	if s.Burst > 0 {
+	if set&knobBurst != 0 {
 		put("burst", int64(s.Burst))
 	}
-	if s.Pattern == KindRefreshSync {
+	if set&knobTiming != 0 {
 		put("phase", s.PhaseNs)
 		put("gap", s.GapNs)
 	}
-	put("spread", int64(s.BankSpread))
+	if set&knobSpread != 0 {
+		put("spread", int64(s.BankSpread))
+	}
 	return b.String()
 }
 
@@ -573,13 +469,7 @@ func ParseAttackSpec(text string) (AttackSpec, error) {
 	var s AttackSpec
 	pattern, rest, hasKnobs := strings.Cut(text, ":")
 	s.Pattern = pattern
-	valid := false
-	for _, k := range Kinds() {
-		if pattern == k {
-			valid = true
-		}
-	}
-	if !valid {
+	if lookup(pattern) == nil {
 		return AttackSpec{}, fmt.Errorf("workload: unknown attack pattern %q (want one of %s)",
 			pattern, strings.Join(Kinds(), " "))
 	}

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -40,14 +43,21 @@ func TestAggressorRowsAdjacency(t *testing.T) {
 	}
 }
 
+// build builds a spec against m, failing the test on error.
+func build(t *testing.T, m addrmap.Mapper, s AttackSpec) *pattern {
+	t.Helper()
+	src, err := s.Build(m)
+	if err != nil {
+		t.Fatalf("%s: %v", s, err)
+	}
+	return src.(*pattern)
+}
+
 func TestManySidedAroundBoundsAndOrder(t *testing.T) {
 	m := testMapper(t)
 	geo := m.Geometry()
 
-	p, err := manySidedAround(m, 1, 5, 4096, 4)
-	if err != nil {
-		t.Fatalf("manySidedAround: %v", err)
-	}
+	p := build(t, m, AttackSpec{Pattern: KindManySided, Sub: 1, Bank: 5, Victim: 4096, Aggressors: 4})
 	// One full cycle plus one wrapped access: deterministic round-robin.
 	locs := drain(t, m, p, 5)
 	wantRows := []int{4095, 4097, 4094, 4096 + 2, 4095}
@@ -61,27 +71,26 @@ func TestManySidedAroundBoundsAndOrder(t *testing.T) {
 	}
 
 	// Victims too close to the bank edge cannot host the cluster.
-	if _, err := manySidedAround(m, 0, 0, 0, 2); err == nil {
+	if _, err := (AttackSpec{Pattern: KindManySided, Victim: 0}).Build(m); err == nil {
 		t.Error("victim at row 0 accepted")
 	}
-	if _, err := manySidedAround(m, 0, 0, geo.Rows-1, 2); err == nil {
+	if _, err := (AttackSpec{Pattern: KindManySided, Victim: geo.Rows - 1}).Build(m); err == nil {
 		t.Error("victim at the last row accepted")
 	}
-	if _, err := manySidedAround(m, 0, 0, 4096, 0); err == nil {
-		t.Error("zero aggressors accepted")
+	// Fewer than two aggressors normalize to the double-sided pair.
+	if got := len(build(t, m, AttackSpec{Pattern: KindManySided, Victim: 4096}).cycle); got != 2 {
+		t.Errorf("zero aggressors built a %d-access cycle, want 2", got)
 	}
 }
 
 func TestWaveShape(t *testing.T) {
 	m := testMapper(t)
 	const victim, aggr, decoys, ratio, burst = 4096, 2, 3, 2, 2
-	p, err := wave(m, 0, 3, victim, aggr, decoys, ratio, burst)
-	if err != nil {
-		t.Fatalf("Wave: %v", err)
-	}
+	p := build(t, m, AttackSpec{Pattern: KindWave, Bank: 3, Victim: victim, Aggressors: aggr,
+		Decoys: decoys, DecoyRatio: ratio, Burst: burst})
 	cycle := decoys*ratio + aggr*burst
-	if p.Rows() != cycle {
-		t.Fatalf("cycle length = %d, want %d", p.Rows(), cycle)
+	if len(p.cycle) != cycle {
+		t.Fatalf("cycle length = %d, want %d", len(p.cycle), cycle)
 	}
 	locs := drain(t, m, p, cycle)
 	// The decoy phase comes first and never touches the victim's
@@ -109,10 +118,8 @@ func TestWaveShape(t *testing.T) {
 func TestRefreshSyncTiming(t *testing.T) {
 	m := testMapper(t)
 	const phase, gap = 100, 700
-	p, err := refreshSync(m, 0, 0, 4096, 2, 4, phase, gap)
-	if err != nil {
-		t.Fatalf("RefreshSync: %v", err)
-	}
+	p := build(t, m, AttackSpec{Pattern: KindRefreshSync, Victim: 4096, Aggressors: 2, Burst: 4,
+		PhaseNs: phase, GapNs: gap})
 	var gaps []int64
 	for i := 0; i < 8; i++ {
 		a, _ := p.Next()
@@ -122,8 +129,8 @@ func TestRefreshSyncTiming(t *testing.T) {
 	// carries only the inter-burst gap; intra-burst accesses are
 	// back-to-back.
 	want := []int64{
-		(phase + gap) * hammerWidthInstrPerNs, 0, 0, 0,
-		gap * hammerWidthInstrPerNs, 0, 0, 0,
+		(phase + gap) * cpu.DefaultWidth, 0, 0, 0,
+		gap * cpu.DefaultWidth, 0, 0, 0,
 	}
 	if !reflect.DeepEqual(gaps, want) {
 		t.Fatalf("gaps = %v, want %v", gaps, want)
@@ -224,19 +231,16 @@ func TestFixedKindsReadOnlyTheirKnobs(t *testing.T) {
 func TestFixedKindsShape(t *testing.T) {
 	m := testMapper(t)
 	geo := m.Geometry()
-	build := func(s AttackSpec) []addrmap.Loc {
+	cycle := func(s AttackSpec) []addrmap.Loc {
 		t.Helper()
-		src, err := s.Build(m)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		return drain(t, m, src, src.(*AttackPattern).Rows())
+		p := build(t, m, s)
+		return drain(t, m, p, len(p.cycle))
 	}
-	ss := build(AttackSpec{Pattern: KindSingleSided, Sub: 1, Bank: 2, Victim: 100})
+	ss := cycle(AttackSpec{Pattern: KindSingleSided, Sub: 1, Bank: 2, Victim: 100})
 	if len(ss) != 2 || ss[0].Row != 100 || ss[1].Row != 100+geo.Rows/2 || ss[0].Bank != 2 || ss[0].Sub != 1 {
 		t.Errorf("single-sided: %+v", ss)
 	}
-	mb := build(AttackSpec{Pattern: KindMultiBank, Victim: 500})
+	mb := cycle(AttackSpec{Pattern: KindMultiBank, Victim: 500})
 	banks := map[int]bool{}
 	for _, l := range mb {
 		if l.Row != 500 {
@@ -247,11 +251,11 @@ func TestFixedKindsShape(t *testing.T) {
 	if len(mb) != geo.Subchannels*geo.Banks || len(banks) != len(mb) {
 		t.Errorf("multi-bank touched %d banks over %d accesses", len(banks), len(mb))
 	}
-	sf := build(AttackSpec{Pattern: KindSRQFill, Bank: 4})
+	sf := cycle(AttackSpec{Pattern: KindSRQFill, Bank: 4})
 	if len(sf) != srqFillRows || sf[1].Row != 8 || sf[srqFillRows-1].Row != 8*(srqFillRows-1) {
 		t.Errorf("srq-fill: %d rows, stride %d", len(sf), sf[1].Row)
 	}
-	tr := build(AttackSpec{Pattern: KindTRRespass, Bank: 4})
+	tr := cycle(AttackSpec{Pattern: KindTRRespass, Bank: 4})
 	if len(tr) != 2*trrespassPairs || tr[0].Row != 100 || tr[1].Row != 102 || tr[2].Row != 110 {
 		t.Errorf("trrespass: %+v", tr[:3])
 	}
@@ -307,14 +311,27 @@ func TestParseAttackSpecRejects(t *testing.T) {
 
 // FuzzParseAttackSpec hardens the knob parser: arbitrary input must
 // never panic, and anything it accepts must round-trip through the
-// canonical String form.
+// canonical String form. An accepted spec that passes Validate must
+// build, and every location of one full cycle must lie inside the
+// geometry: Validate is the only range check the builders have.
 func FuzzParseAttackSpec(f *testing.F) {
+	m, err := addrmap.NewMOP(addrmap.Default(), 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	geo := m.Geometry()
 	f.Add("double-sided:sub=0,bank=0,victim=4096,aggr=2,spread=1")
 	f.Add("wave:victim=100,decoys=8,ratio=2,burst=4")
 	f.Add("refresh-sync:phase=1950,gap=3900")
 	f.Add("many-sided")
 	f.Add("wave:victim=-5,aggr=70")
 	f.Add("multi-bank:sub=1,victim=9,aggr=4")
+	f.Add("single-sided:sub=1,bank=31,victim=65535")
+	f.Add("wave:sub=1,bank=31,victim=65502,aggr=64,decoys=64,ratio=2,burst=8,spread=32")
+	// One step past each geometry bound: Validate must reject these.
+	f.Add("single-sided:sub=2,victim=5")
+	f.Add("single-sided:bank=32,victim=5")
+	f.Add("many-sided:victim=65534,aggr=4")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseAttackSpec(text)
 		if err != nil {
@@ -328,5 +345,95 @@ func FuzzParseAttackSpec(f *testing.F) {
 		if back != s {
 			t.Fatalf("round trip drifted: %+v -> %q -> %+v", s, canon, back)
 		}
+		// Skip specs whose cycle is too long to check quickly (up to
+		// 64 decoy sweeps of 4,096 rows on 32 banks).
+		if s.Validate(geo) != nil || (s.Decoys*s.DecoyRatio+s.Aggressors*s.Burst)*max(s.BankSpread, 1) > 1<<16 {
+			return
+		}
+		if _, err := s.Build(m); err != nil {
+			t.Fatalf("%s passed Validate but did not build: %v", s, err)
+		}
+		// Check the cycle's locations before they are encoded: an
+		// out-of-range bank or subchannel would alias into another
+		// in-range address. Bank spread wraps mod the bank count, so
+		// the base cycle bounds every replica.
+		steps, _ := lookup(s.Pattern).cycle(s, geo)
+		for _, st := range steps {
+			if l := st.loc; l.Sub < 0 || l.Sub >= geo.Subchannels || l.Bank < 0 || l.Bank >= geo.Banks ||
+				l.Row < 0 || l.Row >= geo.Rows {
+				t.Fatalf("%s: location %+v is outside the geometry", s, l)
+			}
+		}
 	})
+}
+
+// attackStreamDigest hashes every kind's canonical text, normalized
+// spec and first 4,096 accesses under three knob vectors, plus the
+// Build error text of invalid specs.
+func attackStreamDigest(t *testing.T) string {
+	t.Helper()
+	m := testMapper(t)
+	geo := m.Geometry()
+	vectors := []AttackSpec{
+		{Victim: DefaultVictim},
+		{Sub: 1, Bank: 5, Victim: 9000, Aggressors: 5, Decoys: 6, DecoyRatio: 2,
+			Burst: 12, PhaseNs: 300, GapNs: 1500, BankSpread: 3},
+		{Sub: 1, Bank: geo.Banks - 1, Victim: geo.Rows - 33, Aggressors: 64, Decoys: geo.Rows / 16,
+			DecoyRatio: 2, Burst: 4096, PhaseNs: 1_000_000, GapNs: 1_000_000, BankSpread: 8},
+	}
+	h := sha256.New()
+	for _, kind := range Kinds() {
+		for _, v := range vectors {
+			v.Pattern = kind
+			fmt.Fprintf(h, "%s\n%+v\n", v, v.Normalize())
+			src, err := v.Build(m)
+			if err != nil {
+				t.Fatalf("%s: %v", v, err)
+			}
+			for i := 0; i < 4096; i++ {
+				a, ok := src.Next()
+				fmt.Fprintf(h, "%d %d %t %t %t\n", a.Gap, a.Addr, a.Dep, a.Write, ok)
+			}
+		}
+	}
+	for _, bad := range []AttackSpec{
+		{Pattern: "sideways", Victim: DefaultVictim},
+		{Pattern: KindDoubleSided},
+		{Pattern: KindWave, Victim: DefaultVictim, Decoys: geo.Rows},
+		{Pattern: KindRefreshSync, Victim: DefaultVictim, PhaseNs: -1},
+		{Pattern: KindManySided, Victim: DefaultVictim, Aggressors: 65},
+		{Pattern: KindSingleSided, Bank: 40, Victim: DefaultVictim},
+	} {
+		_, err := bad.Build(m)
+		if err == nil {
+			t.Fatalf("%+v: built", bad)
+		}
+		fmt.Fprintf(h, "%v\n", err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAttackStreamGolden pins every kind's text, defaults, access
+// stream and error text: a refactor of the pattern builders must not
+// move a single byte.
+func TestAttackStreamGolden(t *testing.T) {
+	const want = "fce494030dfcd63a2c25436f084570193424878927dbe6ff91c95acfeb06da00"
+	if got := attackStreamDigest(t); got != want {
+		t.Fatalf("attack stream digest = %s, want %s", got, want)
+	}
+}
+
+// BenchmarkAttackNext measures one access of a refresh-sync pattern
+// replicated across four banks, the attack hot path.
+func BenchmarkAttackNext(b *testing.B) {
+	src, err := AttackSpec{Pattern: KindRefreshSync, Victim: DefaultVictim, Aggressors: 6,
+		Burst: 24, PhaseNs: 1700, GapNs: 2200, BankSpread: 4}.Build(testMapper(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Next()
+	}
 }

@@ -233,10 +233,8 @@ func TestGeneratorValidation(t *testing.T) {
 
 func TestAttackPatterns(t *testing.T) {
 	m := testMapper(t)
-	ds, err := manySidedAround(m, 0, 3, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	geo := m.Geometry()
+	ds := build(t, m, AttackSpec{Bank: 3, Victim: 100})
 	a1, _ := ds.Next()
 	a2, _ := ds.Next()
 	l1, l2 := m.Decode(a1.Addr), m.Decode(a2.Addr)
@@ -247,57 +245,47 @@ func TestAttackPatterns(t *testing.T) {
 		t.Fatal("attack accesses must be back-to-back and serialised")
 	}
 
-	mb, err := multiBank(m, 64, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := build(t, m, AttackSpec{Pattern: KindMultiBank, Victim: 500})
 	banks := map[int]bool{}
 	for i := 0; i < 64; i++ {
 		a, _ := mb.Next()
-		banks[m.Decode(a.Addr).GlobalBank(m.Geometry())] = true
+		banks[m.Decode(a.Addr).GlobalBank(geo)] = true
 	}
 	if len(banks) != 64 {
 		t.Fatalf("multi-bank touched %d banks", len(banks))
 	}
 
-	sf, err := srqFill(m, 0, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := build(t, m, AttackSpec{Pattern: KindSRQFill})
 	rows := map[int]bool{}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < srqFillRows; i++ {
 		a, _ := sf.Next()
 		rows[m.Decode(a.Addr).Row] = true
 	}
-	if len(rows) != 64 {
+	if len(rows) != srqFillRows {
 		t.Fatalf("SRQ-fill used %d distinct rows", len(rows))
 	}
 
-	ms, err := trrespass(m, 0, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Rows() != 16 {
-		t.Fatalf("trrespass rows = %d, want 16", ms.Rows())
+	ms := build(t, m, AttackSpec{Pattern: KindTRRespass})
+	if len(ms.cycle) != 2*trrespassPairs {
+		t.Fatalf("trrespass rows = %d, want %d", len(ms.cycle), 2*trrespassPairs)
 	}
 }
 
+// TestAttackValidation: specs whose locations would leave the
+// geometry fail to build.
 func TestAttackValidation(t *testing.T) {
 	m := testMapper(t)
-	if _, err := manySidedAround(m, 0, 0, 0, 2); err == nil {
-		t.Fatal("victim 0 accepted")
-	}
-	if _, err := multiBank(m, 0, 5); err == nil {
-		t.Fatal("zero banks accepted")
-	}
-	if _, err := multiBank(m, 1000, 5); err == nil {
-		t.Fatal("too many banks accepted")
-	}
-	if _, err := newAttackPattern(m, nil); err == nil {
-		t.Fatal("empty pattern accepted")
-	}
-	if _, err := newAttackPattern(m, []addrmap.Loc{{Row: 1 << 30}}); err == nil {
-		t.Fatal("out-of-range location accepted")
+	geo := m.Geometry()
+	for name, s := range map[string]AttackSpec{
+		"victim 0":          {Pattern: KindDoubleSided, Victim: 0},
+		"bank past the end": {Pattern: KindSingleSided, Bank: 1000, Victim: 5},
+		"sub past the end":  {Pattern: KindSRQFill, Sub: geo.Subchannels},
+		"row past the end":  {Pattern: KindMultiBank, Victim: geo.Rows},
+		"negative row":      {Pattern: KindSingleSided, Victim: -1},
+	} {
+		if _, err := s.Build(m); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
